@@ -187,10 +187,6 @@ class IpModel:
                 out.append(DomainRecord(f"c12_{self.var_labels[i]}", self.x_name(i), kind))
         return tuple(out)
 
-    def edge_var_domain(self) -> str:
-        """Domain of the Y/Q variables (always binary, never relaxed)."""
-        return "binary"
-
 
 def build_fragility_ip(graph: Graph, no_strike: Collection[int] | None = None,
                        k: int = 0) -> IpModel:

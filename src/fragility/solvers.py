@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from heapq import heapify, heappop, heappush
+from itertools import chain, combinations
 from math import comb
 
 from .graph import Graph, fragile
@@ -48,13 +49,14 @@ def _coerce_no_strike(graph: Graph, no_strike: Collection[int] | None) -> frozen
 class DegreeTracker:
     """Degree bookkeeping for a graph under progressive node removal.
 
-    Maintains surviving node/edge counts, per-node surviving degrees and a
-    degree histogram, so pricing one more removal costs O(deg) instead of a
-    full recount.  Values match :func:`fragility.graph.fragile` bit for bit
-    because both evaluate the same integer counts with the same expression.
+    Maintains surviving node/edge counts, per-node surviving degrees and the
+    set of alive nodes at each degree, so pricing one more removal costs
+    O(deg) instead of a full recount.  Values match
+    :func:`fragility.graph.fragile` bit for bit because both evaluate the
+    same integer counts with the same expression.
     """
 
-    __slots__ = ("graph", "alive", "deg", "cnt", "n_alive", "m_alive", "max_deg")
+    __slots__ = ("graph", "alive", "deg", "level", "n_alive", "m_alive", "max_deg")
 
     def __init__(self, graph: Graph) -> None:
         n = graph.node_count
@@ -63,10 +65,10 @@ class DegreeTracker:
         self.deg = list(graph.degree)
         self.n_alive = n
         self.m_alive = graph.edge_count
-        self.cnt = [0] * (n or 1)
-        for d in self.deg:
-            self.cnt[d] += 1
         self.max_deg = graph.max_degree
+        self.level: list[set[int]] = [set() for _ in range(self.max_deg + 1)]
+        for i, d in enumerate(self.deg):
+            self.level[d].add(i)
 
     def centrality(self) -> float:
         n = self.n_alive
@@ -74,12 +76,8 @@ class DegreeTracker:
             return 0.0
         return (n * self.max_deg - 2 * self.m_alive) / ((n - 1) * (n - 2))
 
-    def removal_value(self, i: int) -> float:
-        """Centralization after additionally removing alive node ``i``."""
-        n2 = self.n_alive - 1
-        if n2 < 3:
-            return 0.0
-        m2 = self.m_alive - self.deg[i]
+    def max_degree_after(self, i: int) -> int:
+        """Largest surviving degree after additionally removing alive node ``i``."""
         delta = {self.deg[i]: -1}
         for j in self.graph.adjacency[i]:
             if self.alive[j]:
@@ -87,60 +85,135 @@ class DegreeTracker:
                 delta[dj] = delta.get(dj, 0) - 1
                 delta[dj - 1] = delta.get(dj - 1, 0) + 1
         v = self.max_deg
-        while v > 0 and self.cnt[v] + delta.get(v, 0) <= 0:
+        while v > 0 and len(self.level[v]) + delta.get(v, 0) <= 0:
             v -= 1
-        return (n2 * v - 2 * m2) / ((n2 - 1) * (n2 - 2))
+        return v
+
+    def removal_value(self, i: int) -> float:
+        """Centralization after additionally removing alive node ``i``."""
+        n2 = self.n_alive - 1
+        if n2 < 3:
+            return 0.0
+        m2 = self.m_alive - self.deg[i]
+        return (n2 * self.max_degree_after(i) - 2 * m2) / ((n2 - 1) * (n2 - 2))
 
     def remove(self, i: int) -> None:
         if not self.alive[i]:
             raise ValueError(f"node {i} is already removed")
+        deg, level = self.deg, self.level
         self.alive[i] = False
         self.n_alive -= 1
-        self.m_alive -= self.deg[i]
-        self.cnt[self.deg[i]] -= 1
+        self.m_alive -= deg[i]
+        level[deg[i]].remove(i)
         for j in self.graph.adjacency[i]:
             if self.alive[j]:
-                dj = self.deg[j]
-                self.cnt[dj] -= 1
-                self.deg[j] = dj - 1
-                self.cnt[dj - 1] += 1
-        self.deg[i] = 0
+                dj = deg[j]
+                level[dj].remove(j)
+                deg[j] = dj - 1
+                level[dj - 1].add(j)
+        deg[i] = 0
         v = self.max_deg
-        while v > 0 and self.cnt[v] == 0:
+        while v > 0 and not level[v]:
             v -= 1
         self.max_deg = v
+
+
+def _best_removal(tracker: DegreeTracker, ns: frozenset[int],
+                  heap: list[tuple[int, int]], left: int) -> tuple[int, int]:
+    """Best alive candidate as ``(numerator, node)``; needs ``n_alive >= 4``.
+
+    With D the max degree and T the alive nodes at D, removing candidate i
+    leaves the max at D unless every node of T other than i is adjacent to
+    i; then it falls to exactly D-1, except when i is all of T, where it is
+    recomputed.  Over the round's shared denominator ``(n2-1)(n2-2)`` the
+    value's integer numerator ``n2*D' - 2*(m - d_i)`` rises strictly with
+    ``d_i`` inside each class, so only each class's highest-degree,
+    lowest-id member is priced.  Below about 4e7 nodes distinct numerators
+    give distinct float gains, so this picks the node that comparing float
+    gains in id order would.  ``heap`` holds ``(-deg, id)`` for every alive
+    candidate, plus stale entries that are dropped here; ``left`` counts the
+    alive candidates.
+    """
+    deg, alive, adjacency = tracker.deg, tracker.alive, tracker.graph.adjacency
+    n2 = tracker.n_alive - 1
+    m, top_d = tracker.m_alive, tracker.max_deg
+    top = tracker.level[top_d]
+    leaders: list[tuple[int, int]] = []  # (numerator, -id): max() wins
+    t0 = next(iter(top))
+    falls: set[int] = set()
+    if len(top) <= top_d + 1:  # else nobody is adjacent to all of T
+        falls = {x for x in chain(adjacency[t0], (t0,))
+                 if alive[x] and x not in ns
+                 and all(x == t or x in adjacency[t] for t in top)}
+    sole = -1
+    if len(top) == 1:
+        falls.discard(t0)
+        if t0 not in ns:
+            sole = t0
+            leaders.append((n2 * tracker.max_degree_after(t0) - 2 * (m - top_d), -t0))
+    if falls:
+        f = min(falls, key=lambda x: (-deg[x], x))
+        leaders.append((n2 * (top_d - 1) - 2 * (m - deg[f]), -f))
+    if left > len(falls) + (sole >= 0):
+        skipped = []
+        while True:
+            neg_d, i = heap[0]
+            if not alive[i] or deg[i] != -neg_d:
+                heappop(heap)
+            elif i in falls or i == sole:
+                skipped.append(heappop(heap))
+            else:
+                leaders.append((n2 * top_d - 2 * (m - deg[i]), -i))
+                break
+        for entry in skipped:
+            heappush(heap, entry)
+    num, neg_i = max(leaders)
+    return num, -neg_i
 
 
 def iter_greedy_steps(graph: Graph, no_strike: Collection[int] | None,
                       k: int) -> Iterator[tuple[int, float]]:
     """Yield ``(node, fragility_after)`` for each removal the greedy accepts.
 
-    Each round prices every remaining targetable node and keeps the one with
-    the largest non-negative fragility gain; zero-gain moves are accepted, so
-    the budget is normally spent in full.  Candidates are scanned in
-    ascending id order and an incumbent is displaced only by a strictly
-    greater gain, so the lowest id among maximal scorers wins.  Stops early
-    once every candidate's gain is negative.
+    Each round keeps the remaining targetable node with the largest
+    non-negative fragility gain; zero-gain moves are accepted, so the budget
+    is normally spent in full.  The lowest id among maximal scorers wins,
+    and the run stops early once every candidate's gain is negative.
+    Candidates fall into three classes by how their removal moves the max
+    degree (it stays, drops by one, or is recomputed for a sole top node);
+    within a class the value rises with degree, so a round prices only the
+    three class leaders (see :func:`_best_removal`).  A round costs
+    O(D * |T| + s log N) for max degree D, |T| nodes at D and s candidates
+    skipped in the degree heap, plus O(d log N) to remove a degree-d node,
+    instead of pricing every node in O(N + M).
     """
     if k < 0:
         raise ValueError("budget k must be non-negative")
     ns = _coerce_no_strike(graph, no_strike)
     tracker = DegreeTracker(graph)
+    alive, deg = tracker.alive, tracker.deg
+    heap = [(-d, i) for i, d in enumerate(deg) if i not in ns]
+    heapify(heap)
+    left = len(heap)
     taken = 0
-    while taken < k:
+    while taken < k and left:
         base = tracker.centrality()
-        best = -1
-        best_gain = 0.0
-        for i in range(graph.node_count):
-            if not tracker.alive[i] or i in ns:
-                continue
-            gain = tracker.removal_value(i) - base
-            if gain > best_gain or (best < 0 and gain >= best_gain):
-                best = i
-                best_gain = gain
-        if best < 0:
-            break
+        n2 = tracker.n_alive - 1
+        if n2 < 3:
+            # every removal scores 0.0: only a zero base accepts one
+            if base > 0.0:
+                break
+            best = min(i for i in range(graph.node_count) if alive[i] and i not in ns)
+        else:
+            num, best = _best_removal(tracker, ns, heap, left)
+            # the float removal_value returns, so a zero gain is accepted exactly
+            if num / ((n2 - 1) * (n2 - 2)) - base < 0.0:
+                break
         tracker.remove(best)
+        for j in graph.adjacency[best]:
+            if alive[j] and j not in ns:
+                heappush(heap, (-deg[j], j))
+        left -= 1
         taken += 1
         yield best, tracker.centrality()
 
@@ -149,8 +222,9 @@ def greedy_fragile(graph: Graph, no_strike: Collection[int] | None = None,
                    k: int = 0) -> RemovalSolution:
     """Greedy removal-set search under budget ``k``.
 
-    Runs in O(k * N^2) in the worst case; returns the chosen nodes in removal
-    order with the fragility trace.  The final fragility is never below the
+    Runs k rounds of :func:`iter_greedy_steps`, each pricing three class
+    leaders instead of every node; returns the chosen nodes in removal order
+    with the fragility trace.  The final fragility is never below the
     untouched graph's whenever any node was removed.
     """
     base = fragile(graph, ())
@@ -177,10 +251,12 @@ def exact_opt(graph: Graph, no_strike: Collection[int] | None = None,
     ns = _coerce_no_strike(graph, no_strike)
     pool = [i for i in range(graph.node_count) if i not in ns]
     k = min(k, len(pool))
-    subsets = sum(comb(len(pool), j) for j in range(k + 1))
-    if subsets > work_limit:
-        raise WorkLimitExceeded(
-            f"{subsets} candidate subsets exceed the work limit of {work_limit}")
+    subsets = 0
+    for j in range(k + 1):
+        subsets += comb(len(pool), j)
+        if subsets > work_limit:
+            raise WorkLimitExceeded(
+                f"work limit exceeded: more than {work_limit} candidate subsets")
     best: tuple[int, ...] = ()
     best_val = fragile(graph, ())
     for size in range(1, k + 1):

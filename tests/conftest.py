@@ -1,9 +1,11 @@
 """Shared fixtures and independent oracles.
 
-The oracle functions here deliberately avoid the library: they operate on a
+Most oracle functions here deliberately avoid the library: they operate on a
 raw ``(n, edges)`` description with straightforward (slow) algorithms, so
 library results can be checked against an implementation that shares no
-code with them.
+code with them.  ``oracle_greedy_steps`` is the exception: it is the greedy
+round that prices every candidate through ``DegreeTracker.removal_value``,
+kept as the reference for the closed-form rounds of ``iter_greedy_steps``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from itertools import combinations
 
 import pytest
 
-from fragility import Graph
+from fragility import DegreeTracker, Graph
 
 # Populated by tests/test_acceptance.py; echoed after the run so the
 # per-criterion verdict lines are visible in normal pytest output.
@@ -97,6 +99,34 @@ def oracle_betweenness(n: int, edges: list[tuple[int, int]]) -> list[float]:
             for interior in path[1:-1]:
                 bet[interior] += share
     return bet
+
+
+def oracle_greedy_steps(graph: Graph, no_strike, k: int) -> list[tuple[int, float]]:
+    """Greedy steps found by pricing every alive candidate each round.
+
+    Candidates are scanned in ascending id order and an incumbent is
+    displaced only by a strictly greater gain, so the lowest id among
+    maximal scorers wins; zero gains are accepted.
+    """
+    ns = frozenset(no_strike or ())
+    tracker = DegreeTracker(graph)
+    steps: list[tuple[int, float]] = []
+    while len(steps) < k:
+        base = tracker.centrality()
+        best = -1
+        best_gain = 0.0
+        for i in range(graph.node_count):
+            if not tracker.alive[i] or i in ns:
+                continue
+            gain = tracker.removal_value(i) - base
+            if gain > best_gain or (best < 0 and gain >= best_gain):
+                best = i
+                best_gain = gain
+        if best < 0:
+            break
+        tracker.remove(best)
+        steps.append((best, tracker.centrality()))
+    return steps
 
 
 def random_graph_edges(rng: random.Random, n: int,

@@ -215,6 +215,15 @@ class TestCliErrors:
                      "--work-limit", "5"]) == 2
         assert "work limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["exact"], ["decision", "--x", "0.5"]])
+    def test_huge_budget_is_exit_2_at_once(self, command, tmp_path, capsys):
+        path = tmp_path / "path.txt"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(14999)))
+        assert main(command + ["--graph", str(path), "--k", "15000"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: work limit exceeded: "
+                       "more than 10000000 candidate subsets\n")
+
     def test_zero_baseline_curve_is_exit_2(self, tmp_path, capsys):
         ring = tmp_path / "ring.txt"
         ring.write_text("a b\nb c\nc d\nd a\n")

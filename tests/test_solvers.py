@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fragility import (DegreeTracker, Graph, RemovalSolution, WorkLimitExceeded,
-                       exact_opt, fragile, fragility_decision, greedy_fragile,
-                       star_graph)
+                       complete_graph, cycle_graph, exact_opt, fragile,
+                       fragility_decision, generate_synthetic, greedy_fragile,
+                       iter_greedy_steps, path_graph, star_graph)
 
-from conftest import oracle_fragile, random_graph_edges
+from conftest import oracle_fragile, oracle_greedy_steps, random_graph_edges
 
 
 def brute_force_best(n, edges, no_strike, k):
@@ -111,6 +112,13 @@ class TestExactExamples:
     def test_work_limit_custom(self, double_star8):
         with pytest.raises(WorkLimitExceeded):
             exact_opt(double_star8, k=2, work_limit=10)
+
+    def test_work_limit_stops_counting_past_the_limit(self):
+        # the full count has over 4,300 digits; it is never summed or printed
+        with pytest.raises(WorkLimitExceeded,
+                           match="^work limit exceeded: more than 10000000 "
+                                 "candidate subsets$"):
+            exact_opt(path_graph(15000), None, 15000)
 
     def test_negative_budget_rejected(self, star4):
         with pytest.raises(ValueError, match="non-negative"):
@@ -241,3 +249,90 @@ class TestGreedyProperties:
         sol = greedy_fragile(g, ns, k)
         for j in range(len(sol.trace)):
             assert sol.trace[j] == fragile(g, sol.removed[:j])
+
+
+# ----- closed-form rounds vs the price-every-candidate oracle ---------------
+
+def _double_star(a: int, b: int) -> Graph:
+    """Adjacent hubs 0 and 1 with ``a`` and ``b`` leaves."""
+    edges = [(0, 1)] + [(0, 2 + j) for j in range(a)]
+    edges += [(1, 2 + a + j) for j in range(b)]
+    return Graph(2 + a + b, edges)
+
+
+def _disjoint(*parts: Graph) -> Graph:
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for u, v in part.edges()]
+        offset += part.node_count
+    return Graph(offset, edges)
+
+
+def _top(graph: Graph, count: int) -> list[int]:
+    return sorted(range(graph.node_count),
+                  key=lambda i: (-graph.degree[i], i))[:count]
+
+
+_HARD_CASES = [
+    # every node sits at the max degree
+    ("cycle6", cycle_graph(6), (), 6),
+    ("cycle9-protected", cycle_graph(9), (0, 4), 9),
+    ("complete5", complete_graph(5), (), 5),
+    ("complete7-protected", complete_graph(7), (3,), 7),
+    # a sole top node whose removal drops the max to 0
+    ("star", star_graph(6), (), 7),
+    ("star-hub-protected", star_graph(6), (0,), 7),
+    ("star-leaves-protected", star_graph(6), (1, 2, 3, 4, 5, 6), 3),
+    # ties across the stays and falls classes
+    ("double-star-even", _double_star(3, 3), (), 8),
+    ("double-star-uneven", _double_star(4, 2), (), 8),
+    ("double-star-hubs-protected", _double_star(3, 3), (0, 1), 6),
+    ("double-star-one-hub-protected", _double_star(2, 4), (1,), 7),
+    # fewer than four alive nodes from the first round on
+    ("empty", Graph(0, []), (), 3),
+    ("single", Graph(1, []), (), 2),
+    ("edge", Graph(2, [(0, 1)]), (), 3),
+    ("path3", path_graph(3), (), 3),
+    ("triangle", complete_graph(3), (1,), 3),
+    ("path4", path_graph(4), (), 4),
+    ("star3", star_graph(3), (), 5),
+    ("isolated4", Graph(4, []), (), 4),
+    ("disconnected", _disjoint(star_graph(4), cycle_graph(5), path_graph(3),
+                               Graph(2, [])), (6,), 16),
+    ("two-stars", _disjoint(star_graph(5), star_graph(5)), (0,), 12),
+    # budget beyond the candidate pool
+    ("k-beyond-pool", _disjoint(star_graph(3), path_graph(4)), (0, 5), 50),
+]
+
+
+class TestClosedFormRounds:
+    @pytest.mark.parametrize("graph, no_strike, k",
+                             [case[1:] for case in _HARD_CASES],
+                             ids=[case[0] for case in _HARD_CASES])
+    def test_hard_cases_match_oracle(self, graph, no_strike, k):
+        assert (list(iter_greedy_steps(graph, no_strike, k))
+                == oracle_greedy_steps(graph, no_strike, k))
+
+    @pytest.mark.parametrize("n, m, seed, protected, k", [
+        (1133, 5541, 0, 20, 113),
+        (1133, 5541, 1, 0, 113),
+        (5000, 24450, 0, 20, 40),
+    ])
+    def test_scale_free_matches_oracle(self, n, m, seed, protected, k):
+        g = generate_synthetic("scale-free", n, m, seed=seed)
+        ns = _top(g, protected)
+        assert (list(iter_greedy_steps(g, ns, k))
+                == oracle_greedy_steps(g, ns, k))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_instances_match_oracle(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=14))
+        pairs = list(combinations(range(n), 2))
+        mask = data.draw(st.lists(st.booleans(), min_size=len(pairs),
+                                  max_size=len(pairs)))
+        g = Graph(n, [p for p, keep in zip(pairs, mask) if keep])
+        ns = data.draw(st.sets(st.integers(min_value=0, max_value=max(n - 1, 0)),
+                               max_size=3 if n else 0))
+        k = data.draw(st.integers(min_value=0, max_value=n + 1))
+        assert list(iter_greedy_steps(g, ns, k)) == oracle_greedy_steps(g, ns, k)
