@@ -13,7 +13,7 @@ from collections import deque
 from collections.abc import Collection
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, _node_set
 
 
 @dataclass(frozen=True)
@@ -28,14 +28,6 @@ class NodeRanking:
     order: tuple[int, ...]
 
 
-def _coerce(graph: Graph, no_strike: Collection[int] | None) -> frozenset[int]:
-    ns = frozenset(no_strike or ())
-    for i in ns:
-        if not (0 <= i < graph.node_count):
-            raise ValueError(f"no-strike set references unknown node id {i}")
-    return ns
-
-
 def _rank(graph: Graph, full_scores: list[float],
           no_strike: frozenset[int]) -> NodeRanking:
     targetable = [i for i in range(graph.node_count) if i not in no_strike]
@@ -46,7 +38,7 @@ def _rank(graph: Graph, full_scores: list[float],
 def degree_ranking(graph: Graph,
                    no_strike: Collection[int] | None = None) -> NodeRanking:
     """Rank targetable nodes by plain degree."""
-    ns = _coerce(graph, no_strike)
+    ns = _node_set(graph.node_count, no_strike)
     return _rank(graph, [float(d) for d in graph.degree], ns)
 
 
@@ -83,7 +75,7 @@ def closeness_scores(graph: Graph) -> list[float]:
 
 def closeness_ranking(graph: Graph,
                       no_strike: Collection[int] | None = None) -> NodeRanking:
-    ns = _coerce(graph, no_strike)
+    ns = _node_set(graph.node_count, no_strike)
     return _rank(graph, closeness_scores(graph), ns)
 
 
@@ -125,7 +117,7 @@ def betweenness_scores(graph: Graph) -> list[float]:
 
 def betweenness_ranking(graph: Graph,
                         no_strike: Collection[int] | None = None) -> NodeRanking:
-    ns = _coerce(graph, no_strike)
+    ns = _node_set(graph.node_count, no_strike)
     return _rank(graph, betweenness_scores(graph), ns)
 
 

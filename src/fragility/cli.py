@@ -26,9 +26,8 @@ import sys
 import warnings
 from pathlib import Path
 
-from .baselines import (betweenness_ranking, closeness_ranking, degree_ranking)
 from .graph import fragile, network_degree_centrality
-from .harness import (CSV_HEADER, ExperimentConfig, InfeasibleDensityError,
+from .harness import (_RANKERS, ExperimentConfig, InfeasibleDensityError,
                       STRATEGIES, ZeroBaselineError, benchmark_runtime,
                       emit_csv, generate_synthetic, run_curves)
 from .io import EdgeListError, RunManifest, emit_edge_list, parse_edge_list, \
@@ -36,13 +35,6 @@ from .io import EdgeListError, RunManifest, emit_edge_list, parse_edge_list, \
 from .ip_model import build_fragility_ip, emit_lp, linearize, relax_bounds
 from .solvers import (DEFAULT_WORK_LIMIT, WorkLimitExceeded, exact_opt,
                       fragility_decision, greedy_fragile)
-
-_RANKERS = {
-    "degree": degree_ranking,
-    "closeness": closeness_ranking,
-    "betweenness": betweenness_ranking,
-}
-
 
 class _CliInputError(Exception):
     pass
@@ -164,12 +156,6 @@ def _load_graph(args):
     return graph, no_strike
 
 
-def _reject_csv(args, *allowed_commands):
-    if args.format == "csv" and args.command not in allowed_commands:
-        raise _CliInputError(
-            "csv output is only available for the curve and bench commands")
-
-
 def _manifest_for(args, parameters, outputs, seed=None) -> RunManifest:
     return RunManifest(
         command=args.command,
@@ -179,14 +165,6 @@ def _manifest_for(args, parameters, outputs, seed=None) -> RunManifest:
         seed=seed,
         outputs=tuple(outputs),
     )
-
-
-def _finish(args, manifest: RunManifest) -> None:
-    path = args.manifest
-    if path is None and manifest.outputs:
-        path = manifest.outputs[0] + ".manifest.json"
-    if path:
-        manifest.write(path)
 
 
 def _emit(args, manifest: RunManifest, text_lines, payload) -> None:
@@ -200,7 +178,8 @@ def _emit(args, manifest: RunManifest, text_lines, payload) -> None:
             print(line)
 
 
-def _solution_output(args, manifest, labels, solution, base):
+def _solution_output(args, manifest, labels, solution):
+    base = solution.trace[0]
     lines = [
         f"removed ({len(solution.removed)}): "
         + (" ".join(labels[i] for i in solution.removed) or "(none)"),
@@ -217,50 +196,41 @@ def _solution_output(args, manifest, labels, solution, base):
     _emit(args, manifest, lines, payload)
 
 
-# ----- handlers ------------------------------------------------------------
+# ----- handlers: each prints its result and returns its manifest -----------
 
-def _cmd_centrality(args) -> int:
-    _reject_csv(args)
+def _cmd_centrality(args) -> RunManifest:
     graph, _ = _load_graph(args)
     value = network_degree_centrality(graph)
     manifest = _manifest_for(args, {}, ())
     _emit(args, manifest, [f"{value:.6f}"], {"centrality": value})
-    _finish(args, manifest)
-    return 0
+    return manifest
 
 
-def _cmd_greedy(args) -> int:
-    _reject_csv(args)
+def _cmd_greedy(args) -> RunManifest:
     graph, ns = _load_graph(args)
     solution = greedy_fragile(graph, ns, args.k)
     manifest = _manifest_for(args, {"k": args.k}, ())
-    _solution_output(args, manifest, graph.labels, solution, solution.trace[0])
-    _finish(args, manifest)
-    return 0
+    _solution_output(args, manifest, graph.labels, solution)
+    return manifest
 
 
-def _cmd_exact(args) -> int:
-    _reject_csv(args)
+def _cmd_exact(args) -> RunManifest:
     graph, ns = _load_graph(args)
     solution = exact_opt(graph, ns, args.k, args.work_limit)
     manifest = _manifest_for(args, {"k": args.k, "work_limit": args.work_limit}, ())
-    _solution_output(args, manifest, graph.labels, solution, solution.trace[0])
-    _finish(args, manifest)
-    return 0
+    _solution_output(args, manifest, graph.labels, solution)
+    return manifest
 
 
-def _cmd_decision(args) -> int:
-    _reject_csv(args)
+def _cmd_decision(args) -> RunManifest:
     graph, ns = _load_graph(args)
     answer = fragility_decision(graph, ns, args.k, args.x, args.work_limit)
     manifest = _manifest_for(args, {"k": args.k, "x": args.x}, ())
     _emit(args, manifest, ["true" if answer else "false"], {"decision": answer})
-    _finish(args, manifest)
-    return 0
+    return manifest
 
 
-def _cmd_emit_ip(args) -> int:
-    _reject_csv(args)
+def _cmd_emit_ip(args) -> RunManifest:
     graph, ns = _load_graph(args)
     model = build_fragility_ip(graph, ns, args.k)
     if args.relax:
@@ -294,12 +264,10 @@ def _cmd_emit_ip(args) -> int:
         raise _CliInputError(
             "the model objective is fractional: pass --linearize-i I for one "
             "removal count or --all-i for the whole 1..k family")
-    _finish(args, manifest)
-    return 0
+    return manifest
 
 
-def _cmd_baseline(args) -> int:
-    _reject_csv(args)
+def _cmd_baseline(args) -> RunManifest:
     graph, ns = _load_graph(args)
     ranking = _RANKERS[args.strategy](graph, ns)
     if args.m < 0 or args.m > len(ranking.order):
@@ -323,8 +291,7 @@ def _cmd_baseline(args) -> int:
         "final_fragility": frag,
     }
     _emit(args, manifest, lines, payload)
-    _finish(args, manifest)
-    return 0
+    return manifest
 
 
 def _parse_strategies(raw: str) -> tuple[str, ...]:
@@ -337,7 +304,7 @@ def _parse_strategies(raw: str) -> tuple[str, ...]:
     return names
 
 
-def _cmd_curve(args) -> int:
+def _cmd_curve(args) -> RunManifest:
     graph, ns = _load_graph(args)
     cfg = ExperimentConfig(strategies=_parse_strategies(args.strategies),
                            max_fraction=args.max_fraction, step=args.step)
@@ -361,11 +328,10 @@ def _cmd_curve(args) -> int:
         print(text, end="")
     else:
         print(f"wrote {args.out}")
-    _finish(args, manifest)
-    return 0
+    return manifest
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> RunManifest:
     graph, ns = _load_graph(args)
     strategies = _parse_strategies(args.strategies)
     try:
@@ -386,12 +352,10 @@ def _cmd_bench(args) -> int:
         {"strategy": s, "budget": b, "median_wall_time_s": t}
         for s, b, t in rows]}
     _emit(args, manifest, lines, payload)
-    _finish(args, manifest)
-    return 0
+    return manifest
 
 
-def _cmd_synth(args) -> int:
-    _reject_csv(args)
+def _cmd_synth(args) -> RunManifest:
     graph = generate_synthetic(args.kind, args.n, args.m, args.seed)
     text = emit_edge_list(graph)
     outputs: list[str] = []
@@ -409,8 +373,7 @@ def _cmd_synth(args) -> int:
               f"{graph.edge_count} edges)")
     else:
         print(text, end="")
-    _finish(args, manifest)
-    return 0
+    return manifest
 
 
 # ----- entry points --------------------------------------------------------
@@ -422,7 +385,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.handler(args)
+        if args.format == "csv" and args.command not in ("curve", "bench"):
+            raise _CliInputError(
+                "csv output is only available for the curve and bench commands")
+        manifest = args.handler(args)
+        path = args.manifest
+        if path is None and manifest.outputs:
+            path = manifest.outputs[0] + ".manifest.json"
+        if path:
+            manifest.write(path)
+        return 0
     except _CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -68,9 +68,6 @@ class Graph:
         """All edges as (u, v) pairs with u < v, sorted."""
         return self._edges
 
-    def neighbors(self, i: int) -> frozenset[int]:
-        return self.adjacency[i]
-
     def id_of(self, label: str) -> int:
         try:
             return self._label_index[label]
@@ -81,10 +78,18 @@ class Graph:
         return f"Graph(n={self.node_count}, m={self.edge_count})"
 
 
-def _check_node_ids(graph: Graph, nodes: Collection[int]) -> None:
-    for i in nodes:
-        if not (0 <= i < graph.node_count):
+def _node_set(node_count: int, nodes: Collection[int] | None) -> frozenset[int]:
+    """``nodes`` (``None`` for none) as a frozenset of ids below ``node_count``."""
+    ids = frozenset(() if nodes is None else nodes)
+    for i in ids:
+        if not (0 <= i < node_count):
             raise ValueError(f"unknown node id {i}")
+    return ids
+
+
+def _centralization(n: int, top: int, m: int) -> float:
+    """Score of ``n`` nodes with max degree ``top`` and ``m`` edges; 0.0 if n < 3."""
+    return 0.0 if n < 3 else (n * top - 2 * m) / ((n - 1) * (n - 2))
 
 
 def network_degree_centrality(graph: Graph) -> float:
@@ -93,10 +98,7 @@ def network_degree_centrality(graph: Graph) -> float:
     Computed as (N * d_max - 2 * M) / ((N - 1) * (N - 2)).  Returns 0.0 for
     graphs with fewer than three nodes.
     """
-    n = graph.node_count
-    if n < 3:
-        return 0.0
-    return (n * graph.max_degree - 2 * graph.edge_count) / ((n - 1) * (n - 2))
+    return _centralization(graph.node_count, graph.max_degree, graph.edge_count)
 
 
 def fragile(graph: Graph, removed: Collection[int]) -> float:
@@ -106,11 +108,8 @@ def fragile(graph: Graph, removed: Collection[int]) -> float:
     edges whose other endpoint also survives.  Scores the degenerate 0.0
     when fewer than three nodes survive.
     """
-    removed = frozenset(removed)
-    _check_node_ids(graph, removed)
+    removed = _node_set(graph.node_count, removed)
     survivors = graph.node_count - len(removed)
-    if survivors < 3:
-        return 0.0
     lost: dict[int, int] = {}
     for r in removed:
         for j in graph.adjacency[r]:
@@ -125,7 +124,7 @@ def fragile(graph: Graph, removed: Collection[int]) -> float:
         degree_sum += d
         if d > top:
             top = d
-    return (survivors * top - degree_sum) / ((survivors - 1) * (survivors - 2))
+    return _centralization(survivors, top, degree_sum // 2)
 
 
 def marginal_gain(graph: Graph, base: Collection[int], candidate: int) -> float:
@@ -134,9 +133,7 @@ def marginal_gain(graph: Graph, base: Collection[int], candidate: int) -> float:
     Equals ``fragile(graph, base | {candidate}) - fragile(graph, base)``.
     The candidate must not already be in the base set.
     """
-    base = frozenset(base)
-    _check_node_ids(graph, base)
-    _check_node_ids(graph, (candidate,))
+    base = _node_set(graph.node_count, base)
     if candidate in base:
         raise ValueError(f"candidate {candidate} is already removed")
     return fragile(graph, base | {candidate}) - fragile(graph, base)
@@ -144,8 +141,7 @@ def marginal_gain(graph: Graph, base: Collection[int], candidate: int) -> float:
 
 def induced_subgraph(graph: Graph, keep: Collection[int]) -> Graph:
     """Subgraph on ``keep``, reindexed densely with labels preserved."""
-    keep_set = frozenset(keep)
-    _check_node_ids(graph, keep_set)
+    keep_set = _node_set(graph.node_count, keep)
     order = sorted(keep_set)
     remap = {old: new for new, old in enumerate(order)}
     edges = [(remap[u], remap[v]) for u, v in graph.edges()

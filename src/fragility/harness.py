@@ -57,7 +57,6 @@ class ExperimentConfig:
     strategies: tuple[str, ...] = STRATEGIES
     max_fraction: float = 0.12
     step: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for s in self.strategies:

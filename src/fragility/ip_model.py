@@ -46,7 +46,7 @@ import re
 from collections.abc import Collection
 from dataclasses import dataclass, replace
 
-from .graph import Graph
+from .graph import Graph, _node_set
 
 _EPS = 1e-9
 
@@ -193,10 +193,7 @@ def build_fragility_ip(graph: Graph, no_strike: Collection[int] | None = None,
     """Build the fractional model for ``graph`` with removal budget ``k``."""
     if k < 0 or k > graph.node_count:
         raise ValueError("budget k must lie in 0..N")
-    ns = frozenset(no_strike or ())
-    for i in ns:
-        if not (0 <= i < graph.node_count):
-            raise ValueError(f"no-strike set references unknown node id {i}")
+    ns = _node_set(graph.node_count, no_strike)
     var_labels = tuple(_sanitize_label(lab) for lab in graph.labels)
     seen: dict[str, str] = {}
     for lab, san in zip(graph.labels, var_labels):
@@ -237,10 +234,8 @@ def canonical_assignment(model: IpModel, removed: Collection[int],
     """Feasible assignment encoding ``removed``: Y tracks edge survival, Z
     sits on ``selected`` (default: the max-degree survivor, lowest id on
     ties) and Q routes one unit along each of its surviving edges."""
-    removed = frozenset(removed)
+    removed = _node_set(model.n_nodes, removed)
     for i in removed:
-        if not (0 <= i < model.n_nodes):
-            raise ValueError(f"unknown node id {i}")
         if i in model.no_strike:
             raise ValueError(f"node {i} is protected and cannot be removed")
     if len(removed) > model.k:

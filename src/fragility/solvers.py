@@ -13,7 +13,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain, combinations
 from math import comb
 
-from .graph import Graph, fragile
+from .graph import Graph, _centralization, _node_set, fragile
 
 DEFAULT_WORK_LIMIT = 10_000_000
 
@@ -36,24 +36,14 @@ class RemovalSolution:
     final_fragility: float
 
 
-def _coerce_no_strike(graph: Graph, no_strike: Collection[int] | None) -> frozenset[int]:
-    if no_strike is None:
-        return frozenset()
-    ns = frozenset(no_strike)
-    for i in ns:
-        if not (0 <= i < graph.node_count):
-            raise ValueError(f"no-strike set references unknown node id {i}")
-    return ns
-
-
 class DegreeTracker:
     """Degree bookkeeping for a graph under progressive node removal.
 
     Maintains surviving node/edge counts, per-node surviving degrees and the
     set of alive nodes at each degree, so pricing one more removal costs
     O(deg) instead of a full recount.  Values match
-    :func:`fragility.graph.fragile` bit for bit because both evaluate the
-    same integer counts with the same expression.
+    :func:`fragility.graph.fragile` bit for bit because both pass the same
+    integer counts to the same scoring function.
     """
 
     __slots__ = ("graph", "alive", "deg", "level", "n_alive", "m_alive", "max_deg")
@@ -71,10 +61,7 @@ class DegreeTracker:
             self.level[d].add(i)
 
     def centrality(self) -> float:
-        n = self.n_alive
-        if n < 3:
-            return 0.0
-        return (n * self.max_deg - 2 * self.m_alive) / ((n - 1) * (n - 2))
+        return _centralization(self.n_alive, self.max_deg, self.m_alive)
 
     def max_degree_after(self, i: int) -> int:
         """Largest surviving degree after additionally removing alive node ``i``."""
@@ -88,14 +75,6 @@ class DegreeTracker:
         while v > 0 and len(self.level[v]) + delta.get(v, 0) <= 0:
             v -= 1
         return v
-
-    def removal_value(self, i: int) -> float:
-        """Centralization after additionally removing alive node ``i``."""
-        n2 = self.n_alive - 1
-        if n2 < 3:
-            return 0.0
-        m2 = self.m_alive - self.deg[i]
-        return (n2 * self.max_degree_after(i) - 2 * m2) / ((n2 - 1) * (n2 - 2))
 
     def remove(self, i: int) -> None:
         if not self.alive[i]:
@@ -189,7 +168,7 @@ def iter_greedy_steps(graph: Graph, no_strike: Collection[int] | None,
     """
     if k < 0:
         raise ValueError("budget k must be non-negative")
-    ns = _coerce_no_strike(graph, no_strike)
+    ns = _node_set(graph.node_count, no_strike)
     tracker = DegreeTracker(graph)
     alive, deg = tracker.alive, tracker.deg
     heap = [(-d, i) for i, d in enumerate(deg) if i not in ns]
@@ -206,7 +185,7 @@ def iter_greedy_steps(graph: Graph, no_strike: Collection[int] | None,
             best = min(i for i in range(graph.node_count) if alive[i] and i not in ns)
         else:
             num, best = _best_removal(tracker, ns, heap, left)
-            # the float removal_value returns, so a zero gain is accepted exactly
+            # the float fragile gives this removal, so a zero gain is accepted exactly
             if num / ((n2 - 1) * (n2 - 2)) - base < 0.0:
                 break
         tracker.remove(best)
@@ -248,7 +227,7 @@ def exact_opt(graph: Graph, no_strike: Collection[int] | None = None,
     """
     if k < 0:
         raise ValueError("budget k must be non-negative")
-    ns = _coerce_no_strike(graph, no_strike)
+    ns = _node_set(graph.node_count, no_strike)
     pool = [i for i in range(graph.node_count) if i not in ns]
     k = min(k, len(pool))
     subsets = 0

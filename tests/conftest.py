@@ -3,9 +3,10 @@
 Most oracle functions here deliberately avoid the library: they operate on a
 raw ``(n, edges)`` description with straightforward (slow) algorithms, so
 library results can be checked against an implementation that shares no
-code with them.  ``oracle_greedy_steps`` is the exception: it is the greedy
-round that prices every candidate through ``DegreeTracker.removal_value``,
-kept as the reference for the closed-form rounds of ``iter_greedy_steps``.
+code with them.  ``oracle_removal_value`` and ``oracle_greedy_steps`` are
+the exception: they are the greedy round that prices every candidate on a
+``DegreeTracker``, kept as the reference for the closed-form rounds of
+``iter_greedy_steps``.
 """
 
 from __future__ import annotations
@@ -101,6 +102,15 @@ def oracle_betweenness(n: int, edges: list[tuple[int, int]]) -> list[float]:
     return bet
 
 
+def oracle_removal_value(tracker: DegreeTracker, i: int) -> float:
+    """Centralization after additionally removing alive node ``i``."""
+    n2 = tracker.n_alive - 1
+    if n2 < 3:
+        return 0.0
+    m2 = tracker.m_alive - tracker.deg[i]
+    return (n2 * tracker.max_degree_after(i) - 2 * m2) / ((n2 - 1) * (n2 - 2))
+
+
 def oracle_greedy_steps(graph: Graph, no_strike, k: int) -> list[tuple[int, float]]:
     """Greedy steps found by pricing every alive candidate each round.
 
@@ -118,7 +128,7 @@ def oracle_greedy_steps(graph: Graph, no_strike, k: int) -> list[tuple[int, floa
         for i in range(graph.node_count):
             if not tracker.alive[i] or i in ns:
                 continue
-            gain = tracker.removal_value(i) - base
+            gain = oracle_removal_value(tracker, i) - base
             if gain > best_gain or (best < 0 and gain >= best_gain):
                 best = i
                 best_gain = gain

