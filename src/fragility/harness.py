@@ -4,7 +4,8 @@ A curve sweeps removal budgets for one or more strategies and records, per
 budget, the surviving network's fragility and its percent increase over the
 untouched graph.  Greedy curves come from a single greedy run at the largest
 budget whose prefixes are reported; ranking strategies score the graph once
-and slice deeper into the same fixed order.
+and walk the fixed order once on a degree tracker, reading the score at each
+budget.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 from .baselines import (betweenness_ranking, closeness_ranking,
                         degree_ranking, static_removal_schedule)
-from .graph import Graph, fragile
-from .solvers import greedy_fragile, iter_greedy_steps
+from .graph import Graph, _node_set, fragile
+from .solvers import DegreeTracker, greedy_fragile, iter_greedy_steps
 
 STRATEGIES = ("betweenness", "closeness", "degree", "greedy")
 
@@ -81,6 +82,7 @@ def run_curves(graph: Graph, no_strike: Collection[int] | None,
     and must be positive (degree-regular graphs have no meaningful percent
     change).  Points come back sorted by (strategy, nodes_removed).
     """
+    ns = _node_set(graph.node_count, no_strike)
     base = fragile(graph, ())
     if base <= 0.0:
         raise ZeroBaselineError(
@@ -90,9 +92,9 @@ def run_curves(graph: Graph, no_strike: Collection[int] | None,
     points: list[CurvePoint] = []
     for strategy in sorted(cfg.strategies):
         if strategy == "greedy":
-            points.extend(_greedy_curve(graph, no_strike, budgets, base))
+            points.extend(_greedy_curve(graph, ns, budgets, base))
         else:
-            points.extend(_ranking_curve(graph, no_strike, strategy, budgets, base))
+            points.extend(_ranking_curve(graph, ns, strategy, budgets, base))
     return points
 
 
@@ -135,11 +137,15 @@ def _ranking_curve(graph: Graph, no_strike, strategy: str, budgets: list[int],
     t0 = time.perf_counter()
     ranking = _RANKERS[strategy](graph, no_strike)
     ranking_time = time.perf_counter() - t0
+    order = ranking.order
+    tracker = DegreeTracker(graph)
+    taken = 0
     out = []
-    for b in budgets:
-        m = min(b, len(ranking.order))
-        removed = ranking.order[:m]
-        out.append(_point(strategy, graph, m, fragile(graph, removed), base,
+    for b in budgets:  # ascending, so each prefix extends the last one
+        for i in order[taken:b]:
+            tracker.remove(i)
+        taken = min(b, len(order))
+        out.append(_point(strategy, graph, taken, tracker.centrality(), base,
                           ranking_time))
     return out
 

@@ -1,4 +1,4 @@
-"""Removal-set solvers: greedy heuristic and exact enumeration.
+"""Removal-set solvers: greedy heuristic and exact branch and bound.
 
 Both solvers pick node sets whose deletion drives the surviving network's
 degree centralization as high as possible, while never touching nodes in the
@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations
+from itertools import chain
 from math import comb
 
 from .graph import Graph, _centralization, _node_set, fragile
@@ -19,7 +19,7 @@ DEFAULT_WORK_LIMIT = 10_000_000
 
 
 class WorkLimitExceeded(RuntimeError):
-    """Raised when exhaustive enumeration would scan too many subsets."""
+    """Raised when the exact search space holds more subsets than the work limit."""
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,8 @@ class DegreeTracker:
 
     Maintains surviving node/edge counts, per-node surviving degrees and the
     set of alive nodes at each degree, so pricing one more removal costs
-    O(deg) instead of a full recount.  Values match
+    O(deg) instead of a full recount; :meth:`restore` undoes removals, last
+    in first out, for the exact search.  Values match
     :func:`fragility.graph.fragile` bit for bit because both pass the same
     integer counts to the same scoring function.
     """
@@ -95,6 +96,31 @@ class DegreeTracker:
         while v > 0 and not level[v]:
             v -= 1
         self.max_deg = v
+
+    def restore(self, i: int, d: int) -> None:
+        """Undo the latest :meth:`remove`, of node ``i``, whose degree was ``d``.
+
+        Removals must be undone last in, first out, so that ``i``'s alive
+        neighbours are exactly the ``d`` it had when it was removed.
+        """
+        if self.alive[i]:
+            raise ValueError(f"node {i} is not removed")
+        deg, level = self.deg, self.level
+        top = max(self.max_deg, d)
+        for j in self.graph.adjacency[i]:
+            if self.alive[j]:
+                dj = deg[j]
+                level[dj].remove(j)
+                deg[j] = dj + 1
+                level[dj + 1].add(j)
+                if dj >= top:
+                    top = dj + 1
+        self.alive[i] = True
+        self.n_alive += 1
+        self.m_alive += d
+        deg[i] = d
+        level[d].add(i)
+        self.max_deg = top
 
 
 def _best_removal(tracker: DegreeTracker, ns: frozenset[int],
@@ -215,15 +241,12 @@ def greedy_fragile(graph: Graph, no_strike: Collection[int] | None = None,
     return RemovalSolution(tuple(removed), tuple(trace), trace[-1])
 
 
-def exact_opt(graph: Graph, no_strike: Collection[int] | None = None,
-              k: int = 0, work_limit: int = DEFAULT_WORK_LIMIT) -> RemovalSolution:
-    """Exhaustive optimum over all removal sets of size 0..k.
+def _exact_pool(graph: Graph, no_strike: Collection[int] | None, k: int,
+                work_limit: int) -> tuple[list[int], int]:
+    """Targetable ids in ascending order and ``k`` clipped to their count.
 
-    Every subset size is scanned because fragility is not monotone: a smaller
-    set can beat a larger one.  Ties on value prefer more removals, then the
-    lexicographically smallest id tuple, which keeps results deterministic.
-    Raises :class:`WorkLimitExceeded` when the subset count would exceed
-    ``work_limit``.
+    Raises :class:`WorkLimitExceeded` up front when sizes ``0..k`` hold more
+    than ``work_limit`` subsets, however few of them the search visits.
     """
     if k < 0:
         raise ValueError("budget k must be non-negative")
@@ -236,14 +259,101 @@ def exact_opt(graph: Graph, no_strike: Collection[int] | None = None,
         if subsets > work_limit:
             raise WorkLimitExceeded(
                 f"work limit exceeded: more than {work_limit} candidate subsets")
+    return pool, k
+
+
+def _search(graph: Graph, pool: list[int], k: int,
+            above: float | None = None) -> tuple[int, ...] | None:
+    """Depth-first branch and bound over removal tuples of at most ``k`` ids.
+
+    Tuples are ascending ids from ``pool``, visited in preorder, so tuples
+    of one size come in lexicographic order.  Each is scored on one
+    :class:`DegreeTracker` by removing its last id and restoring it on the
+    way back.  With ``above`` None this returns the best tuple: highest
+    value, then most removals, then lexicographically smallest.  Otherwise
+    it returns the first tuple scoring strictly above ``above``, or None.
+
+    With candidates ``pool[start:]`` left, a tuple bounds each descendant
+    with s more removals by ``((n-s)*D - 2*(m - S_s)) / ((n-s-1)*(n-s-2))``
+    (0.0 once ``n-s < 3``), where ``S_s`` sums the s largest current
+    candidate degrees: the max degree D cannot rise and s removals delete
+    at most ``S_s`` edges.  The bound is a correctly rounded int/int
+    quotient and rounding is monotone, so no descendant's float value
+    exceeds it.  A subtree is skipped when that float bound is below the
+    incumbent, or equal to it with no descendant larger than the incumbent
+    tuple; the decision skips it when the bound is at most ``above``.
+    """
+    tracker = DegreeTracker(graph)
+    deg = tracker.deg
+    deciding = above is not None
     best: tuple[int, ...] = ()
-    best_val = fragile(graph, ())
-    for size in range(1, k + 1):
-        for combo in combinations(pool, size):
-            val = fragile(graph, combo)
-            if val > best_val or (val == best_val and size > len(best)):
-                best = combo
-                best_val = val
+    best_val = tracker.centrality()
+    if deciding:  # above stands in for the incumbent; an equal score is no witness
+        if best_val > above:
+            return best
+        best_val = above
+    removed: list[int] = []
+    degrees: list[int] = []  # degree of each removed id just before its removal
+
+    def promising(start: int) -> bool:
+        r = min(k - len(removed), len(pool) - start)
+        if r <= 0:
+            return False
+        n, top, m = tracker.n_alive, tracker.max_deg, tracker.m_alive
+        largest = sorted((deg[i] for i in pool[start:]), reverse=True)
+        bound, lost = 0.0, 0
+        for s in range(1, r + 1):
+            lost += largest[s - 1]
+            if n - s >= 3:
+                bound = max(bound, ((n - s) * top - 2 * (m - lost))
+                            / ((n - s - 1) * (n - s - 2)))
+        if deciding:
+            return bound > best_val
+        # an equal score wins only with more removals than the incumbent
+        return bound > best_val or (bound == best_val
+                                    and len(removed) + r > len(best))
+
+    stack = [0] if promising(0) else []  # stack[t]: next pool index at depth t
+    while stack:
+        q = stack[-1]
+        if q == len(pool):
+            stack.pop()
+            if removed:
+                tracker.restore(removed.pop(), degrees.pop())
+            continue
+        stack[-1] = q + 1
+        i = pool[q]
+        degrees.append(deg[i])
+        removed.append(i)
+        tracker.remove(i)
+        val = tracker.centrality()
+        if val > best_val:
+            if deciding:
+                return tuple(removed)
+            best, best_val = tuple(removed), val
+        elif val == best_val and not deciding and len(removed) > len(best):
+            best = tuple(removed)
+        if promising(q + 1):
+            stack.append(q + 1)
+        else:
+            tracker.restore(removed.pop(), degrees.pop())
+    return None if deciding else best
+
+
+def exact_opt(graph: Graph, no_strike: Collection[int] | None = None,
+              k: int = 0, work_limit: int = DEFAULT_WORK_LIMIT) -> RemovalSolution:
+    """Optimum over all removal sets of size 0..k, by branch and bound.
+
+    Every size is searched because fragility is not monotone: a smaller
+    set can beat a larger one.  Ties on value prefer more removals, then the
+    lexicographically smallest id tuple, which keeps results deterministic.
+    The search scores sets incrementally and skips subtrees whose bound
+    cannot reach the incumbent, with the same result as scoring every
+    subset.  Raises :class:`WorkLimitExceeded` up front when the subset
+    count would exceed ``work_limit``.
+    """
+    pool, k = _exact_pool(graph, no_strike, k, work_limit)
+    best = _search(graph, pool, k)
     trace = [fragile(graph, best[:j]) for j in range(len(best) + 1)]
     return RemovalSolution(best, tuple(trace), trace[-1])
 
@@ -251,5 +361,11 @@ def exact_opt(graph: Graph, no_strike: Collection[int] | None = None,
 def fragility_decision(graph: Graph, no_strike: Collection[int] | None,
                        k: int, x: float,
                        work_limit: int = DEFAULT_WORK_LIMIT) -> bool:
-    """True iff some removal set of size <= k pushes fragility strictly above x."""
-    return exact_opt(graph, no_strike, k, work_limit).final_fragility > x
+    """True iff some removal set of size <= k pushes fragility strictly above x.
+
+    Validates ids and checks ``work_limit`` up front like :func:`exact_opt`,
+    then stops at the first set scoring above x; subtrees whose bound is at
+    most x are skipped.
+    """
+    pool, k = _exact_pool(graph, no_strike, k, work_limit)
+    return _search(graph, pool, k, x) is not None

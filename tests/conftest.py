@@ -6,7 +6,9 @@ library results can be checked against an implementation that shares no
 code with them.  ``oracle_removal_value`` and ``oracle_greedy_steps`` are
 the exception: they are the greedy round that prices every candidate on a
 ``DegreeTracker``, kept as the reference for the closed-form rounds of
-``iter_greedy_steps``.
+``iter_greedy_steps``.  So is ``oracle_exact_opt``, the scan that scores
+every subset with ``fragile``, kept as the reference for the branch and
+bound of ``exact_opt``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import combinations
 
 import pytest
 
-from fragility import DegreeTracker, Graph
+from fragility import DegreeTracker, Graph, RemovalSolution, fragile
 
 # Populated by tests/test_acceptance.py; echoed after the run so the
 # per-criterion verdict lines are visible in normal pytest output.
@@ -137,6 +139,27 @@ def oracle_greedy_steps(graph: Graph, no_strike, k: int) -> list[tuple[int, floa
         tracker.remove(best)
         steps.append((best, tracker.centrality()))
     return steps
+
+
+def oracle_exact_opt(graph: Graph, no_strike, k: int) -> RemovalSolution:
+    """Optimum found by scoring every subset of size 0..k with ``fragile``.
+
+    Sizes are scanned in increasing order and each size in lexicographic
+    order; an incumbent is displaced by a greater value, or by an equal
+    value from a larger set.
+    """
+    ns = frozenset(no_strike or ())
+    pool = [i for i in range(graph.node_count) if i not in ns]
+    best: tuple[int, ...] = ()
+    best_val = fragile(graph, ())
+    for size in range(1, min(k, len(pool)) + 1):
+        for combo in combinations(pool, size):
+            val = fragile(graph, combo)
+            if val > best_val or (val == best_val and size > len(best)):
+                best = combo
+                best_val = val
+    trace = [fragile(graph, best[:j]) for j in range(len(best) + 1)]
+    return RemovalSolution(best, tuple(trace), trace[-1])
 
 
 def random_graph_edges(rng: random.Random, n: int,

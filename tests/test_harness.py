@@ -11,7 +11,7 @@ from fragility import (CurvePoint, ExperimentConfig, Graph,
                        benchmark_runtime, betweenness_ranking, cycle_graph,
                        degree_ranking, emit_csv, fragile, generate_synthetic,
                        greedy_fragile, parse_csv, run_curves, star_graph)
-from fragility.harness import CSV_HEADER, STRATEGIES
+from fragility.harness import _RANKERS, CSV_HEADER, STRATEGIES
 
 
 # ----- configuration -------------------------------------------------------
@@ -86,6 +86,24 @@ class TestCurves:
         sol = greedy_fragile(double_star10, ns, 3)
         assert not (set(sol.removed) & ns)
         assert greedy_pts[-1].fragility == sol.final_fragility
+
+    @pytest.mark.parametrize("strategy", ["betweenness", "closeness", "degree"])
+    def test_ranking_walk_matches_prefix_scores(self, strategy):
+        g = generate_synthetic("scale-free", 120, 300, seed=3)
+        ns = {0, 5}
+        cfg = ExperimentConfig(strategies=(strategy,), max_fraction=0.3)
+        order = _RANKERS[strategy](g, ns).order
+        points = run_curves(g, ns, cfg)
+        assert [p.nodes_removed for p in points] == list(range(1, 37))
+        for p in points:
+            assert p.fragility == fragile(g, order[:p.nodes_removed])
+
+    @pytest.mark.parametrize("strategies", [("greedy",), ("degree",), STRATEGIES])
+    def test_unknown_no_strike_id_rejected_without_budgets(self, strategies):
+        # max_fraction 0.1 of five nodes leaves no budget to run anything
+        cfg = ExperimentConfig(strategies=strategies, max_fraction=0.1)
+        with pytest.raises(ValueError, match="unknown node id 99"):
+            run_curves(star_graph(4), [99], cfg)
 
     def test_small_pool_clamps_ranking_budget(self):
         g = star_graph(4)  # five nodes, base fragility 1.0

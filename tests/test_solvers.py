@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 
@@ -13,8 +14,8 @@ from fragility import (DegreeTracker, Graph, RemovalSolution, WorkLimitExceeded,
                        fragility_decision, generate_synthetic, greedy_fragile,
                        iter_greedy_steps, path_graph, star_graph)
 
-from conftest import (oracle_fragile, oracle_greedy_steps, oracle_removal_value,
-                      random_graph_edges)
+from conftest import (oracle_exact_opt, oracle_fragile, oracle_greedy_steps,
+                      oracle_removal_value, random_graph_edges)
 
 
 def brute_force_best(n, edges, no_strike, k):
@@ -140,6 +141,15 @@ class TestDecision:
         assert fragility_decision(double_star8, range(2, 8), 2, 0.49) is True
         assert fragility_decision(double_star8, range(2, 8), 2, 0.51) is False
 
+    def test_work_limit_checked_before_any_witness(self, double_star8):
+        # x = -1 is beaten by the empty set, but the limit still comes first
+        with pytest.raises(WorkLimitExceeded):
+            fragility_decision(double_star8, None, 2, -1.0, work_limit=10)
+
+    def test_unknown_id_checked_before_any_witness(self, star4):
+        with pytest.raises(ValueError, match="unknown node id 9"):
+            fragility_decision(star4, {9}, 1, -1.0)
+
 
 # ----- incremental tracker vs naive recomputation --------------------------
 
@@ -165,6 +175,36 @@ class TestDegreeTracker:
         t.remove(1)
         with pytest.raises(ValueError, match="already removed"):
             t.remove(1)
+
+    def test_restore_undoes_remove(self):
+        def state(t):
+            return (list(t.alive), list(t.deg), [set(lv) for lv in t.level],
+                    t.max_deg, t.n_alive, t.m_alive)
+
+        rng = random.Random(0x0DD)
+        for _ in range(80):
+            n = rng.randint(1, 14)
+            g = Graph(n, random_graph_edges(rng, n, rng.uniform(0.1, 0.9)))
+            tracker = DegreeTracker(g)
+            undo: list[tuple[int, int]] = []
+            before: list[tuple] = []
+            for _ in range(4 * n):
+                if undo and (len(undo) == n or rng.random() < 0.45):
+                    tracker.restore(*undo.pop())
+                    assert state(tracker) == before.pop()
+                else:
+                    i = rng.choice([j for j in range(n) if tracker.alive[j]])
+                    before.append(state(tracker))
+                    undo.append((i, tracker.deg[i]))
+                    tracker.remove(i)
+                    assert tracker.centrality() == fragile(g, [j for j, _ in undo])
+            while undo:
+                tracker.restore(*undo.pop())
+            assert state(tracker) == state(DegreeTracker(g))
+
+    def test_restore_of_alive_node_rejected(self, star4):
+        with pytest.raises(ValueError, match="not removed"):
+            DegreeTracker(star4).restore(1, 1)
 
     def test_counts_after_removal(self, double_star8):
         t = DegreeTracker(double_star8)
@@ -337,3 +377,87 @@ class TestClosedFormRounds:
                                max_size=3 if n else 0))
         k = data.draw(st.integers(min_value=0, max_value=n + 1))
         assert list(iter_greedy_steps(g, ns, k)) == oracle_greedy_steps(g, ns, k)
+
+
+# ----- branch and bound vs the score-every-subset oracle --------------------
+
+def _check_exact(graph: Graph, no_strike, k: int) -> None:
+    want = oracle_exact_opt(graph, no_strike, k)
+    assert exact_opt(graph, no_strike, k) == want
+    opt = want.final_fragility
+    for x in (opt, math.nextafter(opt, -math.inf), want.trace[0], 0.0):
+        assert fragility_decision(graph, no_strike, k, x) == (opt > x)
+
+
+_EXACT_CASES = [
+    # every value ties, so the tie rule alone picks the answer
+    ("complete6", complete_graph(6), (), 4),
+    ("complete7-hub-protected", complete_graph(7), (0,), 7),
+    ("cycle8", cycle_graph(8), (), 5),
+    ("cycle9-hub-protected", cycle_graph(9), (0,), 4),
+    ("star7", star_graph(7), (), 8),
+    ("star7-hub-protected", star_graph(7), (0,), 8),
+    ("path8", path_graph(8), (), 5),
+    ("path8-end-protected", path_graph(8), (0,), 5),
+    ("double-star", _double_star(3, 3), (), 4),
+    ("double-star-hubs-protected", _double_star(4, 2), (0, 1), 6),
+    # budget beyond the candidate pool
+    ("k-beyond-pool", _disjoint(star_graph(3), path_graph(4)), (0, 5), 50),
+    ("all-protected", star_graph(4), (0, 1, 2, 3, 4), 3),
+    # at most four nodes, so sets leave fewer than three survivors
+    ("empty", Graph(0, []), (), 3),
+    ("single", Graph(1, []), (), 2),
+    ("edge", Graph(2, [(0, 1)]), (), 3),
+    ("path3", path_graph(3), (), 3),
+    ("triangle", complete_graph(3), (1,), 3),
+    ("path4", path_graph(4), (), 4),
+    ("star3", star_graph(3), (), 5),
+    ("star3-hub-protected", star_graph(3), (0,), 5),
+    ("isolated4", Graph(4, []), (), 4),
+    # disconnected graphs
+    ("disconnected", _disjoint(star_graph(4), cycle_graph(5), path_graph(3),
+                               Graph(2, [])), (6,), 4),
+    ("two-stars", _disjoint(star_graph(5), star_graph(5)), (0,), 12),
+    ("star-and-isolated", _disjoint(star_graph(5), Graph(3, [])), (), 9),
+]
+
+
+class TestBranchAndBound:
+    @pytest.mark.parametrize("graph, no_strike, k",
+                             [case[1:] for case in _EXACT_CASES],
+                             ids=[case[0] for case in _EXACT_CASES])
+    def test_hard_cases_match_oracle(self, graph, no_strike, k):
+        _check_exact(graph, no_strike, k)
+
+    @pytest.mark.parametrize("n, m, seed, protected, k", [
+        (40, 80, 0, 0, 3),
+        (40, 120, 1, 3, 3),
+        (24, 60, 2, 2, 5),
+    ])
+    def test_scale_free_matches_oracle(self, n, m, seed, protected, k):
+        g = generate_synthetic("scale-free", n, m, seed=seed)
+        _check_exact(g, _top(g, protected), k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_instances_match_oracle(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=11))
+        pairs = list(combinations(range(n), 2))
+        mask = data.draw(st.lists(st.booleans(), min_size=len(pairs),
+                                  max_size=len(pairs)))
+        g = Graph(n, [p for p, keep in zip(pairs, mask) if keep])
+        ns = data.draw(st.sets(st.integers(min_value=0, max_value=max(n - 1, 0)),
+                               max_size=3 if n else 0))
+        k = data.draw(st.integers(min_value=0, max_value=n + 1))
+        _check_exact(g, ns, k)
+
+    def test_decision_stops_at_first_witness(self, monkeypatch):
+        removals = []
+        remove = DegreeTracker.remove
+        monkeypatch.setattr(DegreeTracker, "remove",
+                            lambda t, i: removals.append(i) or remove(t, i))
+        g = generate_synthetic("scale-free", 1133, 5541, seed=0)
+        assert fragility_decision(g, None, 2, 0.0) is True
+        assert removals == []  # the untouched graph is the witness
+        assert fragility_decision(g, None, 2, fragile(g, ())) is True
+        assert 0 < len(removals) < 1133  # of 642,411 sets of size 1 or 2
