@@ -271,7 +271,8 @@ def _search(graph: Graph, pool: list[int], k: int,
     :class:`DegreeTracker` by removing its last id and restoring it on the
     way back.  With ``above`` None this returns the best tuple: highest
     value, then most removals, then lexicographically smallest.  Otherwise
-    it returns the first tuple scoring strictly above ``above``, or None.
+    it returns the first non-empty tuple scoring strictly above ``above``,
+    or None; the caller scores the empty tuple.
 
     With candidates ``pool[start:]`` left, a tuple bounds each descendant
     with s more removals by ``((n-s)*D - 2*(m - S_s)) / ((n-s-1)*(n-s-2))``
@@ -287,11 +288,8 @@ def _search(graph: Graph, pool: list[int], k: int,
     deg = tracker.deg
     deciding = above is not None
     best: tuple[int, ...] = ()
-    best_val = tracker.centrality()
-    if deciding:  # above stands in for the incumbent; an equal score is no witness
-        if best_val > above:
-            return best
-        best_val = above
+    # a decision starts its incumbent at above, so an equal score is no witness
+    best_val = above if deciding else tracker.centrality()
     removed: list[int] = []
     degrees: list[int] = []  # degree of each removed id just before its removal
 
@@ -364,8 +362,11 @@ def fragility_decision(graph: Graph, no_strike: Collection[int] | None,
     """True iff some removal set of size <= k pushes fragility strictly above x.
 
     Validates ids and checks ``work_limit`` up front like :func:`exact_opt`,
-    then stops at the first set scoring above x; subtrees whose bound is at
-    most x are skipped.
+    then stops at the first set scoring above x: the untouched graph first,
+    scored without building a tracker, then the search, which skips
+    subtrees whose bound is at most x.
     """
     pool, k = _exact_pool(graph, no_strike, k, work_limit)
+    if fragile(graph, ()) > x:
+        return True
     return _search(graph, pool, k, x) is not None

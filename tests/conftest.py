@@ -8,7 +8,8 @@ the exception: they are the greedy round that prices every candidate on a
 ``DegreeTracker``, kept as the reference for the closed-form rounds of
 ``iter_greedy_steps``.  So is ``oracle_exact_opt``, the scan that scores
 every subset with ``fragile``, kept as the reference for the branch and
-bound of ``exact_opt``.
+bound of ``exact_opt``; its scan, ``oracle_best_removal``, takes any score,
+so it also runs on the library-free ``oracle_fragile``.
 """
 
 from __future__ import annotations
@@ -141,23 +142,29 @@ def oracle_greedy_steps(graph: Graph, no_strike, k: int) -> list[tuple[int, floa
     return steps
 
 
-def oracle_exact_opt(graph: Graph, no_strike, k: int) -> RemovalSolution:
-    """Optimum found by scoring every subset of size 0..k with ``fragile``.
+def oracle_best_removal(pool: list[int], k: int, score) -> tuple[int, ...]:
+    """Best tuple found by scoring every subset of ``pool`` of size 0..k.
 
     Sizes are scanned in increasing order and each size in lexicographic
-    order; an incumbent is displaced by a greater value, or by an equal
-    value from a larger set.
+    order; an incumbent is displaced by a greater ``score``, or by an equal
+    one from a larger set.
     """
-    ns = frozenset(no_strike or ())
-    pool = [i for i in range(graph.node_count) if i not in ns]
     best: tuple[int, ...] = ()
-    best_val = fragile(graph, ())
+    best_val = score(())
     for size in range(1, min(k, len(pool)) + 1):
         for combo in combinations(pool, size):
-            val = fragile(graph, combo)
+            val = score(combo)
             if val > best_val or (val == best_val and size > len(best)):
                 best = combo
                 best_val = val
+    return best
+
+
+def oracle_exact_opt(graph: Graph, no_strike, k: int) -> RemovalSolution:
+    """``oracle_best_removal`` scored with ``fragile``, as a solution."""
+    ns = frozenset(no_strike or ())
+    pool = [i for i in range(graph.node_count) if i not in ns]
+    best = oracle_best_removal(pool, k, lambda combo: fragile(graph, combo))
     trace = [fragile(graph, best[:j]) for j in range(len(best) + 1)]
     return RemovalSolution(best, tuple(trace), trace[-1])
 

@@ -14,20 +14,9 @@ from fragility import (DegreeTracker, Graph, RemovalSolution, WorkLimitExceeded,
                        fragility_decision, generate_synthetic, greedy_fragile,
                        iter_greedy_steps, path_graph, star_graph)
 
-from conftest import (oracle_exact_opt, oracle_fragile, oracle_greedy_steps,
-                      oracle_removal_value, random_graph_edges)
-
-
-def brute_force_best(n, edges, no_strike, k):
-    """Independent re-statement of the exhaustive search and its tie rule."""
-    pool = [i for i in range(n) if i not in no_strike]
-    best, best_val = (), oracle_fragile(n, edges, ())
-    for size in range(1, min(k, len(pool)) + 1):
-        for combo in combinations(pool, size):
-            val = oracle_fragile(n, edges, combo)
-            if val > best_val or (val == best_val and size > len(best)):
-                best, best_val = combo, val
-    return best, best_val
+from conftest import (oracle_best_removal, oracle_exact_opt, oracle_fragile,
+                      oracle_greedy_steps, oracle_removal_value,
+                      random_graph_edges)
 
 
 # ----- greedy on the frozen fixtures ---------------------------------------
@@ -225,9 +214,11 @@ class TestSolverAgreement:
             ns = frozenset(rng.sample(range(n), rng.randint(0, 2)))
             k = rng.randint(0, 3)
             got = exact_opt(Graph(n, edges), ns, k)
-            want_set, want_val = brute_force_best(n, edges, ns, k)
-            assert got.removed == want_set
-            assert got.final_fragility == want_val
+            pool = [i for i in range(n) if i not in ns]
+            want = oracle_best_removal(
+                pool, k, lambda combo: oracle_fragile(n, edges, combo))
+            assert got.removed == want
+            assert got.final_fragility == oracle_fragile(n, edges, want)
 
     def test_greedy_never_beats_exact(self):
         rng = random.Random(0xBEEF)
@@ -389,35 +380,13 @@ def _check_exact(graph: Graph, no_strike, k: int) -> None:
         assert fragility_decision(graph, no_strike, k, x) == (opt > x)
 
 
-_EXACT_CASES = [
-    # every value ties, so the tie rule alone picks the answer
-    ("complete6", complete_graph(6), (), 4),
+# graphs and protected sets the greedy corpus above does not cover
+_EXACT_CASES = _HARD_CASES + [
     ("complete7-hub-protected", complete_graph(7), (0,), 7),
-    ("cycle8", cycle_graph(8), (), 5),
-    ("cycle9-hub-protected", cycle_graph(9), (0,), 4),
-    ("star7", star_graph(7), (), 8),
-    ("star7-hub-protected", star_graph(7), (0,), 8),
+    ("star3-hub-protected", star_graph(3), (0,), 5),
     ("path8", path_graph(8), (), 5),
     ("path8-end-protected", path_graph(8), (0,), 5),
-    ("double-star", _double_star(3, 3), (), 4),
-    ("double-star-hubs-protected", _double_star(4, 2), (0, 1), 6),
-    # budget beyond the candidate pool
-    ("k-beyond-pool", _disjoint(star_graph(3), path_graph(4)), (0, 5), 50),
     ("all-protected", star_graph(4), (0, 1, 2, 3, 4), 3),
-    # at most four nodes, so sets leave fewer than three survivors
-    ("empty", Graph(0, []), (), 3),
-    ("single", Graph(1, []), (), 2),
-    ("edge", Graph(2, [(0, 1)]), (), 3),
-    ("path3", path_graph(3), (), 3),
-    ("triangle", complete_graph(3), (1,), 3),
-    ("path4", path_graph(4), (), 4),
-    ("star3", star_graph(3), (), 5),
-    ("star3-hub-protected", star_graph(3), (0,), 5),
-    ("isolated4", Graph(4, []), (), 4),
-    # disconnected graphs
-    ("disconnected", _disjoint(star_graph(4), cycle_graph(5), path_graph(3),
-                               Graph(2, [])), (6,), 4),
-    ("two-stars", _disjoint(star_graph(5), star_graph(5)), (0,), 12),
     ("star-and-isolated", _disjoint(star_graph(5), Graph(3, [])), (), 9),
 ]
 
