@@ -16,6 +16,11 @@ Common flags: ``--graph`` (edge-list file), ``--no-strike`` (protected
 labels), ``--format {text,json,csv}``, ``--manifest`` (reproducibility
 record path).  Exit codes: 0 success, 1 input error, 2 infeasible or
 work-limit exceeded.
+
+Each ``_cmd_*`` handler takes the parsed arguments, the loaded graph and
+protected set (both None for ``synth``) and returns its manifest
+parameters, text lines, JSON payload and the paths it wrote; ``main``
+alone loads the inputs, prints the result and writes the manifest.
 """
 
 from __future__ import annotations
@@ -156,29 +161,15 @@ def _load_graph(args):
     return graph, no_strike
 
 
-def _manifest_for(args, parameters, outputs, seed=None) -> RunManifest:
-    return RunManifest(
-        command=args.command,
-        parameters=parameters,
-        graph_path=getattr(args, "graph", None),
-        no_strike_path=getattr(args, "no_strike", None),
-        seed=seed,
-        outputs=tuple(outputs),
-    )
+def _write_or_show(path, text, note=""):
+    """(lines, paths written): ``text`` itself, or a note that ``path`` got it."""
+    if not path:
+        return [text.rstrip("\n")], []
+    Path(path).write_text(text, encoding="utf-8")
+    return [f"wrote {path}{note}"], [path]
 
 
-def _emit(args, manifest: RunManifest, text_lines, payload) -> None:
-    if args.format == "json":
-        body = dict(payload)
-        body["command"] = args.command
-        body["manifest"] = json.loads(manifest.to_json())
-        print(json.dumps(body, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _solution_output(args, manifest, labels, solution):
+def _solution_output(labels, solution):
     base = solution.trace[0]
     lines = [
         f"removed ({len(solution.removed)}): "
@@ -193,82 +184,61 @@ def _solution_output(args, manifest, labels, solution):
         "final_fragility": solution.final_fragility,
         "trace": list(solution.trace),
     }
-    _emit(args, manifest, lines, payload)
+    return lines, payload
 
 
-# ----- handlers: each prints its result and returns its manifest -----------
+# ----- handlers: compute and return what main prints and records ----------
 
-def _cmd_centrality(args) -> RunManifest:
-    graph, _ = _load_graph(args)
+def _cmd_centrality(args, graph, ns):
     value = network_degree_centrality(graph)
-    manifest = _manifest_for(args, {}, ())
-    _emit(args, manifest, [f"{value:.6f}"], {"centrality": value})
-    return manifest
+    return {}, [f"{value:.6f}"], {"centrality": value}, []
 
 
-def _cmd_greedy(args) -> RunManifest:
-    graph, ns = _load_graph(args)
+def _cmd_greedy(args, graph, ns):
     solution = greedy_fragile(graph, ns, args.k)
-    manifest = _manifest_for(args, {"k": args.k}, ())
-    _solution_output(args, manifest, graph.labels, solution)
-    return manifest
+    return {"k": args.k}, *_solution_output(graph.labels, solution), []
 
 
-def _cmd_exact(args) -> RunManifest:
-    graph, ns = _load_graph(args)
+def _cmd_exact(args, graph, ns):
     solution = exact_opt(graph, ns, args.k, args.work_limit)
-    manifest = _manifest_for(args, {"k": args.k, "work_limit": args.work_limit}, ())
-    _solution_output(args, manifest, graph.labels, solution)
-    return manifest
+    return ({"k": args.k, "work_limit": args.work_limit},
+            *_solution_output(graph.labels, solution), [])
 
 
-def _cmd_decision(args) -> RunManifest:
-    graph, ns = _load_graph(args)
+def _cmd_decision(args, graph, ns):
     answer = fragility_decision(graph, ns, args.k, args.x, args.work_limit)
-    manifest = _manifest_for(args, {"k": args.k, "x": args.x}, ())
-    _emit(args, manifest, ["true" if answer else "false"], {"decision": answer})
-    return manifest
+    return ({"k": args.k, "x": args.x}, ["true" if answer else "false"],
+            {"decision": answer}, [])
 
 
-def _cmd_emit_ip(args) -> RunManifest:
-    graph, ns = _load_graph(args)
+def _cmd_emit_ip(args, graph, ns):
     model = build_fragility_ip(graph, ns, args.k)
     if args.relax:
         model = relax_bounds(model)
-    outputs: list[str] = []
+    parameters = {"k": args.k, "relax": args.relax}
     if args.all_i:
         if args.k < 1:
             raise _CliInputError("--all-i needs a budget of at least 1")
         out_dir = Path(args.out_dir or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
+        outputs = []
         for i in range(1, args.k + 1):
             path = out_dir / f"{args.prefix}_i{i}.lp"
             path.write_text(emit_lp(linearize(model, i)), encoding="utf-8")
             outputs.append(str(path))
-        manifest = _manifest_for(args, {"k": args.k, "relax": args.relax,
-                                        "all_i": True}, outputs)
-        _emit(args, manifest, [f"wrote {p}" for p in outputs],
-              {"models": outputs})
-    elif args.linearize_i is not None:
-        text = emit_lp(linearize(model, args.linearize_i))
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-            outputs.append(args.out)
-            lines = [f"wrote {args.out}"]
-        else:
-            lines = [text.rstrip("\n")]
-        manifest = _manifest_for(args, {"k": args.k, "relax": args.relax,
-                                        "linearize_i": args.linearize_i}, outputs)
-        _emit(args, manifest, lines, {"model": text, "path": args.out})
-    else:
+        return ({**parameters, "all_i": True}, [f"wrote {p}" for p in outputs],
+                {"models": outputs}, outputs)
+    if args.linearize_i is None:
         raise _CliInputError(
             "the model objective is fractional: pass --linearize-i I for one "
             "removal count or --all-i for the whole 1..k family")
-    return manifest
+    text = emit_lp(linearize(model, args.linearize_i))
+    lines, outputs = _write_or_show(args.out, text)
+    return ({**parameters, "linearize_i": args.linearize_i}, lines,
+            {"model": text, "path": args.out}, outputs)
 
 
-def _cmd_baseline(args) -> RunManifest:
-    graph, ns = _load_graph(args)
+def _cmd_baseline(args, graph, ns):
     ranking = _RANKERS[args.strategy](graph, ns)
     if args.m < 0 or args.m > len(ranking.order):
         raise _CliInputError(
@@ -276,7 +246,6 @@ def _cmd_baseline(args) -> RunManifest:
     removed = ranking.order[:args.m]
     base = fragile(graph, ())
     frag = fragile(graph, removed)
-    manifest = _manifest_for(args, {"strategy": args.strategy, "m": args.m}, ())
     lines = [
         f"strategy: {args.strategy}",
         f"removed ({len(removed)}): "
@@ -290,8 +259,7 @@ def _cmd_baseline(args) -> RunManifest:
         "baseline_fragility": base,
         "final_fragility": frag,
     }
-    _emit(args, manifest, lines, payload)
-    return manifest
+    return {"strategy": args.strategy, "m": args.m}, lines, payload, []
 
 
 def _parse_strategies(raw: str) -> tuple[str, ...]:
@@ -304,35 +272,21 @@ def _parse_strategies(raw: str) -> tuple[str, ...]:
     return names
 
 
-def _cmd_curve(args) -> RunManifest:
-    graph, ns = _load_graph(args)
+def _cmd_curve(args, graph, ns):
     cfg = ExperimentConfig(strategies=_parse_strategies(args.strategies),
                            max_fraction=args.max_fraction, step=args.step)
     points = run_curves(graph, ns, cfg)
-    text = emit_csv(points)
-    outputs: list[str] = []
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        outputs.append(args.out)
-    manifest = _manifest_for(args, {"strategies": list(cfg.strategies),
-                                    "max_fraction": cfg.max_fraction,
-                                    "step": cfg.step}, outputs)
-    if args.format == "json":
-        payload = {"points": [
-            {"strategy": p.strategy, "nodes_removed": p.nodes_removed,
-             "fraction_removed": p.fraction_removed, "fragility": p.fragility,
-             "percent_increase": p.percent_increase, "wall_time_s": p.wall_time}
-            for p in points]}
-        _emit(args, manifest, [], payload)
-    elif not args.out:
-        print(text, end="")
-    else:
-        print(f"wrote {args.out}")
-    return manifest
+    lines, outputs = _write_or_show(args.out, emit_csv(points))
+    payload = {"points": [
+        {"strategy": p.strategy, "nodes_removed": p.nodes_removed,
+         "fraction_removed": p.fraction_removed, "fragility": p.fragility,
+         "percent_increase": p.percent_increase, "wall_time_s": p.wall_time}
+        for p in points]}
+    return ({"strategies": list(cfg.strategies), "max_fraction": cfg.max_fraction,
+             "step": cfg.step}, lines, payload, outputs)
 
 
-def _cmd_bench(args) -> RunManifest:
-    graph, ns = _load_graph(args)
+def _cmd_bench(args, graph, ns):
     strategies = _parse_strategies(args.strategies)
     try:
         budgets = [int(b) for b in args.budgets.split(",") if b.strip()]
@@ -344,36 +298,22 @@ def _cmd_bench(args) -> RunManifest:
     for strategy in strategies:
         for budget, seconds in benchmark_runtime(graph, ns, strategy, budgets):
             rows.append((strategy, budget, seconds))
-    manifest = _manifest_for(args, {"strategies": list(strategies),
-                                    "budgets": budgets}, ())
     lines = ["strategy,budget,median_wall_time_s"]
     lines += [f"{s},{b},{t:.6f}" for s, b, t in rows]
     payload = {"measurements": [
         {"strategy": s, "budget": b, "median_wall_time_s": t}
         for s, b, t in rows]}
-    _emit(args, manifest, lines, payload)
-    return manifest
+    return {"strategies": list(strategies), "budgets": budgets}, lines, payload, []
 
 
-def _cmd_synth(args) -> RunManifest:
+def _cmd_synth(args, _graph, _ns):
     graph = generate_synthetic(args.kind, args.n, args.m, args.seed)
-    text = emit_edge_list(graph)
-    outputs: list[str] = []
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        outputs.append(args.out)
-    manifest = _manifest_for(args, {"kind": args.kind, "n": args.n,
-                                    "m": args.m}, outputs, seed=args.seed)
-    if args.format == "json":
-        _emit(args, manifest, [],
-              {"nodes": graph.node_count, "edges": graph.edge_count,
-               "path": args.out})
-    elif args.out:
-        print(f"wrote {args.out} ({graph.node_count} nodes, "
-              f"{graph.edge_count} edges)")
-    else:
-        print(text, end="")
-    return manifest
+    lines, outputs = _write_or_show(
+        args.out, emit_edge_list(graph),
+        f" ({graph.node_count} nodes, {graph.edge_count} edges)")
+    return ({"kind": args.kind, "n": args.n, "m": args.m}, lines,
+            {"nodes": graph.node_count, "edges": graph.edge_count, "path": args.out},
+            outputs)
 
 
 # ----- entry points --------------------------------------------------------
@@ -388,10 +328,22 @@ def main(argv=None) -> int:
         if args.format == "csv" and args.command not in ("curve", "bench"):
             raise _CliInputError(
                 "csv output is only available for the curve and bench commands")
-        manifest = args.handler(args)
+        graph, ns = (None, None) if args.command == "synth" else _load_graph(args)
+        parameters, lines, payload, outputs = args.handler(args, graph, ns)
+        manifest = RunManifest(
+            command=args.command, parameters=parameters, graph_path=args.graph,
+            no_strike_path=args.no_strike, seed=getattr(args, "seed", None),
+            outputs=tuple(outputs))
+        if args.format == "json":
+            body = {**payload, "command": args.command,
+                    "manifest": json.loads(manifest.to_json())}
+            print(json.dumps(body, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
         path = args.manifest
-        if path is None and manifest.outputs:
-            path = manifest.outputs[0] + ".manifest.json"
+        if path is None and outputs:
+            path = outputs[0] + ".manifest.json"
         if path:
             manifest.write(path)
         return 0

@@ -44,16 +44,14 @@ class Graph:
 
         adjacency: list[set[int]] = [set() for _ in range(node_count)]
         canonical: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise ValueError(f"edge ({u}, {v}) references an unknown node id")
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             key = (u, v) if u < v else (v, u)
-            if key in seen:
+            if v in adjacency[u]:
                 raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
             canonical.append(key)
             adjacency[u].add(v)
             adjacency[v].add(u)

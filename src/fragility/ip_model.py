@@ -46,7 +46,7 @@ import re
 from collections.abc import Collection
 from dataclasses import dataclass, replace
 
-from .graph import Graph, _node_set
+from .graph import Graph, _centralization, _node_set
 
 _EPS = 1e-9
 
@@ -317,9 +317,7 @@ def evaluate_objective(model: IpModel, assignment: IpAssignment) -> float:
         if model.objective.scale is None:
             return float(numerator)
         return numerator / ((n - 1 - i) * (n - 2 - i))
-    if n - sx < 3:
-        return 0.0
-    return ((n - sx) * sq - 2 * sy) / ((n - 1 - sx) * (n - 2 - sx))
+    return _centralization(n - sx, sq, sy)
 
 
 # ----- LP-format export ----------------------------------------------------

@@ -302,9 +302,7 @@ def _search(graph: Graph, pool: list[int], k: int,
         bound, lost = 0.0, 0
         for s in range(1, r + 1):
             lost += largest[s - 1]
-            if n - s >= 3:
-                bound = max(bound, ((n - s) * top - 2 * (m - lost))
-                            / ((n - s - 1) * (n - s - 2)))
+            bound = max(bound, _centralization(n - s, top, m - lost))
         if deciding:
             return bound > best_val
         # an equal score wins only with more removals than the incumbent

@@ -54,6 +54,7 @@ NS = ["--no-strike", "ns.txt"]
 # (case id, argv); each runs once per format in FORMATS unless it sets one
 CASES = [
     ("centrality", ["centrality", *G]),
+    ("centrality-ns", ["centrality", *G, *NS]),
     ("greedy", ["greedy", *G, "--k", "3"]),
     ("greedy-ns-manifest", ["greedy", *G, *NS, "--k", "3", "--manifest", "run.json"]),
     ("exact", ["exact", *G, "--k", "2"]),
@@ -65,15 +66,23 @@ CASES = [
     ("baseline-betweenness", ["baseline", *G, "--strategy", "betweenness", "--m", "2"]),
     ("curve", ["curve", *G, "--max-fraction", "0.3"]),
     ("curve-out", ["curve", *G, *NS, "--strategies", "greedy,degree", "--out", "c.csv"]),
+    # an explicit --manifest overrides the <output>.manifest.json default
+    ("curve-out-manifest", ["curve", *G, "--max-fraction", "0.2", "--out", "c.csv",
+                            "--manifest", "run.json"]),
     ("bench", ["bench", *G, "--strategies", "degree,greedy", "--budgets", "1,2"]),
     ("emit-ip-stdout", ["emit-ip", *G, "--k", "2", "--linearize-i", "2"]),
     ("emit-ip-out", ["emit-ip", *G, *NS, "--k", "2", "--linearize-i", "1",
                      "--out", "m.lp"]),
     ("emit-ip-all-relax", ["emit-ip", *G, "--k", "2", "--all-i", "--relax",
                            "--out-dir", "models"]),
+    # no --out-dir: the models go to the current directory
+    ("emit-ip-all-prefix-cwd", ["emit-ip", *G, "--k", "2", "--all-i", "--prefix", "p"]),
     ("synth-stdout", ["synth", "--kind", "scale-free", "--n", "20", "--m", "40",
                       "--seed", "3"]),
     ("synth-out", ["synth", "--kind", "star-of-stars", "--n", "10", "--out", "s.txt"]),
+    # synth never reads --graph
+    ("synth-graph-ignored", ["synth", "--kind", "random", "--n", "6", "--m", "5",
+                             "--graph", "missing.txt"]),
     # exit 1: bad input or usage
     ("no-graph", ["greedy", "--k", "1"]),
     ("usage", ["greedy", *G]),
@@ -107,6 +116,8 @@ CSV_CASES = [
 GOLDEN: dict[str, str] = {
     "centrality-text": "524acd7edf238443af043a7c20c7be98f5751a3ca792271715c5145d7bae4b54",
     "centrality-json": "992cfeb430eb4225e0e953ebe3baccfd23da6844a0b4e93063736e978951e4de",
+    "centrality-ns-text": "524acd7edf238443af043a7c20c7be98f5751a3ca792271715c5145d7bae4b54",
+    "centrality-ns-json": "44529f449ddec324573c59687d82a91a864e3ffecccea2b15de27bd00cc98a77",
     "greedy-text": "8d01128dafbf648b79dd3f9e78afeebc70167eee0ec7306e571dddf6b7ae01da",
     "greedy-json": "49e5dcd2de0ce6d46d19d0152843acda682748af6df5b195064ecded0561db22",
     "greedy-ns-manifest-text": "30f6fe4e74d5e7148e25dcbab87df1cfe48f76ef4a4f0258e0d214023fe8aac4",
@@ -129,6 +140,8 @@ GOLDEN: dict[str, str] = {
     "curve-json": "ff8f3d03b9aab039f4c7419fa2b6e5fb1668ce81150bb93f01e7a0aefb9eec2c",
     "curve-out-text": "fdda3f4321cea5d179bf02acaed9eb7fbe2b789a4cb2d2556234aa3c41759295",
     "curve-out-json": "98b4cc2af9eefb1ed1dd550d0f5f33d147f1852ba8f64d18c2e39116530ba0ec",
+    "curve-out-manifest-text": "2ca09c68f84d46424dfe20c842c10b82f9551b9cac1bb086df98024d5e09041d",
+    "curve-out-manifest-json": "703cf839815ca9e26f0ec3d1532fd10141538a171f329f634d11d54c51d59361",
     "bench-text": "dce7af62d7dd87ae3ca8429cb3e9f7acd984c8164de0737f230661f4d955549e",
     "bench-json": "cfdbcfc02a73b7198f78da332f219a059a3981c5d011a134b8ea833e46a03cde",
     "emit-ip-stdout-text": "dd0d96375aceafd21f86e79a426a6f5b5fe6d76e5aeb3a00b4b04053a98290e0",
@@ -137,10 +150,14 @@ GOLDEN: dict[str, str] = {
     "emit-ip-out-json": "0a818b8076a1b6e418168f7d25e2b2f97df929c29135145e67ebabd8119141e3",
     "emit-ip-all-relax-text": "f478548ef633eacd2918f5efe71d82ff1ad69739f20860b3215e4f7e2f592a4f",
     "emit-ip-all-relax-json": "7f6334f0bf6bac8b4e558a523a63f384d3676222cd0e31c113b6952189551d47",
+    "emit-ip-all-prefix-cwd-text": "8a54fca485247cb9f93a25c13a582e4c532458614e4d414b5a8b28c5353568ab",
+    "emit-ip-all-prefix-cwd-json": "ae9d53b3dbfa102fc7616fbf1a16e58f12c494abac3c343b639a3bd13c9d5c47",
     "synth-stdout-text": "804d1b754916f50bfabcb4260229ab6c76783c85a617374c2dd601699ed31f69",
     "synth-stdout-json": "456e02262576085b911e1675f210c8f8e9fcbb4758b1049aa4c1ae69c3fa08d7",
     "synth-out-text": "1399308abcaa5bd60d2c4c040e4858aeb5bcf743a8489b96531158915c9fcfea",
     "synth-out-json": "ebc002f456e5024de22cf21d74b00efb858cd1154f3428985f4dfcb5cf5817f9",
+    "synth-graph-ignored-text": "905663c2476eda4fd01ae9b8a5c36c1a5a8c93948b143a50677298505013af0b",
+    "synth-graph-ignored-json": "a4c39e0642dce07053088231740d3328a8921e7cec44a1e028c6b3781f39ec79",
     "no-graph-text": "c8db9d4ea64ada666bdf72f6109b33a55cf5eecd25163cc35dc6244ab71838bf",
     "no-graph-json": "c8db9d4ea64ada666bdf72f6109b33a55cf5eecd25163cc35dc6244ab71838bf",
     "usage-text": "8a6e2bcf0c6dc3d0fb4d33ecd05059292f66705a41772f3b528318a22dd8896b",

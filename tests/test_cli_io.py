@@ -345,6 +345,39 @@ class TestCliSynth:
         assert a.read_bytes() == b.read_bytes()
 
 
+_COMMON = {"--graph": None, "--no-strike": None, "--format": "text",
+           "--manifest": None}
+_ALL = "betweenness,closeness,degree,greedy"
+# every subcommand's option strings and defaults; a change here changes the CLI
+OPTION_SURFACE = {
+    "centrality": {},
+    "greedy": {"--k": None},
+    "exact": {"--k": None, "--work-limit": 10_000_000},
+    "decision": {"--k": None, "--x": None, "--work-limit": 10_000_000},
+    "emit-ip": {"--k": None, "--linearize-i": None, "--all-i": False,
+                "--relax": False, "--out": None, "--out-dir": None,
+                "--prefix": "model"},
+    "baseline": {"--strategy": None, "--m": None},
+    "curve": {"--strategies": _ALL, "--max-fraction": 0.12, "--step": 1,
+              "--out": None},
+    "bench": {"--strategies": _ALL, "--budgets": "1,5,10"},
+    "synth": {"--kind": None, "--n": None, "--m": None, "--seed": 0, "--out": None},
+}
+
+
+def test_option_surface_is_unchanged():
+    import argparse
+    from fragility.cli import _build_parser
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: {" ".join(a.option_strings): a.default for a in p._actions
+               if not isinstance(a, argparse._HelpAction)}
+        for name, p in sub.choices.items()}
+    assert surface == {name: {**_COMMON, **own}
+                       for name, own in OPTION_SURFACE.items()}
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, graph_file):
         exe = shutil.which("fragility")
