@@ -21,7 +21,8 @@ from .io import (DuplicateEdgeWarning, EdgeListError, RunManifest,
 from .ip_model import (FeasibilityReport, InfeasibleAssignmentError,
                        IpAssignment, IpModel, build_fragility_ip,
                        canonical_assignment, check_feasible, emit_lp,
-                       evaluate_objective, linearize, relax_bounds)
+                       emit_lp_family, evaluate_objective, linearize,
+                       relax_bounds)
 from .solvers import (DEFAULT_WORK_LIMIT, DegreeTracker, RemovalSolution,
                       WorkLimitExceeded, exact_opt, fragility_decision,
                       greedy_fragile, iter_greedy_steps)
@@ -38,10 +39,10 @@ __all__ = [
     "betweenness_scores", "build_fragility_ip", "canonical_assignment",
     "check_feasible", "closeness_ranking", "closeness_scores",
     "complete_graph", "cycle_graph", "degree_ranking", "emit_csv",
-    "emit_edge_list", "emit_lp", "evaluate_objective", "exact_opt",
-    "fragile", "fragility_decision", "generate_synthetic", "greedy_fragile",
-    "induced_subgraph", "iter_greedy_steps", "linearize", "marginal_gain",
-    "network_degree_centrality", "parse_csv", "parse_edge_list",
-    "parse_no_strike", "path_graph", "relax_bounds", "run_curves",
-    "star_graph", "static_removal_schedule",
+    "emit_edge_list", "emit_lp", "emit_lp_family", "evaluate_objective",
+    "exact_opt", "fragile", "fragility_decision", "generate_synthetic",
+    "greedy_fragile", "induced_subgraph", "iter_greedy_steps", "linearize",
+    "marginal_gain", "network_degree_centrality", "parse_csv",
+    "parse_edge_list", "parse_no_strike", "path_graph", "relax_bounds",
+    "run_curves", "star_graph", "static_removal_schedule",
 ]

@@ -37,7 +37,8 @@ from .harness import (_RANKERS, ExperimentConfig, InfeasibleDensityError,
                       emit_csv, generate_synthetic, run_curves)
 from .io import EdgeListError, RunManifest, emit_edge_list, parse_edge_list, \
     parse_no_strike
-from .ip_model import build_fragility_ip, emit_lp, linearize, relax_bounds
+from .ip_model import (build_fragility_ip, emit_lp, emit_lp_family, linearize,
+                       relax_bounds)
 from .solvers import (DEFAULT_WORK_LIMIT, WorkLimitExceeded, exact_opt,
                       fragility_decision, greedy_fragile)
 
@@ -222,9 +223,9 @@ def _cmd_emit_ip(args, graph, ns):
         out_dir = Path(args.out_dir or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = []
-        for i in range(1, args.k + 1):
+        for i, text in emit_lp_family(model):
             path = out_dir / f"{args.prefix}_i{i}.lp"
-            path.write_text(emit_lp(linearize(model, i)), encoding="utf-8")
+            path.write_text(text, encoding="utf-8")
             outputs.append(str(path))
         return ({**parameters, "all_i": True}, [f"wrote {p}" for p in outputs],
                 {"models": outputs}, outputs)

@@ -38,12 +38,19 @@ The natural objective is fractional:
 objective ``((N - i) * sum Q - 2 * sum Y) / ((N - 1 - i) * (N - 2 - i))``
 with the constant denominator folded into the coefficients, and tightens the
 budget row to ``sum X <= i``.  Only linearized models can be exported.
+
+:func:`emit_lp` writes one linearized model; :func:`emit_lp_family` yields
+the whole family ``i = 1..k``.  Only the header comments, the objective and
+the c3 row change with ``i``, so the family renders the rest (rows c4..c11,
+Bounds, Binary) once and shares that body among its models.  Both use the
+same renderers, which take rows one at a time from ``IpModel._iter_rows``.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from collections.abc import Collection
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass, replace
 
 from .graph import Graph, _centralization, _node_set
@@ -149,14 +156,17 @@ class IpModel:
 
     # ----- rows and domains ----------------------------------------------
     def rows(self) -> tuple[Row, ...]:
-        out: list[Row] = []
+        return tuple(self._iter_rows())
+
+    def _iter_rows(self) -> Iterator[Row]:
+        """Rows c3..c9 and c11 in model order, built one at a time."""
         budget = self.k
         if self.objective.kind == "linear":
             budget = self.objective.removal_count
-        out.append(Row("c3", tuple((1.0, self.x_name(i)) for i in range(self.n_nodes)),
-                       "<=", float(budget)))
-        out.append(Row("c4", tuple((1.0, self.z_name(i)) for i in range(self.n_nodes)),
-                       "=", 1.0))
+        yield Row("c3", tuple((1.0, self.x_name(i)) for i in range(self.n_nodes)),
+                  "<=", float(budget))
+        yield Row("c4", tuple((1.0, self.z_name(i)) for i in range(self.n_nodes)),
+                  "=", 1.0)
         for fam, builder in (
             ("c5", lambda e: (((1.0, self.y_name(e)), (1.0, self.x_name(e[0]))), "<=", 1.0)),
             ("c6", lambda e: (((1.0, self.y_name(e)), (1.0, self.x_name(e[1]))), "<=", 1.0)),
@@ -170,12 +180,10 @@ class IpModel:
         ):
             for e in self.edges:
                 terms, sense, rhs = builder(e)
-                out.append(Row(f"{fam}_{self.var_labels[e[0]]}_{self.var_labels[e[1]]}",
-                               terms, sense, rhs))
+                yield Row(f"{fam}_{self.var_labels[e[0]]}_{self.var_labels[e[1]]}",
+                          terms, sense, rhs)
         for i in sorted(self.no_strike):
-            out.append(Row(f"c11_{self.var_labels[i]}",
-                           ((1.0, self.x_name(i)),), "=", 0.0))
-        return tuple(out)
+            yield Row(f"c11_{self.var_labels[i]}", ((1.0, self.x_name(i)),), "=", 0.0)
 
     def domains(self) -> tuple[DomainRecord, ...]:
         kind = "unit" if self.relaxed else "binary"
@@ -201,11 +209,20 @@ def build_fragility_ip(graph: Graph, no_strike: Collection[int] | None = None,
             raise ValueError(
                 f"labels {seen[san]!r} and {lab!r} collide as variable name {san!r}")
         seen[san] = lab
+    edges = graph.edges()
+    first: dict[str, tuple[int, int]] = {}
+    for u, v in edges:
+        other = first.setdefault(f"{var_labels[u]}_{var_labels[v]}", (u, v))
+        if other != (u, v):
+            a, b = (graph.labels[j] for j in other)
+            raise ValueError(
+                f"edges ({a!r}, {b!r}) and ({graph.labels[u]!r}, {graph.labels[v]!r}) "
+                f"collide as variable name 'Y_{var_labels[u]}_{var_labels[v]}'")
     return IpModel(
         n_nodes=graph.node_count,
         labels=graph.labels,
         var_labels=var_labels,
-        edges=graph.edges(),
+        edges=edges,
         k=k,
         no_strike=ns,
         objective=Objective(kind="fractional"),
@@ -264,14 +281,15 @@ def canonical_assignment(model: IpModel, removed: Collection[int],
 def check_feasible(model: IpModel, assignment: IpAssignment) -> FeasibilityReport:
     """Verify every row and domain; report all violations by row id."""
     values = assignment.values
-    expected = model.variable_names()
-    missing = [n for n in expected if n not in values]
-    extra = sorted(set(values) - set(expected))
+    names = model.variable_names()
+    expected = set(names)
+    missing = [n for n in names if n not in values]
+    extra = sorted(set(values) - expected)
     if missing or extra:
         raise ValueError(
             f"assignment dimension mismatch: missing={missing[:5]} extra={extra[:5]}")
     violations: list[str] = []
-    for row in model.rows():
+    for row in model._iter_rows():
         lhs = sum(c * values[v] for c, v in row.terms)
         ok = (lhs <= row.rhs + _EPS if row.sense == "<="
               else lhs >= row.rhs - _EPS if row.sense == ">="
@@ -322,6 +340,7 @@ def evaluate_objective(model: IpModel, assignment: IpAssignment) -> float:
 
 # ----- LP-format export ----------------------------------------------------
 
+@functools.lru_cache(maxsize=256)  # an objective repeats two coefficients
 def _fmt_coef(c: float) -> str:
     if float(c).is_integer():
         return str(int(c))
@@ -360,16 +379,15 @@ def _wrap(prefix: str, tokens: list[str], width: int = 72) -> list[str]:
     return lines
 
 
-def emit_lp(model: IpModel) -> str:
-    """Serialize a linearized model in LP format, byte-deterministically.
+def _row_lines(row: Row) -> list[str]:
+    tokens = _join_terms(list(row.terms))
+    tokens.append(f"{row.sense} {_fmt_coef(row.rhs)}")
+    return _wrap(f" {row.rid}:", tokens)
 
-    Fractional models are rejected: call :func:`linearize` first (one model
-    per candidate removal count).
-    """
-    if model.objective.kind != "linear":
-        raise ValueError(
-            "model objective is fractional; call linearize(model, i) for each "
-            "removal count i in 1..k and emit those models instead")
+
+def _render_head(model: IpModel) -> str:
+    """Header comments, objective and budget row (c3) of a linearized model:
+    the part of its LP text that depends on the removal count."""
     n = model.n_nodes
     i = model.objective.removal_count
     scale = model.objective.scale
@@ -393,10 +411,18 @@ def emit_lp(model: IpModel) -> str:
     lines.append("Maximize")
     lines.extend(_wrap(" obj:", _join_terms(obj_terms)))
     lines.append("Subject To")
-    for row in model.rows():
-        tokens = _join_terms(list(row.terms))
-        tokens.append(f"{row.sense} {_fmt_coef(row.rhs)}")
-        lines.extend(_wrap(f" {row.rid}:", tokens))
+    lines.extend(_row_lines(next(model._iter_rows())))
+    return "\n".join(lines) + "\n"
+
+
+def _render_body(model: IpModel) -> str:
+    """Every row after c3, then Bounds, Binary and End: the same text at
+    every removal count."""
+    lines: list[str] = []
+    rows = model._iter_rows()
+    next(rows)  # c3 belongs to the head
+    for row in rows:
+        lines.extend(_row_lines(row))
     unit_vars = [d.var for d in model.domains() if d.kind == "unit"]
     if unit_vars:
         lines.append("Bounds")
@@ -412,3 +438,28 @@ def emit_lp(model: IpModel) -> str:
             lines.append(f" {name}")
     lines.append("End")
     return "\n".join(lines) + "\n"
+
+
+def emit_lp(model: IpModel) -> str:
+    """Serialize a linearized model in LP format, byte-deterministically.
+
+    Fractional models are rejected: call :func:`linearize` first (one model
+    per candidate removal count), or :func:`emit_lp_family` for all of them.
+    """
+    if model.objective.kind != "linear":
+        raise ValueError(
+            "model objective is fractional; call linearize(model, i) for each "
+            "removal count i in 1..k and emit those models instead")
+    return _render_head(model) + _render_body(model)
+
+
+def emit_lp_family(model: IpModel) -> Iterator[tuple[int, str]]:
+    """Yield ``(i, emit_lp(linearize(model, i)))`` for ``i = 1..model.k``.
+
+    The shared body is rendered once, when the first model is requested;
+    each model then costs only its head, and is yielded before the next
+    one is rendered.
+    """
+    body = _render_body(model)
+    for i in range(1, model.k + 1):
+        yield i, _render_head(linearize(model, i)) + body

@@ -9,7 +9,9 @@ the exception: they are the greedy round that prices every candidate on a
 ``iter_greedy_steps``.  So is ``oracle_exact_opt``, the scan that scores
 every subset with ``fragile``, kept as the reference for the branch and
 bound of ``exact_opt``; its scan, ``oracle_best_removal``, takes any score,
-so it also runs on the library-free ``oracle_fragile``.
+so it also runs on the library-free ``oracle_fragile``.  ``oracle_emit_lp``
+renders one linearized model from ``IpModel.rows()`` in a single pass, the
+reference for the shared body of ``emit_lp`` and ``emit_lp_family``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from itertools import combinations
 import pytest
 
 from fragility import DegreeTracker, Graph, RemovalSolution, fragile
+from fragility.ip_model import _fmt_coef, _join_terms, _wrap
 
 # Populated by tests/test_acceptance.py; echoed after the run so the
 # per-criterion verdict lines are visible in normal pytest output.
@@ -167,6 +170,48 @@ def oracle_exact_opt(graph: Graph, no_strike, k: int) -> RemovalSolution:
     best = oracle_best_removal(pool, k, lambda combo: fragile(graph, combo))
     trace = [fragile(graph, best[:j]) for j in range(len(best) + 1)]
     return RemovalSolution(best, tuple(trace), trace[-1])
+
+
+def oracle_emit_lp(model) -> str:
+    """LP text of a linearized model, every row taken from ``model.rows()``."""
+    n = model.n_nodes
+    i = model.objective.removal_count
+    scale = model.objective.scale
+    lines = [
+        "\\ fragility centralization removal model",
+        f"\\ nodes={n} edges={len(model.edges)} budget={model.k}",
+        f"\\ variables={model.variable_count} constraints={model.constraint_count}",
+        f"\\ objective: linearized at removal count i={i}"
+        + (" (relaxed X/Z)" if model.relaxed else ""),
+    ]
+    if scale is None:
+        lines.append("\\ degenerate instance (fewer than 3 survivors): "
+                     "objective left unscaled")
+    q_coef = (n - i) * scale if scale is not None else float(n - i)
+    y_coef = -2.0 * scale if scale is not None else -2.0
+    obj_terms = [(q_coef, name) for e in model.edges
+                 for name in (model.qf_name(e), model.qb_name(e))]
+    obj_terms += [(y_coef, model.y_name(e)) for e in model.edges]
+    lines.append("Maximize")
+    lines.extend(_wrap(" obj:", _join_terms(obj_terms)))
+    lines.append("Subject To")
+    for row in model.rows():
+        tokens = _join_terms(list(row.terms))
+        tokens.append(f"{row.sense} {_fmt_coef(row.rhs)}")
+        lines.extend(_wrap(f" {row.rid}:", tokens))
+    unit_vars = [d.var for d in model.domains() if d.kind == "unit"]
+    if unit_vars:
+        lines.append("Bounds")
+        lines.extend(f" 0 <= {name} <= 1" for name in unit_vars)
+    binary_vars = [d.var for d in model.domains() if d.kind == "binary"]
+    for e in model.edges:
+        binary_vars.extend((model.y_name(e), model.qf_name(e), model.qb_name(e)))
+    if binary_vars:
+        lines.append("Binary")
+        order = {name: pos for pos, name in enumerate(model.variable_names())}
+        lines.extend(f" {name}" for name in sorted(binary_vars, key=order.__getitem__))
+    lines.append("End")
+    return "\n".join(lines) + "\n"
 
 
 def random_graph_edges(rng: random.Random, n: int,

@@ -77,6 +77,10 @@ CASES = [
                            "--out-dir", "models"]),
     # no --out-dir: the models go to the current directory
     ("emit-ip-all-prefix-cwd", ["emit-ip", *G, "--k", "2", "--all-i", "--prefix", "p"]),
+    # k = N = 12: i = 10..12 leave fewer than three survivors (unscaled
+    # objectives), and the protected set adds the c11 rows
+    ("emit-ip-all-ns-full", ["emit-ip", *G, *NS, "--k", "12", "--all-i",
+                             "--out-dir", "models"]),
     ("synth-stdout", ["synth", "--kind", "scale-free", "--n", "20", "--m", "40",
                       "--seed", "3"]),
     ("synth-out", ["synth", "--kind", "star-of-stars", "--n", "10", "--out", "s.txt"]),
@@ -152,6 +156,8 @@ GOLDEN: dict[str, str] = {
     "emit-ip-all-relax-json": "7f6334f0bf6bac8b4e558a523a63f384d3676222cd0e31c113b6952189551d47",
     "emit-ip-all-prefix-cwd-text": "8a54fca485247cb9f93a25c13a582e4c532458614e4d414b5a8b28c5353568ab",
     "emit-ip-all-prefix-cwd-json": "ae9d53b3dbfa102fc7616fbf1a16e58f12c494abac3c343b639a3bd13c9d5c47",
+    "emit-ip-all-ns-full-text": "b70b7310bff81808dac30ff9c38bd00f4fb79745bfe51445f102dbe894406777",
+    "emit-ip-all-ns-full-json": "7000e9b132e78c05e4032fb6407e23233272ca4f740793f02e0fdb9168ea1106",
     "synth-stdout-text": "804d1b754916f50bfabcb4260229ab6c76783c85a617374c2dd601699ed31f69",
     "synth-stdout-json": "456e02262576085b911e1675f210c8f8e9fcbb4758b1049aa4c1ae69c3fa08d7",
     "synth-out-text": "1399308abcaa5bd60d2c4c040e4858aeb5bcf743a8489b96531158915c9fcfea",

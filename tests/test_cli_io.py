@@ -201,6 +201,16 @@ class TestCliErrors:
         assert main(["centrality", "--graph", str(bad)]) == 1
         assert "self-loop" in capsys.readouterr().err
 
+    def test_colliding_edge_names_are_exit_1(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text("a_b c\na b_c\nc d\n", encoding="utf-8")
+        argv = ["emit-ip", "--graph", str(graph), "--k", "1", "--all-i",
+                "--out-dir", str(tmp_path / "models")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: edges ('a_b', 'c') and ('a', 'b_c')")
+        assert not (tmp_path / "models").exists()
+
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["no-such-command"]) == 1
         assert main([]) == 1

@@ -6,13 +6,17 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fragility import (Graph, InfeasibleAssignmentError, IpAssignment,
                        build_fragility_ip, canonical_assignment, check_feasible,
-                       emit_lp, evaluate_objective, exact_opt, fragile,
-                       linearize, path_graph, relax_bounds, star_graph)
+                       complete_graph, emit_lp, emit_lp_family,
+                       evaluate_objective, exact_opt, fragile,
+                       generate_synthetic, linearize, parse_edge_list,
+                       path_graph, relax_bounds, star_graph)
+from fragility import ip_model
 
-from conftest import random_graph_edges
+from conftest import oracle_emit_lp, random_graph_edges
 
 
 GOLDEN_SINGLE_EDGE_LP = """\
@@ -148,6 +152,26 @@ class TestRows:
         assert model.x_name(0) == "X_alpha_1"
         assert model.y_name((0, 1)) == "Y_alpha_1_beta_2"
 
+    def test_edge_name_collision(self):
+        # (a_b, c) and (a, b_c) would share Y_a_b_c, Qf_a_b_c, Qb_a_b_c and
+        # rows c5_a_b_c..c9_a_b_c
+        g = parse_edge_list("a_b c\na b_c\nc d\n")
+        with pytest.raises(ValueError, match=r"edges \('a_b', 'c'\) and "
+                           r"\('a', 'b_c'\) collide as variable name 'Y_a_b_c'"):
+            build_fragility_ip(g, k=1)
+
+    def test_edge_name_collision_after_sanitizing(self):
+        g = Graph(4, [(0, 1), (2, 3)], labels=("a-b", "c", "a", "b:c"))
+        with pytest.raises(ValueError, match="'Y_a_b_c'"):
+            build_fragility_ip(g, k=1)
+
+    def test_underscored_labels_without_collision(self):
+        model = build_fragility_ip(parse_edge_list("a_b c\na c\nb_c d\n"), k=1)
+        names = model.variable_names()
+        assert len(names) == len(set(names)) == model.variable_count
+        rids = [r.rid for r in model.rows()]
+        assert len(rids) == len(set(rids))
+
 
 # ----- canonical assignments ----------------------------------------------
 
@@ -252,6 +276,50 @@ class TestCheckFeasible:
         asg.values["Y_0_1"] = 0.5  # never allowed: edge vars stay binary
         report = check_feasible(model, asg)
         assert any("Y_0_1" in v and "not binary" in v for v in report.violations)
+
+
+def _infeasible_cases():
+    """The infeasible assignments above, plus one that breaks rows of
+    several families and a domain at once."""
+    base = build_fragility_ip(path_graph(3), k=1)
+    relaxed = relax_bounds(base)
+    wide = build_fragility_ip(path_graph(6), no_strike={2}, k=1)
+    edits = {
+        "dead-edge": (base, (), {"Y_0_1": 0, "Qf_0_1": 0, "Qb_0_1": 0}),
+        "ghost-edge": (base, {0}, {"Y_0_1": 1}),
+        "q-without-survivor": (base, (), {"Qf_0_1": 1}),
+        "two-survivors": (base, (), {"Z_0": 1}),
+        "fractional-edge": (relaxed, (), {"X_0": 0.5, "Y_0_1": 0.5}),
+        "many": (wide, (), {"X_2": 1, "X_4": 1, "Z_1": 0.5, "Qb_3_4": 1}),
+    }
+    for name, (model, removed, changes) in edits.items():
+        asg = canonical_assignment(model, removed)
+        asg.values.update(changes)
+        yield name, model, asg
+
+
+# recorded from the check that walked the materialized IpModel.rows()
+_VIOLATIONS = {
+    "dead-edge": ("c7_0_1: 0 >= 1 fails",),
+    "ghost-edge": ("c5_0_1: 2 <= 1 fails",),
+    "q-without-survivor": ("c8_0_1: 1 <= 0 fails", "c9_0_1: 1 <= 0 fails"),
+    "two-survivors": ("c4: 2 = 1 fails",),
+    "fractional-edge": ("c8_0_1: 0.5 <= 0 fails", "dom_Y_0_1: Y_0_1=0.5 not binary"),
+    "many": ("c3: 2 <= 1 fails", "c4: 0.5 = 1 fails", "c5_2_3: 2 <= 1 fails",
+             "c5_4_5: 2 <= 1 fails", "c6_1_2: 2 <= 1 fails", "c6_3_4: 2 <= 1 fails",
+             "c9_0_1: 0.5 <= 0 fails", "c9_1_2: 0.5 <= 0 fails",
+             "c9_3_4: 1 <= 0 fails", "c11_2: 1 = 0 fails",
+             "c10_1: Z_1=0.5 not binary"),
+}
+
+
+@pytest.mark.parametrize("model,asg,expected", [
+    pytest.param(model, asg, _VIOLATIONS[name], id=name)
+    for name, model, asg in _infeasible_cases()])
+def test_violations_identical_and_in_row_order(model, asg, expected):
+    report = check_feasible(model, asg)
+    assert not report.ok
+    assert report.violations == expected
 
 
 # ----- binary optimum equals the enumeration solver ------------------------
@@ -388,3 +456,83 @@ class TestEmitLp:
         text = emit_lp(linearize(
             build_fragility_ip(double_star8, no_strike={4}, k=2), 1))
         assert " c11_4: X_4 = 0" in text
+
+
+# ----- the LP family ------------------------------------------------------
+
+def _assert_family_matches(model):
+    family = list(emit_lp_family(model))
+    per_i = [(i, emit_lp(linearize(model, i))) for i in range(1, model.k + 1)]
+    assert family == per_i
+    assert [text for _, text in family] == [
+        oracle_emit_lp(linearize(model, i)) for i in range(1, model.k + 1)]
+    return family
+
+
+@st.composite
+def _family_models(draw):
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    protected = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    model = build_fragility_ip(Graph(n, edges), protected, draw(st.integers(0, n)))
+    return relax_bounds(model) if draw(st.booleans()) else model
+
+
+class TestEmitLpFamily:
+    @settings(max_examples=80, deadline=None)
+    @given(_family_models())
+    def test_equals_emit_lp_per_removal_count(self, model):
+        _assert_family_matches(model)
+
+    def test_degenerate_removal_counts(self):
+        # 5 nodes: i = 3, 4, 5 leave fewer than three survivors
+        model = build_fragility_ip(star_graph(4), no_strike={0}, k=5)
+        family = _assert_family_matches(model)
+        degenerate = [i for i, text in family if "degenerate instance" in text]
+        assert degenerate == [3, 4, 5]
+        assert [linearize(model, i).objective.scale is None
+                for i in range(1, 6)] == [False, False, True, True, True]
+
+    def test_edgeless_objective_token(self):
+        family = _assert_family_matches(build_fragility_ip(Graph(4, []), k=2))
+        assert all("\n obj: 0\n" in text for _, text in family)
+
+    def test_sanitized_labels(self):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)],
+                  labels=("alpha-1", "beta:2", "gamma 3", "d.4"))
+        family = _assert_family_matches(build_fragility_ip(g, {1}, k=3))
+        assert " c11_beta_2: X_beta_2 = 0" in family[0][1]
+
+    def test_complete_graph(self):
+        _assert_family_matches(relax_bounds(build_fragility_ip(complete_graph(7), k=4)))
+        _assert_family_matches(build_fragility_ip(complete_graph(7), k=4))
+
+    def test_paper_scale_graph(self):
+        g = generate_synthetic("scale-free", 1133, 5541, seed=1)
+        assert (g.node_count, g.edge_count) == (1133, 5541)
+        _assert_family_matches(build_fragility_ip(g, k=3))
+
+    def test_yields_each_model_before_rendering_the_next(self, monkeypatch,
+                                                         double_star8):
+        heads, bodies = [], []
+        render_head, render_body = ip_model._render_head, ip_model._render_body
+
+        def head(model):
+            heads.append(model.objective.removal_count)
+            return render_head(model)
+
+        def body(model):
+            bodies.append(model)
+            return render_body(model)
+
+        monkeypatch.setattr(ip_model, "_render_head", head)
+        monkeypatch.setattr(ip_model, "_render_body", body)
+        family = emit_lp_family(build_fragility_ip(double_star8, k=3))
+        assert heads == [] and bodies == []
+        assert next(family)[0] == 1
+        assert heads == [1] and len(bodies) == 1
+        assert next(family)[0] == 2
+        assert heads == [1, 2]
+        assert [i for i, _ in family] == [3]
+        assert heads == [1, 2, 3] and len(bodies) == 1
