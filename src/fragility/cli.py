@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -207,6 +208,8 @@ def _cmd_exact(args, graph, ns):
 
 
 def _cmd_decision(args, graph, ns):
+    if not math.isfinite(args.x):
+        raise _CliInputError(f"--x must be a finite number, got {args.x}")
     answer = fragility_decision(graph, ns, args.k, args.x, args.work_limit)
     return ({"k": args.k, "x": args.x}, ["true" if answer else "false"],
             {"decision": answer}, [])

@@ -2,10 +2,14 @@
 
 A curve sweeps removal budgets for one or more strategies and records, per
 budget, the surviving network's fragility and its percent increase over the
-untouched graph.  Greedy curves come from a single greedy run at the largest
-budget whose prefixes are reported; ranking strategies score the graph once
-and walk the fixed order once on a degree tracker, reading the score at each
-budget.
+untouched graph.  Each strategy first makes one list of steps up to the
+largest budget: the fragility after each removal and the seconds that point
+reports.  The greedy runs once and stamps each step with its elapsed time; a
+ranking scores the graph once, walks its fixed order on a degree tracker and
+stamps every step with the ranking's time.  One budget loop then reads every
+point from the list: budget ``b`` takes ``min(b, len(steps))`` removals, the
+untouched graph when that is none, and the whole run's time when the run
+stopped short of ``b``.
 """
 
 from __future__ import annotations
@@ -89,65 +93,42 @@ def run_curves(graph: Graph, no_strike: Collection[int] | None,
             "baseline fragility is zero; percent increase is undefined on "
             "degree-regular graphs")
     budgets = _budgets(graph.node_count, cfg)
+    if not budgets:
+        return []
     points: list[CurvePoint] = []
     for strategy in sorted(cfg.strategies):
         if strategy == "greedy":
-            points.extend(_greedy_curve(graph, ns, budgets, base))
+            t0 = time.perf_counter()
+            steps = [(frag, time.perf_counter() - t0)
+                     for _, frag in iter_greedy_steps(graph, ns, budgets[-1])]
+            total = time.perf_counter() - t0
         else:
-            points.extend(_ranking_curve(graph, ns, strategy, budgets, base))
+            steps, total = _ranking_curve(graph, ns, strategy, budgets[-1])
+        for b in budgets:
+            taken = min(b, len(steps))
+            frag = steps[taken - 1][0] if taken else base
+            # a budget the run stopped short of needed the whole run
+            elapsed = steps[b - 1][1] if taken == b else total
+            points.append(CurvePoint(strategy, taken, taken / graph.node_count,
+                                     frag, 100.0 * (frag - base) / base, elapsed))
     return points
 
 
-def _point(strategy: str, graph: Graph, removed_count: int, frag: float,
-           base: float, elapsed: float) -> CurvePoint:
-    return CurvePoint(
-        strategy=strategy,
-        nodes_removed=removed_count,
-        fraction_removed=removed_count / graph.node_count,
-        fragility=frag,
-        percent_increase=100.0 * (frag - base) / base,
-        wall_time=elapsed,
-    )
+def _ranking_curve(graph: Graph, no_strike, strategy: str,
+                   limit: int) -> tuple[list[tuple[float, float]], float]:
+    """Steps ``(fragility, seconds)`` of the first ``limit`` ranked removals.
 
-
-def _greedy_curve(graph: Graph, no_strike, budgets: list[int],
-                  base: float) -> list[CurvePoint]:
-    if not budgets:
-        return []
-    steps: list[tuple[int, float, float]] = []
+    Every step, and the returned total, carries the ranking's own time.
+    """
     t0 = time.perf_counter()
-    for node, frag in iter_greedy_steps(graph, no_strike, budgets[-1]):
-        steps.append((node, frag, time.perf_counter() - t0))
-    total = time.perf_counter() - t0
-    out = []
-    for b in budgets:
-        prefix = steps[:b]
-        if prefix:
-            _, frag, elapsed = prefix[-1]
-            if len(prefix) < b:
-                elapsed = total  # budget not reachable: the whole run was needed
-        else:
-            frag, elapsed = base, total
-        out.append(_point("greedy", graph, len(prefix), frag, base, elapsed))
-    return out
-
-
-def _ranking_curve(graph: Graph, no_strike, strategy: str, budgets: list[int],
-                   base: float) -> list[CurvePoint]:
-    t0 = time.perf_counter()
-    ranking = _RANKERS[strategy](graph, no_strike)
+    order = _RANKERS[strategy](graph, no_strike).order
     ranking_time = time.perf_counter() - t0
-    order = ranking.order
     tracker = DegreeTracker(graph)
-    taken = 0
-    out = []
-    for b in budgets:  # ascending, so each prefix extends the last one
-        for i in order[taken:b]:
-            tracker.remove(i)
-        taken = min(b, len(order))
-        out.append(_point(strategy, graph, taken, tracker.centrality(), base,
-                          ranking_time))
-    return out
+    steps = []
+    for i in order[:limit]:
+        tracker.remove(i)
+        steps.append((tracker.centrality(), ranking_time))
+    return steps, ranking_time
 
 
 def benchmark_runtime(graph: Graph, no_strike: Collection[int] | None,

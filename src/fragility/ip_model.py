@@ -114,7 +114,6 @@ class IpModel:
     """Immutable model instance; transforms return new instances."""
 
     n_nodes: int
-    labels: tuple[str, ...]
     var_labels: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
     k: int
@@ -220,7 +219,6 @@ def build_fragility_ip(graph: Graph, no_strike: Collection[int] | None = None,
                 f"collide as variable name 'Y_{var_labels[u]}_{var_labels[v]}'")
     return IpModel(
         n_nodes=graph.node_count,
-        labels=graph.labels,
         var_labels=var_labels,
         edges=edges,
         k=k,

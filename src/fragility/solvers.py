@@ -42,9 +42,9 @@ class DegreeTracker:
     Maintains surviving node/edge counts, per-node surviving degrees and the
     set of alive nodes at each degree, so pricing one more removal costs
     O(deg) instead of a full recount; :meth:`restore` undoes removals, last
-    in first out, for the exact search.  Values match
-    :func:`fragility.graph.fragile` bit for bit because both pass the same
-    integer counts to the same scoring function.
+    in first out, for the exact search and for pricing the greedy's sole top
+    node.  Values match :func:`fragility.graph.fragile` bit for bit because
+    both pass the same integer counts to the same scoring function.
     """
 
     __slots__ = ("graph", "alive", "deg", "level", "n_alive", "m_alive", "max_deg")
@@ -63,19 +63,6 @@ class DegreeTracker:
 
     def centrality(self) -> float:
         return _centralization(self.n_alive, self.max_deg, self.m_alive)
-
-    def max_degree_after(self, i: int) -> int:
-        """Largest surviving degree after additionally removing alive node ``i``."""
-        delta = {self.deg[i]: -1}
-        for j in self.graph.adjacency[i]:
-            if self.alive[j]:
-                dj = self.deg[j]
-                delta[dj] = delta.get(dj, 0) - 1
-                delta[dj - 1] = delta.get(dj - 1, 0) + 1
-        v = self.max_deg
-        while v > 0 and len(self.level[v]) + delta.get(v, 0) <= 0:
-            v -= 1
-        return v
 
     def remove(self, i: int) -> None:
         if not self.alive[i]:
@@ -155,7 +142,9 @@ def _best_removal(tracker: DegreeTracker, ns: frozenset[int],
         falls.discard(t0)
         if t0 not in ns:
             sole = t0
-            leaders.append((n2 * tracker.max_degree_after(t0) - 2 * (m - top_d), -t0))
+            tracker.remove(t0)
+            leaders.append((n2 * tracker.max_deg - 2 * tracker.m_alive, -t0))
+            tracker.restore(t0, top_d)
     if falls:
         f = min(falls, key=lambda x: (-deg[x], x))
         leaders.append((n2 * (top_d - 1) - 2 * (m - deg[f]), -f))

@@ -113,8 +113,18 @@ def oracle_removal_value(tracker: DegreeTracker, i: int) -> float:
     n2 = tracker.n_alive - 1
     if n2 < 3:
         return 0.0
+    # count, per degree, how removing i moves alive nodes between levels
+    delta = {tracker.deg[i]: -1}
+    for j in tracker.graph.adjacency[i]:
+        if tracker.alive[j]:
+            dj = tracker.deg[j]
+            delta[dj] = delta.get(dj, 0) - 1
+            delta[dj - 1] = delta.get(dj - 1, 0) + 1
+    top = tracker.max_deg
+    while top > 0 and len(tracker.level[top]) + delta.get(top, 0) <= 0:
+        top -= 1
     m2 = tracker.m_alive - tracker.deg[i]
-    return (n2 * tracker.max_degree_after(i) - 2 * m2) / ((n2 - 1) * (n2 - 2))
+    return (n2 * top - 2 * m2) / ((n2 - 1) * (n2 - 2))
 
 
 def oracle_greedy_steps(graph: Graph, no_strike, k: int) -> list[tuple[int, float]]:

@@ -234,6 +234,17 @@ class TestCliErrors:
         assert err == ("error: work limit exceeded: "
                        "more than 10000000 candidate subsets\n")
 
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_decision_x_must_be_finite(self, graph_file, tmp_path, x, capsys):
+        manifest = tmp_path / "m.json"
+        assert main(["decision", "--graph", str(graph_file), "--k", "1",
+                     f"--x={x}", "--format", "json",
+                     "--manifest", str(manifest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --x must be a finite number, got {x}\n"
+        assert not manifest.exists()
+
     def test_zero_baseline_curve_is_exit_2(self, tmp_path, capsys):
         ring = tmp_path / "ring.txt"
         ring.write_text("a b\nb c\nc d\nd a\n")

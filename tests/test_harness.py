@@ -111,6 +111,39 @@ class TestCurves:
         points = run_curves(g, range(1, 5), cfg)  # only the center targetable
         assert [p.nodes_removed for p in points] == [1, 1]
 
+    @pytest.mark.parametrize("strategy", ["betweenness", "closeness", "degree"])
+    def test_ranking_points_share_one_wall_time(self, strategy):
+        g = generate_synthetic("scale-free", 60, 150, seed=2)
+        ns = set(range(50))  # ten targetable nodes, budgets up to 18
+        cfg = ExperimentConfig(strategies=(strategy,), max_fraction=0.3)
+        points = run_curves(g, ns, cfg)
+        assert [p.nodes_removed for p in points] == [*range(1, 11)] + [10] * 8
+        assert len({p.wall_time for p in points}) == 1
+
+    def test_greedy_times_grow_and_cover_an_early_stop(self):
+        g = star_graph(6)  # hub protected: four zero-gain removals, then stop
+        cfg = ExperimentConfig(strategies=("greedy",), max_fraction=1.0)
+        points = run_curves(g, {0}, cfg)
+        assert [p.nodes_removed for p in points] == [1, 2, 3, 4, 4, 4, 4]
+        times = [p.wall_time for p in points]
+        assert times == sorted(times)
+        # past the stop the point carries the whole run, the refused round too
+        assert min(times[4:]) > max(times[:4])
+
+    def test_no_budget_ranks_nothing(self, monkeypatch, double_star10):
+        calls = []
+        for name, ranker in list(_RANKERS.items()):
+            def counted(*args, _name=name, _ranker=ranker):
+                calls.append(_name)
+                return _ranker(*args)
+            monkeypatch.setitem(_RANKERS, name, counted)
+        # 0.05 of ten nodes leaves no budget; 0.1 leaves budget 1
+        assert run_curves(double_star10, None,
+                          ExperimentConfig(max_fraction=0.05)) == []
+        assert calls == []
+        run_curves(double_star10, None, ExperimentConfig(max_fraction=0.1))
+        assert sorted(calls) == sorted(_RANKERS)
+
     def test_wall_times_nonnegative(self, double_star10):
         points = run_curves(double_star10, None,
                             ExperimentConfig(max_fraction=0.2))
