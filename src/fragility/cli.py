@@ -364,3 +364,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:  # console-script shim
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

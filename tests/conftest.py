@@ -12,6 +12,10 @@ bound of ``exact_opt``; its scan, ``oracle_best_removal``, takes any score,
 so it also runs on the library-free ``oracle_fragile``.  ``oracle_emit_lp``
 renders one linearized model from ``IpModel.rows()`` in a single pass, the
 reference for the shared body of ``emit_lp`` and ``emit_lp_family``.
+``oracle_closeness_scores`` and ``oracle_brandes_scores`` are the per-source
+queue BFS passes that ``closeness_scores`` and ``betweenness_scores`` used to
+run; they read ``Graph.adjacency`` in the library's order, so the fast passes
+must equal them float for float.
 """
 
 from __future__ import annotations
@@ -106,6 +110,61 @@ def oracle_betweenness(n: int, edges: list[tuple[int, int]]) -> list[float]:
             for interior in path[1:-1]:
                 bet[interior] += share
     return bet
+
+
+def oracle_closeness_scores(graph: Graph) -> list[float]:
+    """Closeness from one queue BFS per source, the reference for the
+    bit-parallel ball growth of ``closeness_scores``."""
+    n = graph.node_count
+    out = []
+    for i in range(n):
+        dist = [-1] * n
+        dist[i] = 0
+        queue = deque([i])
+        while queue:
+            v = queue.popleft()
+            for w in graph.adjacency[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        reach = [d for j, d in enumerate(dist) if j != i and d >= 0]
+        r = len(reach)
+        s = sum(reach)
+        out.append(0.0 if r == 0 or s == 0 else (r / (n - 1)) * (r / s))
+    return out
+
+
+def oracle_brandes_scores(graph: Graph) -> list[float]:
+    """Brandes over a queue BFS with a predecessor list per node, the
+    reference for the level-list pass of ``betweenness_scores``."""
+    n = graph.node_count
+    bet = [0.0] * n
+    for s in range(n):
+        stack: list[int] = []
+        pred: list[list[int]] = [[] for _ in range(n)]
+        sigma = [0] * n
+        dist = [-1] * n
+        sigma[s] = 1
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            for w in graph.adjacency[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    pred[w].append(v)
+        delta = [0.0] * n
+        while stack:
+            w = stack.pop()
+            for v in pred[w]:
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != s:
+                bet[w] += delta[w]
+    return [b / 2.0 for b in bet]
 
 
 def oracle_removal_value(tracker: DegreeTracker, i: int) -> float:

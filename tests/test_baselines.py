@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fragility import (Graph, betweenness_ranking, betweenness_scores,
-                       closeness_ranking, closeness_scores, cycle_graph,
-                       degree_ranking, path_graph, star_graph,
-                       static_removal_schedule)
+                       closeness_ranking, closeness_scores, complete_graph,
+                       cycle_graph, degree_ranking, generate_synthetic,
+                       path_graph, star_graph, static_removal_schedule)
 
-from conftest import oracle_betweenness, random_graph_edges
+from conftest import (oracle_betweenness, oracle_brandes_scores,
+                      oracle_closeness_scores, random_graph_edges)
 
 
 # ----- degree --------------------------------------------------------------
@@ -71,6 +72,15 @@ class TestCloseness:
         g = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6)])
         s = closeness_scores(g)
         assert s[0] > s[5]
+
+    def test_exact_ties_rank_by_id(self):
+        # node 0 has (r, s) = (6, 9), node 7 has (4, 4): both keys are
+        # exactly r**2 / s = 4, but their float scores differ in the last bit
+        g = Graph(12, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6),
+                       (7, 8), (7, 9), (7, 10), (7, 11)])
+        s = closeness_scores(g)
+        assert s[0] != s[7]
+        assert closeness_ranking(g).order[:2] == (0, 7)
 
 
 # ----- betweenness ---------------------------------------------------------
@@ -136,8 +146,8 @@ class TestSchedule:
 # ----- randomized properties ----------------------------------------------
 
 @st.composite
-def _graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=10))
+def _graphs(draw, max_n=10):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     pairs = list(combinations(range(n), 2))
     mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return n, [p for p, keep in zip(pairs, mask) if keep]
@@ -189,3 +199,30 @@ class TestProperties:
         for i in masked.scores:
             assert masked.scores[i] == full.scores[i]
         assert all(i not in masked.scores for i in (0, 3))
+
+
+# ----- fast passes against the per-source BFS oracles ---------------------
+
+def _assert_equals_oracles(g):
+    assert closeness_scores(g) == oracle_closeness_scores(g)
+    assert betweenness_scores(g) == oracle_brandes_scores(g)
+
+
+class TestBitIdenticalToOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(_graphs(max_n=14))
+    def test_random_graphs(self, ne):
+        _assert_equals_oracles(Graph(*ne))
+
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_paths_and_cycles(self, n):
+        _assert_equals_oracles(path_graph(n))
+        if n >= 3:
+            _assert_equals_oracles(cycle_graph(n))
+
+    def test_complete_graph(self):
+        _assert_equals_oracles(complete_graph(30))
+
+    def test_scale_free_paper_size(self):
+        _assert_equals_oracles(
+            generate_synthetic("scale-free", 1133, 5541, seed=1))

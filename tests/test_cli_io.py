@@ -409,6 +409,16 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"{18 / 42:.6f}"
 
+    @pytest.mark.parametrize("module", ["fragility", "fragility.cli"])
+    def test_python_dash_m_runs_the_command(self, graph_file, module):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "decision", "--graph",
+             str(graph_file), "--k", "1", "--x", "nan"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: --x must be a finite number, got nan\n"
+
     def test_module_usable_from_fresh_interpreter(self, graph_file):
         code = ("from fragility.cli import main; import sys; "
                 "sys.exit(main(['decision', '--graph', sys.argv[1], "
