@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import math
+import multiprocessing
+import os
 import random
+import threading
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from fragility import baselines
 from fragility import (Graph, betweenness_ranking, betweenness_scores,
                        closeness_ranking, closeness_scores, complete_graph,
                        cycle_graph, degree_ranking, generate_synthetic,
@@ -85,6 +90,10 @@ class TestCloseness:
 
 # ----- betweenness ---------------------------------------------------------
 
+_TIED_EDGES = [(0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3),
+               (3, 4), (4, 5)]
+
+
 class TestBetweenness:
     def test_star_center_carries_all_pairs(self, star4):
         s = betweenness_scores(star4)
@@ -115,6 +124,16 @@ class TestBetweenness:
     def test_ranking_order(self, double_star8):
         r = betweenness_ranking(double_star8)
         assert r.order[:2] == (0, 1)  # hubs first
+
+    def test_exact_ties_rank_by_id(self):
+        # nodes 1 and 3 both score exactly 11/6, but their floats differ in
+        # the last bit, node 1's being the smaller
+        g = Graph(6, _TIED_EDGES)
+        s = betweenness_scores(g)
+        assert s[1] < s[3]
+        assert s[1] == pytest.approx(11 / 6) and s[3] == pytest.approx(11 / 6)
+        assert betweenness_ranking(g).order == (1, 3, 4, 0, 5, 2)
+        assert betweenness_ranking(g, no_strike={4}).order == (1, 3, 0, 5, 2)
 
 
 # ----- schedules -----------------------------------------------------------
@@ -167,12 +186,15 @@ class TestProperties:
     @settings(max_examples=50, deadline=None)
     @given(_graphs())
     def test_scores_sorted_descending_along_order(self, ne):
+        # exact ties rank by id, so equal scores whose floats differ in the
+        # last bits may rise along the order (see the exact-tie tests)
         n, edges = ne
         g = Graph(n, edges)
         for rank in (degree_ranking(g), closeness_ranking(g),
                      betweenness_ranking(g)):
             vals = [rank.scores[i] for i in rank.order]
-            assert vals == sorted(vals, reverse=True)
+            assert all(a >= b or math.isclose(a, b, rel_tol=1e-9)
+                       for a, b in zip(vals, vals[1:]))
 
     @settings(max_examples=50, deadline=None)
     @given(_graphs())
@@ -206,10 +228,18 @@ class TestProperties:
 def _assert_equals_oracles(g):
     assert closeness_scores(g) == oracle_closeness_scores(g)
     assert betweenness_scores(g) == oracle_brandes_scores(g)
+    assert not multiprocessing.active_children()
 
 
 class TestBitIdenticalToOracles:
-    @settings(max_examples=200, deadline=None)
+    """The Brandes sweep in-process; the subclass runs it in workers."""
+
+    @pytest.fixture(autouse=True)
+    def sweep(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_POOL_MIN_WORK", math.inf)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_graphs(max_n=14))
     def test_random_graphs(self, ne):
         _assert_equals_oracles(Graph(*ne))
@@ -226,3 +256,88 @@ class TestBitIdenticalToOracles:
     def test_scale_free_paper_size(self):
         _assert_equals_oracles(
             generate_synthetic("scale-free", 1133, 5541, seed=1))
+
+
+class TestBitIdenticalPooled(TestBitIdenticalToOracles):
+    """Every sweep over two forked workers, whatever its size and the host."""
+
+    @pytest.fixture(autouse=True)
+    def sweep(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_POOL_MIN_WORK", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        methods = []
+        get_context = multiprocessing.get_context
+
+        def counted(method=None):
+            methods.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", counted)
+        yield methods
+        assert methods and set(methods) == {"fork"}
+
+    # hypothesis runs each test function from one class only
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_graphs(max_n=14))
+    def test_random_graphs(self, ne):
+        _assert_equals_oracles(Graph(*ne))
+
+    def test_exact_ties_rank_by_id(self, sweep):
+        # the float pass, then the exact pass, each through the workers
+        assert betweenness_ranking(Graph(6, _TIED_EDGES)).order == (
+            1, 3, 4, 0, 5, 2)
+        assert sweep == ["fork", "fork"]
+        assert not multiprocessing.active_children()
+
+
+def _forbid_pool(monkeypatch):
+    """Make every sweep ask for two workers, and fail if a pool starts."""
+    monkeypatch.setattr(baselines, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    get_context = multiprocessing.get_context
+
+    def no_pool(method=None):
+        if method == "fork":
+            raise AssertionError("the sweep started a pool")
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    return get_context
+
+
+def test_one_cpu_sweeps_in_process(monkeypatch):
+    _forbid_pool(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    g = generate_synthetic("scale-free", 300, 1470, seed=1)
+    assert betweenness_scores(g) == oracle_brandes_scores(g)
+
+
+def test_other_threads_sweep_in_process(monkeypatch):
+    # fork would copy only this thread
+    _forbid_pool(monkeypatch)
+    done = threading.Event()
+    waiter = threading.Thread(target=done.wait)
+    waiter.start()
+    try:
+        g = cycle_graph(40)
+        assert betweenness_scores(g) == oracle_brandes_scores(g)
+    finally:
+        done.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+
+
+def _cycle_scores(n):
+    return betweenness_scores(cycle_graph(n))
+
+
+def test_pool_worker_sweeps_in_process(monkeypatch):
+    # a daemonic pool worker may not start processes of its own
+    get_context = _forbid_pool(monkeypatch)
+    with get_context("fork").Pool(1) as pool:
+        got = pool.apply_async(_cycle_scores, (40,)).get(timeout=60)
+    assert got == oracle_brandes_scores(cycle_graph(40))
