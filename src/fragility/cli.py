@@ -145,7 +145,7 @@ def _load_graph(args):
     if not args.graph:
         raise _CliInputError("this command requires --graph")
     try:
-        text = Path(args.graph).read_text(encoding="utf-8")
+        text = Path(args.graph).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise _CliInputError(f"cannot read graph file: {exc}") from None
     with warnings.catch_warnings(record=True) as caught:
@@ -156,7 +156,7 @@ def _load_graph(args):
     no_strike = frozenset()
     if args.no_strike:
         try:
-            ns_text = Path(args.no_strike).read_text(encoding="utf-8")
+            ns_text = Path(args.no_strike).read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise _CliInputError(f"cannot read no-strike file: {exc}") from None
         no_strike = parse_no_strike(ns_text, graph)

@@ -43,27 +43,26 @@ class Graph:
             raise ValueError("labels must be unique")
 
         adjacency: list[set[int]] = [set() for _ in range(node_count)]
-        canonical: list[tuple[int, int]] = []
         for u, v in edges:
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise ValueError(f"edge ({u}, {v}) references an unknown node id")
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
-            key = (u, v) if u < v else (v, u)
             if v in adjacency[u]:
-                raise ValueError(f"duplicate edge {key}")
-            canonical.append(key)
+                raise ValueError(f"duplicate edge {(u, v) if u < v else (v, u)}")
             adjacency[u].add(v)
             adjacency[v].add(u)
-        canonical.sort()
-        self._edges = tuple(canonical)
         self.adjacency = tuple(frozenset(a) for a in adjacency)
         self.degree = tuple(len(a) for a in adjacency)
-        self.edge_count = len(canonical)
+        self.edge_count = sum(self.degree) // 2
         self.max_degree = max(self.degree, default=0)
+        self._edges: tuple[tuple[int, int], ...] | None = None
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """All edges as (u, v) pairs with u < v, sorted."""
+        """All edges as (u, v) pairs with u < v, sorted; built on first call."""
+        if self._edges is None:
+            self._edges = tuple((u, v) for u, adj in enumerate(self.adjacency)
+                                for v in sorted(adj) if u < v)
         return self._edges
 
     def id_of(self, label: str) -> int:

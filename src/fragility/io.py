@@ -9,7 +9,13 @@ Edge-list format, one record per line:
 Labels are arbitrary non-empty strings without whitespace, commas or ``#``.
 Node ids are assigned densely in first-appearance order.  Duplicate edges
 collapse to one with a warning; self-loops are an error.  The no-strike
-format is one label per line with the same comment rules.
+format is one label per line with the same comment and split rules.
+
+The parser collects each edge as an ascending pair of ids, sorts the pairs
+once and drops repeats, then hands them to ``Graph``, whose constructor is
+the one adjacency build.  Sorted input fixes the order in which each node's
+neighbours are inserted, and so the iteration order of ``Graph.adjacency``
+that the rankings sum floats in.
 """
 
 from __future__ import annotations
@@ -18,10 +24,10 @@ import json
 import re
 import warnings
 from dataclasses import asdict, dataclass, field
+from itertools import groupby
 
 from .graph import Graph
 
-_SPLIT = re.compile(r"[,\s]+")
 _LABEL_SAFE = re.compile(r"^[^,\s#]+$")
 
 
@@ -38,10 +44,12 @@ class DuplicateEdgeWarning(UserWarning):
 
 
 def _records(text: str):
+    """Line number and labels of each record: the body before any ``#``,
+    split on runs of commas and whitespace."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
-            yield lineno, body
+            yield lineno, body.replace(",", " ").split()
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -50,38 +58,28 @@ def parse_edge_list(text: str) -> Graph:
     Emits a single :class:`DuplicateEdgeWarning` naming how many duplicate
     edge records were collapsed, if any.
     """
-    labels: list[str] = []
-    index: dict[str, int] = {}
-
-    def intern(label: str) -> int:
-        if label not in index:
-            index[label] = len(labels)
-            labels.append(label)
-        return index[label]
-
-    edges: set[tuple[int, int]] = set()
-    duplicates = 0
-    for lineno, body in _records(text):
-        parts = [p for p in _SPLIT.split(body) if p]
-        if len(parts) == 1:
-            intern(parts[0])
-            continue
-        if len(parts) != 2:
-            raise EdgeListError(lineno, f"expected 1 or 2 labels, got {len(parts)}")
-        u, v = parts
-        if u == v:
-            raise EdgeListError(lineno, f"self-loop on {u!r}")
-        key = (intern(u), intern(v))
-        if key[0] > key[1]:
-            key = (key[1], key[0])
-        if key in edges:
-            duplicates += 1
+    index: dict[str, int] = {}  # label -> id, in first-appearance order
+    intern = index.setdefault
+    pairs: list[tuple[int, int]] = []
+    for lineno, parts in _records(text):
+        if len(parts) == 2:
+            u, v = parts
+            if u == v:
+                raise EdgeListError(lineno, f"self-loop on {u!r}")
+            i = intern(u, len(index))
+            j = intern(v, len(index))
+            pairs.append((i, j) if i < j else (j, i))
+        elif len(parts) == 1:
+            intern(parts[0], len(index))
         else:
-            edges.add(key)
+            raise EdgeListError(lineno, f"expected 1 or 2 labels, got {len(parts)}")
+    pairs.sort()
+    edges = [e for e, _ in groupby(pairs)]
+    duplicates = len(pairs) - len(edges)
     if duplicates:
         warnings.warn(DuplicateEdgeWarning(
             f"collapsed {duplicates} duplicate edge record(s)"), stacklevel=2)
-    return Graph(len(labels), sorted(edges), labels=tuple(labels))
+    return Graph(len(index), edges, labels=tuple(index))
 
 
 def emit_edge_list(graph: Graph) -> str:
@@ -100,8 +98,7 @@ def emit_edge_list(graph: Graph) -> str:
 def parse_no_strike(text: str, graph: Graph) -> frozenset[int]:
     """Parse a no-strike list against an already-loaded graph."""
     members: set[int] = set()
-    for lineno, body in _records(text):
-        parts = [p for p in _SPLIT.split(body) if p]
+    for lineno, parts in _records(text):
         if len(parts) != 1:
             raise EdgeListError(lineno, "expected exactly one label per line")
         label = parts[0]

@@ -15,18 +15,23 @@ reference for the shared body of ``emit_lp`` and ``emit_lp_family``.
 ``oracle_closeness_scores`` and ``oracle_brandes_scores`` are the per-source
 queue BFS passes that ``closeness_scores`` and ``betweenness_scores`` used to
 run; they read ``Graph.adjacency`` in the library's order, so the fast passes
-must equal them float for float.
+must equal them float for float.  ``oracle_parse_edge_list`` is the parser
+that split every record with a regex and deduplicated through a set of
+tuples, the reference for the one-pass ``parse_edge_list``.
 """
 
 from __future__ import annotations
 
 import random
+import re
+import warnings
 from collections import deque
 from itertools import combinations
 
 import pytest
 
 from fragility import DegreeTracker, Graph, RemovalSolution, fragile
+from fragility.io import DuplicateEdgeWarning, EdgeListError
 from fragility.ip_model import _fmt_coef, _join_terms, _wrap
 
 # Populated by tests/test_acceptance.py; echoed after the run so the
@@ -281,6 +286,48 @@ def oracle_emit_lp(model) -> str:
         lines.extend(f" {name}" for name in sorted(binary_vars, key=order.__getitem__))
     lines.append("End")
     return "\n".join(lines) + "\n"
+
+
+ORACLE_SPLIT = re.compile(r"[,\s]+")
+
+
+def oracle_parse_edge_list(text: str) -> Graph:
+    """Edge-list text as a Graph: regex split, set dedup, one sort."""
+    labels: list[str] = []
+    index: dict[str, int] = {}
+
+    def intern(label: str) -> int:
+        if label not in index:
+            index[label] = len(labels)
+            labels.append(label)
+        return index[label]
+
+    edges: set[tuple[int, int]] = set()
+    duplicates = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = [p for p in ORACLE_SPLIT.split(body) if p]
+        if len(parts) == 1:
+            intern(parts[0])
+            continue
+        if len(parts) != 2:
+            raise EdgeListError(lineno, f"expected 1 or 2 labels, got {len(parts)}")
+        u, v = parts
+        if u == v:
+            raise EdgeListError(lineno, f"self-loop on {u!r}")
+        key = (intern(u), intern(v))
+        if key[0] > key[1]:
+            key = (key[1], key[0])
+        if key in edges:
+            duplicates += 1
+        else:
+            edges.add(key)
+    if duplicates:
+        warnings.warn(DuplicateEdgeWarning(
+            f"collapsed {duplicates} duplicate edge record(s)"), stacklevel=2)
+    return Graph(len(labels), sorted(edges), labels=tuple(labels))
 
 
 def random_graph_edges(rng: random.Random, n: int,

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import json
+import random
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import ORACLE_SPLIT, oracle_parse_edge_list
 from fragility import (DuplicateEdgeWarning, EdgeListError, Graph, RunManifest,
-                       emit_edge_list, parse_edge_list, parse_no_strike)
+                       emit_edge_list, generate_synthetic, parse_edge_list,
+                       parse_no_strike)
 from fragility.cli import main
 
 
@@ -50,6 +55,87 @@ class TestParseEdgeList:
     def test_empty_text_gives_empty_graph(self):
         g = parse_edge_list("# nothing\n")
         assert g.node_count == 0
+
+    def test_whitespace_split_agrees_with_regex(self):
+        # records are split with str.split() after commas become spaces, which
+        # matches the oracle's [,\s]+ only because str.split() and \s agree
+        # on every space character
+        spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        assert spaces
+        for c in spaces:
+            body = f"a{c}b"
+            assert body.split() == [p for p in ORACLE_SPLIT.split(body) if p] == ["a", "b"]
+
+
+def _outcome(parse, text):
+    """Everything ``parse`` makes of ``text``: the graph node for node and its
+    warnings, or the error it raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g = parse(text)
+        except EdgeListError as exc:
+            return type(exc), str(exc), exc.lineno
+    return (g.labels, g.edges(), g.degree, g.edge_count, g.max_degree,
+            [list(a) for a in g.adjacency],
+            [(w.category, str(w.message)) for w in caught])
+
+
+def _messy_scale_free_text(seed: int) -> str:
+    """A 3000/14670 scale-free edge list, shuffled, with duplicate and reversed
+    records, commas, tabs, comments and declared isolated nodes mixed in."""
+    rng = random.Random(seed)
+    g = generate_synthetic("scale-free", 3000, 14670, seed=seed)
+    records = [(g.labels[u], g.labels[v]) for u, v in g.edges()]
+    records += [rng.choice(records) for _ in range(500)]
+    records += [(v, u) for u, v in rng.sample(records, 500)]
+    records += [(f"iso{i}",) for i in range(40)]
+    records += [(rng.choice(g.labels),) for _ in range(40)]
+    rng.shuffle(records)
+    seps = [" ", "\t", ",", " , ", "  ", "\t,"]
+    lines = ["# scale-free corpus"]
+    for rec in records:
+        line = rng.choice(seps).join(rec)
+        if rng.random() < 0.05:
+            line += "  # note"
+        if rng.random() < 0.02:
+            lines.append("")
+        lines.append(rng.choice(["", " ", "\t"]) + line)
+    return "\n".join(lines) + "\n"
+
+
+# bodies built from labels that include non-ASCII letters and a byte-order
+# mark, and separators that include every kind the parser treats differently
+_LABEL = st.sampled_from(["a", "b", "c", "d", "é", "\ufeffa", "10", "1"])
+_SEP = st.sampled_from([" ", "\t", ",", " , ", ",,", "\xa0", "\u3000", "\x0b"])
+_LINE = st.builds(
+    lambda labels, seps, tail: "".join(
+        lab + sep for lab, sep in zip(labels, seps)) + tail,
+    st.lists(_LABEL, max_size=4), st.lists(_SEP, min_size=4, max_size=4),
+    st.sampled_from(["", "#", " # c", ",", "\r"]))
+
+
+class TestParserMatchesOracle:
+    """The one-pass parser against the regex/set parser it replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_messy_scale_free_corpus(self, seed):
+        text = _messy_scale_free_text(seed)
+        new = _outcome(parse_edge_list, text)
+        assert new == _outcome(oracle_parse_edge_list, text)
+        assert len(new[0]) == 3040 and new[3] == 14670
+        assert "collapsed 1000 duplicate" in new[-1][0][1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_LINE, max_size=12), st.sampled_from(["\n", "\r\n", "\x1c"]))
+    def test_generated_records(self, lines, newline):
+        text = newline.join(lines)
+        assert _outcome(parse_edge_list, text) == _outcome(oracle_parse_edge_list, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="ab ,#\t\n\r\xa0\u2028é\ufeff", max_size=40))
+    def test_generated_text(self, text):
+        assert _outcome(parse_edge_list, text) == _outcome(oracle_parse_edge_list, text)
 
 
 class TestEmitEdgeList:
@@ -178,6 +264,21 @@ class TestCliBasics:
         out = capsys.readouterr().out
         assert "strategy: degree" in out
         assert "removed (1): a" in out
+
+    @pytest.mark.parametrize("ns_bytes", [b"a\n", b"\xef\xbb\xbfa\n"])
+    def test_byte_order_mark_is_not_part_of_a_label(self, tmp_path, ns_bytes,
+                                                     capsys):
+        graph = tmp_path / "bom.txt"
+        graph.write_bytes(b"\xef\xbb\xbfa b\nb c\nc a\na d\n")
+        ns = tmp_path / "ns.txt"
+        ns.write_bytes(ns_bytes)
+        assert main(["centrality", "--graph", str(graph), "--no-strike", str(ns),
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["centrality"] == 4 / 6  # 4 nodes, not 5
+        assert main(["centrality", "--graph", str(graph),
+                     "--no-strike", str(ns)]) == 0
+        assert capsys.readouterr().out == "0.666667\n"
 
     def test_duplicate_edge_warning_on_stderr(self, tmp_path, capsys):
         path = tmp_path / "dup.txt"

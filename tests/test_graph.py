@@ -69,6 +69,18 @@ class TestConstruction:
         assert g.degree == (1, 1, 1, 1)
         assert g.max_degree == 1
 
+    def test_edges_built_from_adjacency_match_sorted_input(self):
+        rng = random.Random(0xED6E)
+        for _ in range(100):
+            n = rng.randint(0, 15)
+            edges = random_graph_edges(rng, n, rng.uniform(0.0, 0.8))
+            given_order = [(v, u) if rng.random() < 0.5 else (u, v)
+                           for u, v in rng.sample(edges, len(edges))]
+            g = Graph(n, given_order)
+            assert g.edges() == tuple(sorted(edges))
+            assert g.edges() is g.edges()  # built once, then cached
+            assert g.edge_count == len(edges)
+
     def test_empty_graph(self):
         g = Graph(0, [])
         assert g.edge_count == 0
