@@ -43,14 +43,17 @@ budget row to ``sum X <= i``.  Only linearized models can be exported.
 the whole family ``i = 1..k``.  Only the header comments, the objective and
 the c3 row change with ``i``, so the family renders the rest (rows c4..c11,
 Bounds, Binary) once and shares that body among its models.  Both use the
-same renderers, which take rows one at a time from ``IpModel._iter_rows``.
+same renderers, which build every variable name once per family.  The
+per-edge rows c5..c9 come from ``_EDGE_ROWS``, the table ``IpModel._iter_rows``
+also reads; the renderer fills one line template per family and wraps only
+rows longer than a line.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Collection, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, replace
 
 from .graph import Graph, _centralization, _node_set
@@ -109,6 +112,40 @@ def _sanitize_label(label: str) -> str:
     return out or "_"
 
 
+# Per-edge row families c5..c9: id, terms, sense, right-hand side.  A term
+# (c, p, k) is coefficient c on the variable named p followed by the edge's
+# name ``a_b`` (k = 0) or its endpoint label ``a`` (k = 1) or ``b`` (k = 2).
+# ``IpModel._iter_rows`` and the LP writer both read this table, so solved
+# and written rows cannot differ.
+_EDGE_ROWS = (
+    ("c5", ((1.0, "Y_", 0), (1.0, "X_", 1)), "<=", 1.0),
+    ("c6", ((1.0, "Y_", 0), (1.0, "X_", 2)), "<=", 1.0),
+    ("c7", ((1.0, "Y_", 0), (1.0, "X_", 1), (1.0, "X_", 2)), ">=", 1.0),
+    ("c8", ((1.0, "Qf_", 0), (1.0, "Qb_", 0), (-1.0, "Y_", 0)), "<=", 0.0),
+    ("c9", ((1.0, "Qf_", 0), (1.0, "Qb_", 0), (-1.0, "Z_", 1), (-1.0, "Z_", 2)),
+     "<=", 0.0),
+)
+
+
+class _Names:
+    """A model's variable names, each built once: ``X_a`` and ``Z_a`` per
+    node, and per edge its name ``a_b`` and endpoint labels, as
+    ``_EDGE_ROWS`` indexes them."""
+
+    def __init__(self, model: IpModel):
+        labels = model.var_labels
+        self.x = ["X_" + a for a in labels]
+        self.z = ["Z_" + a for a in labels]
+        self.edges = [(f"{labels[u]}_{labels[v]}", labels[u], labels[v])
+                      for u, v in model.edges]
+
+    @functools.cached_property
+    def objective(self) -> tuple[list[str], list[str]]:
+        """The objective's two term groups: Qf then Qb per edge, and Y."""
+        return ([f"{q}_{ab}" for ab, _, _ in self.edges for q in ("Qf", "Qb")],
+                ["Y_" + ab for ab, _, _ in self.edges])
+
+
 @dataclass(frozen=True)
 class IpModel:
     """Immutable model instance; transforms return new instances."""
@@ -138,12 +175,9 @@ class IpModel:
         return f"Qb_{self.var_labels[e[0]]}_{self.var_labels[e[1]]}"
 
     def variable_names(self) -> tuple[str, ...]:
-        names: list[str] = []
-        names.extend(self.x_name(i) for i in range(self.n_nodes))
-        names.extend(self.z_name(i) for i in range(self.n_nodes))
-        for e in self.edges:
-            names.extend((self.y_name(e), self.qf_name(e), self.qb_name(e)))
-        return tuple(names)
+        names = _Names(self)
+        return (*names.x, *names.z, *(f"{v}_{ab}" for ab, _, _ in names.edges
+                                      for v in ("Y", "Qf", "Qb")))
 
     @property
     def variable_count(self) -> int:
@@ -159,30 +193,25 @@ class IpModel:
 
     def _iter_rows(self) -> Iterator[Row]:
         """Rows c3..c9 and c11 in model order, built one at a time."""
+        names = _Names(self)
+        first, last = self._node_rows(names)
+        yield from first
+        for fam, terms, sense, rhs in _EDGE_ROWS:
+            for args in names.edges:
+                yield Row(f"{fam}_{args[0]}",
+                          tuple([(c, p + args[k]) for c, p, k in terms]), sense, rhs)
+        yield from last
+
+    def _node_rows(self, names: _Names) -> tuple[tuple[Row, Row], list[Row]]:
+        """The rows over node variables: c3 and c4, which come before the
+        per-edge rows, and the c11 rows, which come after them."""
         budget = self.k
         if self.objective.kind == "linear":
             budget = self.objective.removal_count
-        yield Row("c3", tuple((1.0, self.x_name(i)) for i in range(self.n_nodes)),
-                  "<=", float(budget))
-        yield Row("c4", tuple((1.0, self.z_name(i)) for i in range(self.n_nodes)),
-                  "=", 1.0)
-        for fam, builder in (
-            ("c5", lambda e: (((1.0, self.y_name(e)), (1.0, self.x_name(e[0]))), "<=", 1.0)),
-            ("c6", lambda e: (((1.0, self.y_name(e)), (1.0, self.x_name(e[1]))), "<=", 1.0)),
-            ("c7", lambda e: (((1.0, self.y_name(e)), (1.0, self.x_name(e[0])),
-                               (1.0, self.x_name(e[1]))), ">=", 1.0)),
-            ("c8", lambda e: (((1.0, self.qf_name(e)), (1.0, self.qb_name(e)),
-                               (-1.0, self.y_name(e))), "<=", 0.0)),
-            ("c9", lambda e: (((1.0, self.qf_name(e)), (1.0, self.qb_name(e)),
-                               (-1.0, self.z_name(e[0])), (-1.0, self.z_name(e[1]))),
-                              "<=", 0.0)),
-        ):
-            for e in self.edges:
-                terms, sense, rhs = builder(e)
-                yield Row(f"{fam}_{self.var_labels[e[0]]}_{self.var_labels[e[1]]}",
-                          terms, sense, rhs)
-        for i in sorted(self.no_strike):
-            yield Row(f"c11_{self.var_labels[i]}", ((1.0, self.x_name(i)),), "=", 0.0)
+        c3 = Row("c3", tuple((1.0, x) for x in names.x), "<=", float(budget))
+        c4 = Row("c4", tuple((1.0, z) for z in names.z), "=", 1.0)
+        return (c3, c4), [Row(f"c11_{self.var_labels[i]}", ((1.0, names.x[i]),), "=", 0.0)
+                          for i in sorted(self.no_strike)]
 
     def domains(self) -> tuple[DomainRecord, ...]:
         kind = "unit" if self.relaxed else "binary"
@@ -338,52 +367,53 @@ def evaluate_objective(model: IpModel, assignment: IpAssignment) -> float:
 
 # ----- LP-format export ----------------------------------------------------
 
-@functools.lru_cache(maxsize=256)  # an objective repeats two coefficients
+_WIDTH = 72  # longest LP line written, unless one token is longer
+
+
 def _fmt_coef(c: float) -> str:
     if float(c).is_integer():
         return str(int(c))
     return repr(float(c))
 
 
-def _join_terms(terms: list[tuple[float, str]]) -> list[str]:
-    """Render terms as LP-format tokens with explicit signs."""
-    tokens: list[str] = []
-    for coef, name in terms:
-        if coef == 0:
-            continue
-        sign = "-" if coef < 0 else "+"
-        mag = abs(coef)
-        body = name if mag == 1 else f"{_fmt_coef(mag)} {name}"
-        if not tokens and sign == "+":
-            tokens.append(body)
-        else:
-            tokens.append(f"{sign} {body}")
-    if not tokens:
-        tokens.append(f"0 {terms[0][1]}" if terms else "0")
+def _sign(coef: float) -> str:
+    """The LP text before a variable name with nonzero coefficient ``coef``:
+    its sign and, unless it is 1, its magnitude."""
+    mag = abs(coef)
+    return ("- " if coef < 0 else "+ ") + ("" if mag == 1 else f"{_fmt_coef(mag)} ")
+
+
+def _tokens(terms: Iterable[tuple[float, str]], sense: str, rhs: float) -> list[str]:
+    """A row's LP tokens: its signed terms, the first without a plus sign,
+    then its sense and right-hand side."""
+    tokens = [_sign(c) + name for c, name in terms]
+    tokens[0] = tokens[0].removeprefix("+ ")
+    tokens.append(f"{sense} {_fmt_coef(rhs)}")
     return tokens
 
 
-def _wrap(prefix: str, tokens: list[str], width: int = 72) -> list[str]:
-    lines: list[str] = []
-    cur = prefix
+def _wrap(prefix: str, tokens: list[str]) -> str:
+    """``prefix`` and ``tokens`` in lines of at most ``_WIDTH`` columns.  A
+    line takes its first token whatever its length, then every next token
+    that fits; later lines start with three spaces."""
+    out = [prefix]
+    size = len(prefix)
     for tok in tokens:
-        candidate = f"{cur} {tok}" if cur else f" {tok}"
-        if len(candidate) > width and cur != prefix:
-            lines.append(cur)
-            cur = f"   {tok}"
+        size += len(tok) + 1
+        if size > _WIDTH and len(out) > 1:
+            out.append("\n   ")
+            size = len(tok) + 3
         else:
-            cur = candidate
-    lines.append(cur)
-    return lines
+            out.append(" ")
+        out.append(tok)
+    return "".join(out)
 
 
-def _row_lines(row: Row) -> list[str]:
-    tokens = _join_terms(list(row.terms))
-    tokens.append(f"{row.sense} {_fmt_coef(row.rhs)}")
-    return _wrap(f" {row.rid}:", tokens)
+def _row_text(row: Row) -> str:
+    return _wrap(f" {row.rid}:", _tokens(row.terms, row.sense, row.rhs))
 
 
-def _render_head(model: IpModel) -> str:
+def _render_head(model: IpModel, names: _Names) -> str:
     """Header comments, objective and budget row (c3) of a linearized model:
     the part of its LP text that depends on the removal count."""
     n = model.n_nodes
@@ -400,40 +430,47 @@ def _render_head(model: IpModel) -> str:
                      "objective left unscaled")
     q_coef = (n - i) * scale if scale is not None else float(n - i)
     y_coef = -2.0 * scale if scale is not None else -2.0
-    obj_terms: list[tuple[float, str]] = []
-    for e in model.edges:
-        obj_terms.append((q_coef, model.qf_name(e)))
-        obj_terms.append((q_coef, model.qb_name(e)))
-    for e in model.edges:
-        obj_terms.append((y_coef, model.y_name(e)))
+    tokens: list[str] = []
+    for coef, group in zip((q_coef, y_coef), names.objective):
+        if coef:
+            tokens += map(_sign(coef).__add__, group)
+    if tokens:
+        tokens[0] = tokens[0].removeprefix("+ ")
     lines.append("Maximize")
-    lines.extend(_wrap(" obj:", _join_terms(obj_terms)))
+    lines.append(_wrap(" obj:", tokens or ["0"]))
     lines.append("Subject To")
-    lines.extend(_row_lines(next(model._iter_rows())))
+    (c3, _), _ = model._node_rows(names)
+    lines.append(_row_text(c3))
     return "\n".join(lines) + "\n"
 
 
-def _render_body(model: IpModel) -> str:
+def _render_body(model: IpModel, names: _Names) -> str:
     """Every row after c3, then Bounds, Binary and End: the same text at
-    every removal count."""
-    lines: list[str] = []
-    rows = model._iter_rows()
-    next(rows)  # c3 belongs to the head
-    for row in rows:
-        lines.extend(_row_lines(row))
-    unit_vars = [d.var for d in model.domains() if d.kind == "unit"]
+    every removal count.  Each per-edge family is one line template; only
+    a row longer than a line is wrapped, token by token."""
+    (_, c4), c11 = model._node_rows(names)
+    lines = [_row_text(c4)]
+    for fam, terms, sense, rhs in _EDGE_ROWS:
+        tokens = _tokens([(c, f"{p}{{{k}}}") for c, p, k in terms], sense, rhs)
+        line = f" {fam}_{{0}}: {' '.join(tokens)}".format
+        for args in names.edges:
+            text = line(*args)
+            if len(text) > _WIDTH:
+                text = _wrap(f" {fam}_{args[0]}:", [t.format(*args) for t in tokens])
+            lines.append(text)
+    lines.extend(map(_row_text, c11))
+    domains = model.domains()
+    unit_vars = [d.var for d in domains if d.kind == "unit"]
     if unit_vars:
         lines.append("Bounds")
-        for name in unit_vars:
-            lines.append(f" 0 <= {name} <= 1")
-    binary_vars = [d.var for d in model.domains() if d.kind == "binary"]
-    for e in model.edges:
-        binary_vars.extend((model.y_name(e), model.qf_name(e), model.qb_name(e)))
-    if binary_vars:
+        lines.extend(f" 0 <= {name} <= 1" for name in unit_vars)
+    rank = {name: pos for pos, name in enumerate(names.x + names.z)}
+    binary = [f" {name}" for name in sorted(
+        (d.var for d in domains if d.kind == "binary"), key=rank.__getitem__)]
+    binary += [f" Y_{ab}\n Qf_{ab}\n Qb_{ab}" for ab, _, _ in names.edges]
+    if binary:
         lines.append("Binary")
-        order = {name: pos for pos, name in enumerate(model.variable_names())}
-        for name in sorted(binary_vars, key=order.__getitem__):
-            lines.append(f" {name}")
+        lines += binary
     lines.append("End")
     return "\n".join(lines) + "\n"
 
@@ -448,7 +485,8 @@ def emit_lp(model: IpModel) -> str:
         raise ValueError(
             "model objective is fractional; call linearize(model, i) for each "
             "removal count i in 1..k and emit those models instead")
-    return _render_head(model) + _render_body(model)
+    names = _Names(model)
+    return _render_head(model, names) + _render_body(model, names)
 
 
 def emit_lp_family(model: IpModel) -> Iterator[tuple[int, str]]:
@@ -458,6 +496,7 @@ def emit_lp_family(model: IpModel) -> Iterator[tuple[int, str]]:
     each model then costs only its head, and is yielded before the next
     one is rendered.
     """
-    body = _render_body(model)
+    names = _Names(model)
+    body = _render_body(model, names)
     for i in range(1, model.k + 1):
-        yield i, _render_head(linearize(model, i)) + body
+        yield i, _render_head(linearize(model, i), names) + body

@@ -10,8 +10,10 @@ the exception: they are the greedy round that prices every candidate on a
 every subset with ``fragile``, kept as the reference for the branch and
 bound of ``exact_opt``; its scan, ``oracle_best_removal``, takes any score,
 so it also runs on the library-free ``oracle_fragile``.  ``oracle_emit_lp``
-renders one linearized model from ``IpModel.rows()`` in a single pass, the
-reference for the shared body of ``emit_lp`` and ``emit_lp_family``.
+renders one linearized model from ``IpModel.rows()`` in a single pass, term
+by term, the reference for the name-table writer behind ``emit_lp`` and
+``emit_lp_family``; it has its own term, coefficient and wrap helpers, so
+it shares no rendering code with ``ip_model``.
 ``oracle_closeness_scores`` and ``oracle_brandes_scores`` are the per-source
 queue BFS passes that ``closeness_scores`` and ``betweenness_scores`` used to
 run; they read ``Graph.adjacency`` in the library's order, so the fast passes
@@ -32,7 +34,6 @@ import pytest
 
 from fragility import DegreeTracker, Graph, RemovalSolution, fragile
 from fragility.io import DuplicateEdgeWarning, EdgeListError
-from fragility.ip_model import _fmt_coef, _join_terms, _wrap
 
 # Populated by tests/test_acceptance.py; echoed after the run so the
 # per-criterion verdict lines are visible in normal pytest output.
@@ -246,6 +247,44 @@ def oracle_exact_opt(graph: Graph, no_strike, k: int) -> RemovalSolution:
     return RemovalSolution(best, tuple(trace), trace[-1])
 
 
+def _oracle_fmt_coef(c: float) -> str:
+    if float(c).is_integer():
+        return str(int(c))
+    return repr(float(c))
+
+
+def _oracle_join_terms(terms: list[tuple[float, str]]) -> list[str]:
+    """Terms as LP-format tokens with explicit signs."""
+    tokens: list[str] = []
+    for coef, name in terms:
+        if coef == 0:
+            continue
+        sign = "-" if coef < 0 else "+"
+        mag = abs(coef)
+        body = name if mag == 1 else f"{_oracle_fmt_coef(mag)} {name}"
+        if not tokens and sign == "+":
+            tokens.append(body)
+        else:
+            tokens.append(f"{sign} {body}")
+    if not tokens:
+        tokens.append(f"0 {terms[0][1]}" if terms else "0")
+    return tokens
+
+
+def _oracle_wrap(prefix: str, tokens: list[str], width: int = 72) -> list[str]:
+    lines: list[str] = []
+    cur = prefix
+    for tok in tokens:
+        candidate = f"{cur} {tok}" if cur else f" {tok}"
+        if len(candidate) > width and cur != prefix:
+            lines.append(cur)
+            cur = f"   {tok}"
+        else:
+            cur = candidate
+    lines.append(cur)
+    return lines
+
+
 def oracle_emit_lp(model) -> str:
     """LP text of a linearized model, every row taken from ``model.rows()``."""
     n = model.n_nodes
@@ -267,12 +306,12 @@ def oracle_emit_lp(model) -> str:
                  for name in (model.qf_name(e), model.qb_name(e))]
     obj_terms += [(y_coef, model.y_name(e)) for e in model.edges]
     lines.append("Maximize")
-    lines.extend(_wrap(" obj:", _join_terms(obj_terms)))
+    lines.extend(_oracle_wrap(" obj:", _oracle_join_terms(obj_terms)))
     lines.append("Subject To")
     for row in model.rows():
-        tokens = _join_terms(list(row.terms))
-        tokens.append(f"{row.sense} {_fmt_coef(row.rhs)}")
-        lines.extend(_wrap(f" {row.rid}:", tokens))
+        tokens = _oracle_join_terms(list(row.terms))
+        tokens.append(f"{row.sense} {_oracle_fmt_coef(row.rhs)}")
+        lines.extend(_oracle_wrap(f" {row.rid}:", tokens))
     unit_vars = [d.var for d in model.domains() if d.kind == "unit"]
     if unit_vars:
         lines.append("Bounds")

@@ -6,7 +6,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fragility import (Graph, InfeasibleAssignmentError, IpAssignment,
                        build_fragility_ip, canonical_assignment, check_feasible,
@@ -469,21 +469,55 @@ def _assert_family_matches(model):
     return family
 
 
+# label stems: empty, short, or long enough that per-edge and c11 rows wrap;
+# ':', '-', ' ' and 'é' are sanitized to '_'
+_STEMS = st.one_of(st.just(""), st.text("ab:- é_.09", max_size=6),
+                   st.text("ab:- é_.09", min_size=10, max_size=40))
+
+
 @st.composite
 def _family_models(draw):
     n = draw(st.integers(1, 10))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     protected = draw(st.sets(st.integers(0, n - 1), max_size=3))
-    model = build_fragility_ip(Graph(n, edges), protected, draw(st.integers(0, n)))
+    labels = None
+    if draw(st.booleans()):
+        # the "_<id>" suffix keeps labels and edge names distinct after
+        # sanitizing: the text after a name's last '_' is a node id
+        labels = [f"{draw(_STEMS)}_{i}" for i in range(n)]
+    model = build_fragility_ip(Graph(n, edges, labels=labels), protected,
+                               draw(st.integers(0, n)))
     return relax_bounds(model) if draw(st.booleans()) else model
 
 
+# c4 and the first c5 row are exactly 72 columns, so they stay on one line;
+# the first c6 row is 73 and the c11 row 69 + 4, so they wrap.  At k = N,
+# i = 2 leaves one survivor (objective coefficient 1, a bare name) and i = 3
+# none (Q terms dropped).
+_WIDTH_EDGES = relax_bounds(build_fragility_ip(
+    Graph(3, [(0, 1), (1, 2), (0, 2)], labels=("a" * 10, "b:" * 5 + "b", "c-" * 15)),
+    {2}, k=3))
+
+
 class TestEmitLpFamily:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(_family_models())
+    @example(_WIDTH_EDGES)
+    @example(build_fragility_ip(Graph(4, []), {1}, k=4))
     def test_equals_emit_lp_per_removal_count(self, model):
         _assert_family_matches(model)
+
+    def test_width_example_sits_on_the_limit(self):
+        lines = emit_lp(linearize(_WIDTH_EDGES, 2)).splitlines()
+        first = {line.split(":")[0].strip(): len(line)
+                 for line in lines if line.startswith(" c")}
+        assert first["c4"] == first["c5_aaaaaaaaaa_b_b_b_b_b_b"] == 72
+        assert lines[lines.index(" c6_aaaaaaaaaa_b_b_b_b_b_b: Y_aaaaaaaaaa_b_b_b_b_b_b"
+                                 " + X_b_b_b_b_b_b") + 1] == "   <= 1"
+        assert lines[lines.index(" c11_c_c_c_c_c_c_c_c_c_c_c_c_c_c_c_:"
+                                 " X_c_c_c_c_c_c_c_c_c_c_c_c_c_c_c_") + 1] == "   = 0"
+        assert " obj: Qf_aaaaaaaaaa_b_b_b_b_b_b + Qb_aaaaaaaaaa_b_b_b_b_b_b" in lines
 
     def test_degenerate_removal_counts(self):
         # 5 nodes: i = 3, 4, 5 leave fewer than three survivors
@@ -518,13 +552,13 @@ class TestEmitLpFamily:
         heads, bodies = [], []
         render_head, render_body = ip_model._render_head, ip_model._render_body
 
-        def head(model):
+        def head(model, names):
             heads.append(model.objective.removal_count)
-            return render_head(model)
+            return render_head(model, names)
 
-        def body(model):
+        def body(model, names):
             bodies.append(model)
-            return render_body(model)
+            return render_body(model, names)
 
         monkeypatch.setattr(ip_model, "_render_head", head)
         monkeypatch.setattr(ip_model, "_render_body", body)
