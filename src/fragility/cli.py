@@ -21,6 +21,8 @@ Each ``_cmd_*`` handler takes the parsed arguments, the loaded graph and
 protected set (both None for ``synth``) and returns its manifest
 parameters, text lines, JSON payload and the paths it wrote; ``main``
 alone loads the inputs, prints the result and writes the manifest.
+Handlers and the library raise ``ValueError`` for bad input; ``main``
+alone maps exception classes to exit codes.
 """
 
 from __future__ import annotations
@@ -36,15 +38,11 @@ from .graph import fragile, network_degree_centrality
 from .harness import (_RANKERS, ExperimentConfig, InfeasibleDensityError,
                       STRATEGIES, ZeroBaselineError, benchmark_runtime,
                       emit_csv, generate_synthetic, run_curves)
-from .io import EdgeListError, RunManifest, emit_edge_list, parse_edge_list, \
-    parse_no_strike
+from .io import RunManifest, emit_edge_list, parse_edge_list, parse_no_strike
 from .ip_model import (build_fragility_ip, emit_lp, emit_lp_family, linearize,
                        relax_bounds)
 from .solvers import (DEFAULT_WORK_LIMIT, WorkLimitExceeded, exact_opt,
                       fragility_decision, greedy_fragile)
-
-class _CliInputError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,11 +141,11 @@ def _build_parser() -> _Parser:
 
 def _load_graph(args):
     if not args.graph:
-        raise _CliInputError("this command requires --graph")
+        raise ValueError("this command requires --graph")
     try:
         text = Path(args.graph).read_text(encoding="utf-8-sig")
     except OSError as exc:
-        raise _CliInputError(f"cannot read graph file: {exc}") from None
+        raise ValueError(f"cannot read graph file: {exc}") from None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         graph = parse_edge_list(text)
@@ -158,7 +156,7 @@ def _load_graph(args):
         try:
             ns_text = Path(args.no_strike).read_text(encoding="utf-8-sig")
         except OSError as exc:
-            raise _CliInputError(f"cannot read no-strike file: {exc}") from None
+            raise ValueError(f"cannot read no-strike file: {exc}") from None
         no_strike = parse_no_strike(ns_text, graph)
     return graph, no_strike
 
@@ -209,7 +207,7 @@ def _cmd_exact(args, graph, ns):
 
 def _cmd_decision(args, graph, ns):
     if not math.isfinite(args.x):
-        raise _CliInputError(f"--x must be a finite number, got {args.x}")
+        raise ValueError(f"--x must be a finite number, got {args.x}")
     answer = fragility_decision(graph, ns, args.k, args.x, args.work_limit)
     return ({"k": args.k, "x": args.x}, ["true" if answer else "false"],
             {"decision": answer}, [])
@@ -222,7 +220,7 @@ def _cmd_emit_ip(args, graph, ns):
     parameters = {"k": args.k, "relax": args.relax}
     if args.all_i:
         if args.k < 1:
-            raise _CliInputError("--all-i needs a budget of at least 1")
+            raise ValueError("--all-i needs a budget of at least 1")
         out_dir = Path(args.out_dir or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = []
@@ -233,7 +231,7 @@ def _cmd_emit_ip(args, graph, ns):
         return ({**parameters, "all_i": True}, [f"wrote {p}" for p in outputs],
                 {"models": outputs}, outputs)
     if args.linearize_i is None:
-        raise _CliInputError(
+        raise ValueError(
             "the model objective is fractional: pass --linearize-i I for one "
             "removal count or --all-i for the whole 1..k family")
     text = emit_lp(linearize(model, args.linearize_i))
@@ -243,11 +241,11 @@ def _cmd_emit_ip(args, graph, ns):
 
 
 def _cmd_baseline(args, graph, ns):
-    ranking = _RANKERS[args.strategy](graph, ns)
-    if args.m < 0 or args.m > len(ranking.order):
-        raise _CliInputError(
-            f"--m must lie in 0..{len(ranking.order)} for this graph")
-    removed = ranking.order[:args.m]
+    # every ranking orders exactly the unprotected nodes
+    targetable = graph.node_count - len(ns)
+    if not 0 <= args.m <= targetable:
+        raise ValueError(f"--m must lie in 0..{targetable} for this graph")
+    removed = _RANKERS[args.strategy](graph, ns).order[:args.m]
     base = fragile(graph, ())
     frag = fragile(graph, removed)
     lines = [
@@ -270,9 +268,9 @@ def _parse_strategies(raw: str) -> tuple[str, ...]:
     names = tuple(s.strip() for s in raw.split(",") if s.strip())
     for s in names:
         if s not in STRATEGIES:
-            raise _CliInputError(f"unknown strategy {s!r}")
+            raise ValueError(f"unknown strategy {s!r}")
     if not names:
-        raise _CliInputError("no strategies selected")
+        raise ValueError("no strategies selected")
     return names
 
 
@@ -295,9 +293,9 @@ def _cmd_bench(args, graph, ns):
     try:
         budgets = [int(b) for b in args.budgets.split(",") if b.strip()]
     except ValueError:
-        raise _CliInputError(f"bad --budgets value {args.budgets!r}") from None
+        raise ValueError(f"bad --budgets value {args.budgets!r}") from None
     if not budgets:
-        raise _CliInputError("no budgets given")
+        raise ValueError("no budgets given")
     rows = []
     for strategy in strategies:
         for budget, seconds in benchmark_runtime(graph, ns, strategy, budgets):
@@ -330,7 +328,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         if args.format == "csv" and args.command not in ("curve", "bench"):
-            raise _CliInputError(
+            raise ValueError(
                 "csv output is only available for the curve and bench commands")
         graph, ns = (None, None) if args.command == "synth" else _load_graph(args)
         parameters, lines, payload, outputs = args.handler(args, graph, ns)
@@ -351,13 +349,10 @@ def main(argv=None) -> int:
         if path:
             manifest.write(path)
         return 0
-    except _CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (WorkLimitExceeded, InfeasibleDensityError, ZeroBaselineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EdgeListError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -67,14 +67,14 @@ class InfeasibleAssignmentError(ValueError):
 
 @dataclass(frozen=True)
 class Objective:
-    """Objective description: fractional, or linear at a fixed removal count.
+    """Objective description: fractional while ``removal_count`` is None,
+    otherwise linear at that fixed removal count i.
 
     For linear objectives ``scale`` is ``1 / ((N-1-i) * (N-2-i))`` when that
     denominator is positive and the model keeps at least three survivors;
     otherwise ``scale`` is None and coefficients are emitted unscaled.
     """
 
-    kind: str  # "fractional" | "linear"
     removal_count: int | None = None
     scale: float | None = None
 
@@ -205,9 +205,9 @@ class IpModel:
     def _node_rows(self, names: _Names) -> tuple[tuple[Row, Row], list[Row]]:
         """The rows over node variables: c3 and c4, which come before the
         per-edge rows, and the c11 rows, which come after them."""
-        budget = self.k
-        if self.objective.kind == "linear":
-            budget = self.objective.removal_count
+        budget = self.objective.removal_count
+        if budget is None:
+            budget = self.k
         c3 = Row("c3", tuple((1.0, x) for x in names.x), "<=", float(budget))
         c4 = Row("c4", tuple((1.0, z) for z in names.z), "=", 1.0)
         return (c3, c4), [Row(f"c11_{self.var_labels[i]}", ((1.0, names.x[i]),), "=", 0.0)
@@ -252,7 +252,7 @@ def build_fragility_ip(graph: Graph, no_strike: Collection[int] | None = None,
         edges=edges,
         k=k,
         no_strike=ns,
-        objective=Objective(kind="fractional"),
+        objective=Objective(),
     )
 
 
@@ -263,7 +263,7 @@ def linearize(model: IpModel, i: int) -> IpModel:
     n = model.n_nodes
     den = (n - 1 - i) * (n - 2 - i)
     scale = 1.0 / den if (n - i >= 3 and den > 0) else None
-    return replace(model, objective=Objective("linear", i, scale))
+    return replace(model, objective=Objective(i, scale))
 
 
 def relax_bounds(model: IpModel) -> IpModel:
@@ -356,8 +356,8 @@ def evaluate_objective(model: IpModel, assignment: IpAssignment) -> float:
     if all(float(x).is_integer() for x in (sx, sy, sq)):
         sx, sy, sq = int(sx), int(sy), int(sq)
     n = model.n_nodes
-    if model.objective.kind == "linear":
-        i = model.objective.removal_count
+    i = model.objective.removal_count
+    if i is not None:
         numerator = (n - i) * sq - 2 * sy
         if model.objective.scale is None:
             return float(numerator)
@@ -481,7 +481,7 @@ def emit_lp(model: IpModel) -> str:
     Fractional models are rejected: call :func:`linearize` first (one model
     per candidate removal count), or :func:`emit_lp_family` for all of them.
     """
-    if model.objective.kind != "linear":
+    if model.objective.removal_count is None:
         raise ValueError(
             "model objective is fractional; call linearize(model, i) for each "
             "removal count i in 1..k and emit those models instead")

@@ -239,6 +239,8 @@ def _exact_pool(graph: Graph, no_strike: Collection[int] | None, k: int,
     """
     if k < 0:
         raise ValueError("budget k must be non-negative")
+    if work_limit < 0:
+        raise ValueError("work limit must be non-negative")
     ns = _node_set(graph.node_count, no_strike)
     pool = [i for i in range(graph.node_count) if i not in ns]
     k = min(k, len(pool))

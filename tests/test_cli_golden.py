@@ -93,12 +93,16 @@ CASES = [
     ("unreadable-graph", ["greedy", "--graph", "missing.txt", "--k", "1"]),
     ("self-loop", ["centrality", "--graph", "loop.txt"]),
     ("unknown-protected-label", ["greedy", *G, "--no-strike", "bad_ns.txt", "--k", "1"]),
+    ("unreadable-protected-file", ["greedy", *G, "--no-strike", "missing.txt",
+                                   "--k", "1"]),
     ("negative-k", ["greedy", *G, "--k", "-1"]),
     ("baseline-m-range", ["baseline", *G, "--strategy", "degree", "--m", "99"]),
     ("emit-ip-no-mode", ["emit-ip", *G, "--k", "2"]),
     ("emit-ip-all-k0", ["emit-ip", *G, "--k", "0", "--all-i"]),
     ("curve-bad-strategy", ["curve", *G, "--strategies", "greedy,voodoo"]),
+    ("curve-no-strategies", ["curve", *G, "--strategies", ","]),
     ("bench-bad-budgets", ["bench", *G, "--budgets", "1,x"]),
+    ("bench-no-budgets", ["bench", *G, "--budgets", ","]),
     # exit 2: infeasible or over the work limit
     ("exact-work-limit", ["exact", *G, "--k", "3", "--work-limit", "5"]),
     ("decision-work-limit", ["decision", *G, "--k", "3", "--x", "0.1",
@@ -174,6 +178,8 @@ GOLDEN: dict[str, str] = {
     "self-loop-json": "eee8f1e16ae28f47af40872d5e4811557482cd158cff02762ed04d060feb1e19",
     "unknown-protected-label-text": "95ff55e91ffbeb0a7f830bdea3deea2f505ac68e69e056ee3cec734426b0e9fe",
     "unknown-protected-label-json": "95ff55e91ffbeb0a7f830bdea3deea2f505ac68e69e056ee3cec734426b0e9fe",
+    "unreadable-protected-file-text": "a5b615838ce1003c8fb3ef4af44023aae749676dd840ee3597b4275b1f1199c6",
+    "unreadable-protected-file-json": "a5b615838ce1003c8fb3ef4af44023aae749676dd840ee3597b4275b1f1199c6",
     "negative-k-text": "22ef8165a2d545b542961cdb6b9429848f8b7653bd825986e41ca19c58f99b44",
     "negative-k-json": "22ef8165a2d545b542961cdb6b9429848f8b7653bd825986e41ca19c58f99b44",
     "baseline-m-range-text": "be416ef2768b908d82cef7608fd315bb2fd55a578b0aa80ac46cd62c74595dac",
@@ -184,8 +190,12 @@ GOLDEN: dict[str, str] = {
     "emit-ip-all-k0-json": "46d51b898dda98359f4db91945c8945a097d3431ac325588572077327e2521f1",
     "curve-bad-strategy-text": "fd7f2a0da9b6b887d7f2f0ea1515199849513ba2a4f9012f322d7fc8ee4ef392",
     "curve-bad-strategy-json": "fd7f2a0da9b6b887d7f2f0ea1515199849513ba2a4f9012f322d7fc8ee4ef392",
+    "curve-no-strategies-text": "9c6cab10a87e165583e2e78259479a774843269576c94ab0046345df554b79c8",
+    "curve-no-strategies-json": "9c6cab10a87e165583e2e78259479a774843269576c94ab0046345df554b79c8",
     "bench-bad-budgets-text": "c142a3f4afed902aa3afd5223c83d06d1ee2dfd2d92eeec05837016fc817eb45",
     "bench-bad-budgets-json": "c142a3f4afed902aa3afd5223c83d06d1ee2dfd2d92eeec05837016fc817eb45",
+    "bench-no-budgets-text": "ab51549a4303f54a96e46c339289d27a67cfc657647217ab76e7fb7408513441",
+    "bench-no-budgets-json": "ab51549a4303f54a96e46c339289d27a67cfc657647217ab76e7fb7408513441",
     "exact-work-limit-text": "673d377b65fabee2a0635e894fcf1a1e8cb2d734847869da0f4d93d3a97c9e57",
     "exact-work-limit-json": "673d377b65fabee2a0635e894fcf1a1e8cb2d734847869da0f4d93d3a97c9e57",
     "decision-work-limit-text": "673d377b65fabee2a0635e894fcf1a1e8cb2d734847869da0f4d93d3a97c9e57",

@@ -16,6 +16,7 @@ from conftest import ORACLE_SPLIT, oracle_parse_edge_list
 from fragility import (DuplicateEdgeWarning, EdgeListError, Graph, RunManifest,
                        emit_edge_list, generate_synthetic, parse_edge_list,
                        parse_no_strike)
+from fragility import harness
 from fragility.cli import main
 
 
@@ -353,12 +354,54 @@ class TestCliErrors:
                      "--max-fraction", "0.5"]) == 2
         assert "baseline fragility is zero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["exact"], ["decision", "--x", "0.5"]])
+    def test_negative_work_limit_is_exit_1(self, command, graph_file, capsys):
+        assert main(command + ["--graph", str(graph_file), "--k", "1",
+                               "--work-limit", "-1"]) == 1
+        assert capsys.readouterr().err == "error: work limit must be non-negative\n"
+
     def test_infeasible_synth_is_exit_2(self, capsys):
         assert main(["synth", "--kind", "random", "--n", "5", "--m", "99"]) == 2
+
+    def test_synth_missing_target_is_exit_2(self, capsys):
+        # inside the density window, but growth cannot reach so dense a target
+        assert main(["synth", "--kind", "scale-free", "--n", "10", "--m", "45"]) == 2
+        assert capsys.readouterr().err == (
+            "error: generation landed at 35 edges, more than 5% from target 45\n")
+
+    @pytest.mark.parametrize("kind", ["scale-free", "random", "star-of-stars"])
+    def test_negative_synth_target_is_exit_1(self, kind, capsys):
+        assert main(["synth", "--kind", kind, "--n", "9", "--m", "-4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: target edge count must be non-negative\n"
 
     def test_baseline_m_out_of_range(self, graph_file, capsys):
         assert main(["baseline", "--graph", str(graph_file),
                      "--strategy", "degree", "--m", "99"]) == 1
+
+    @pytest.mark.parametrize("strategy", sorted(harness._RANKERS))
+    def test_baseline_m_checked_before_ranking(self, strategy, graph_file,
+                                               tmp_path, monkeypatch, capsys):
+        calls = []
+        for name, ranker in harness._RANKERS.items():
+            def counted(*args, _ranker=ranker, _name=name):
+                calls.append(_name)
+                return _ranker(*args)
+            monkeypatch.setitem(harness._RANKERS, name, counted)
+        ns = tmp_path / "ns.txt"
+        ns.write_text("a\n")
+        argv = ["baseline", "--graph", str(graph_file), "--strategy", strategy]
+        for extra, bound in [(["--m", "99"], 8), (["--m", "-1"], 8),
+                             (["--no-strike", str(ns), "--m", "8"], 7)]:
+            assert main(argv + extra) == 1
+            assert capsys.readouterr().err == (
+                f"error: --m must lie in 0..{bound} for this graph\n")
+        assert calls == []
+        # the bound is the ranking's length: the largest accepted --m ranks once
+        assert main(argv + ["--no-strike", str(ns), "--m", "7"]) == 0
+        assert "removed (7):" in capsys.readouterr().out
+        assert calls == [strategy]
 
     def test_unknown_curve_strategy(self, graph_file, capsys):
         assert main(["curve", "--graph", str(graph_file),

@@ -57,9 +57,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"^unknown node id {bad}$"):
             call(star4, bad)
 
+    def test_rejects_negative_node_count(self):
+        with pytest.raises(ValueError, match="node_count must be non-negative"):
+            Graph(-1, [])
+
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="one label per node"):
             Graph(3, [], labels=("a",))
+        with pytest.raises(ValueError, match="non-empty"):
+            Graph(2, [], labels=("a", ""))
         with pytest.raises(ValueError, match="unique"):
             Graph(2, [], labels=("a", "a"))
 
@@ -85,6 +91,12 @@ class TestConstruction:
         g = Graph(0, [])
         assert g.edge_count == 0
         assert network_degree_centrality(g) == 0.0
+
+    def test_family_constructors_reject_bad_sizes(self):
+        with pytest.raises(ValueError, match="leaves must be non-negative"):
+            star_graph(-1)
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            cycle_graph(2)
 
 
 # ----- centralization examples (hand-frozen values) ------------------------

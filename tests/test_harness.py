@@ -201,6 +201,11 @@ class TestCsv:
         with pytest.raises(ValueError, match="empty"):
             parse_csv("")
 
+    def test_parse_skips_blank_rows(self):
+        pt = CurvePoint("degree", 1, 0.1, 0.4, 1.0, 0.0)
+        text = emit_csv([pt])
+        assert parse_csv(text.replace("\n", "\n\n")) == [pt]
+
     def test_parse_rejects_short_row(self):
         with pytest.raises(ValueError, match="6 fields"):
             parse_csv(CSV_HEADER + "\ngreedy,1,0.1\n")
@@ -241,6 +246,16 @@ class TestSynthetic:
     def test_scale_free_requires_target(self):
         with pytest.raises(ValueError, match="target edge count"):
             generate_synthetic("scale-free", 30)
+
+    @pytest.mark.parametrize("kind", ["scale-free", "random", "star-of-stars"])
+    def test_negative_target_rejected(self, kind):
+        with pytest.raises(ValueError,
+                           match="^target edge count must be non-negative$"):
+            generate_synthetic(kind, 9, -4)
+
+    def test_scale_free_needs_three_nodes(self):
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            generate_synthetic("scale-free", 2, 1)
 
     @pytest.mark.parametrize("n,m", [(57, 162), (102, 388), (105, 590),
                                      (135, 556)])

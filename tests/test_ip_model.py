@@ -277,6 +277,15 @@ class TestCheckFeasible:
         report = check_feasible(model, asg)
         assert any("Y_0_1" in v and "not binary" in v for v in report.violations)
 
+    def test_relaxed_variable_outside_unit_interval_flagged(self):
+        model = relax_bounds(build_fragility_ip(path_graph(3), k=1))
+        asg = canonical_assignment(model, ())
+        asg.values["Z_0"] = -0.5
+        asg.values["X_2"] = 1.5
+        report = check_feasible(model, asg)
+        assert "c10_0: Z_0=-0.5 outside [0, 1]" in report.violations
+        assert "c12_2: X_2=1.5 outside [0, 1]" in report.violations
+
 
 def _infeasible_cases():
     """The infeasible assignments above, plus one that breaks rows of
@@ -379,6 +388,14 @@ class TestLinearize:
         assert model5.objective.scale is None
         ok5 = linearize(build_fragility_ip(star_graph(4), k=2), 2)
         assert ok5.objective.scale == 1.0 / (2 * 1)
+
+    def test_unscaled_objective_is_the_numerator(self):
+        # path 0-1-2-3 at i = 2: (N-1-i)(N-2-i) = 0, so no scale; nothing
+        # removed, Z on node 1: sq = 2, sy = 3, (N - i) * sq - 2 * sy = -2
+        model = linearize(build_fragility_ip(path_graph(4), k=2), 2)
+        assert model.objective.scale is None
+        value = evaluate_objective(model, canonical_assignment(model, ()))
+        assert value == -2.0 and type(value) is float
 
     def test_exact_on_full_budget_removals(self):
         # with |R| equal to the fixed removal count the linear value is the

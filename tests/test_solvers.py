@@ -115,6 +115,13 @@ class TestExactExamples:
         with pytest.raises(ValueError, match="non-negative"):
             exact_opt(star4, k=-2)
 
+    @pytest.mark.parametrize("search", [
+        lambda g: exact_opt(g, None, 1, -1),
+        lambda g: fragility_decision(g, None, 1, 0.5, -1)])
+    def test_negative_work_limit_is_bad_input(self, search, star4):
+        with pytest.raises(ValueError, match="^work limit must be non-negative$"):
+            search(star4)
+
 
 # ----- decision wrapper ----------------------------------------------------
 
