@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -352,6 +353,11 @@ def main(argv=None) -> int:
     except (WorkLimitExceeded, InfeasibleDensityError, ZeroBaselineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``), which is not bad input; with
+        # stdout on devnull the flush at interpreter exit stays silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

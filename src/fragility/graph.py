@@ -9,6 +9,7 @@ vanishes there.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Collection, Iterable
 
 
@@ -42,18 +43,28 @@ class Graph:
         if len(self._label_index) != node_count:
             raise ValueError("labels must be unique")
 
-        adjacency: list[set[int]] = [set() for _ in range(node_count)]
+        # Neighbour lists first, then one set per node at a time, so no
+        # working set outlives its frozen copy.  Iteration order must be that
+        # of adding each neighbour in input order (rankings sum floats in
+        # it): ``set(nb)`` adds in list order and ``frozenset`` copies that
+        # layout, while ``frozenset(nb)`` sizes its table differently.
+        adjacency: list = [[] for _ in range(node_count)]
         for u, v in edges:
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise ValueError(f"edge ({u}, {v}) references an unknown node id")
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
-            if v in adjacency[u]:
-                raise ValueError(f"duplicate edge {(u, v) if u < v else (v, u)}")
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        self.adjacency = tuple(frozenset(a) for a in adjacency)
-        self.degree = tuple(len(a) for a in adjacency)
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        for u, nb in enumerate(adjacency):
+            a = set(nb)
+            if len(a) != len(nb):
+                # u is the lowest node with a repeat, so each repeat is above it
+                v = min(v for v, c in Counter(nb).items() if c > 1)
+                raise ValueError(f"duplicate edge {(u, v)}")
+            adjacency[u] = frozenset(a)
+        self.adjacency = tuple(adjacency)
+        self.degree = tuple(map(len, adjacency))
         self.edge_count = sum(self.degree) // 2
         self.max_degree = max(self.degree, default=0)
         self._edges: tuple[tuple[int, int], ...] | None = None

@@ -298,8 +298,8 @@ def _star_of_stars(n: int, m_target: int | None) -> Graph:
     for leaf in range(hubs, n):
         edges.append(((leaf - hubs) % hubs, leaf))
     graph = Graph(n, edges)
-    if m_target is not None and _require_m(m_target) > 0:
-        if abs(graph.edge_count - m_target) > 0.05 * m_target:
+    if m_target is not None:
+        if abs(graph.edge_count - _require_m(m_target)) > 0.05 * m_target:
             raise InfeasibleDensityError(
                 f"infeasible density: star-of-stars on {n} nodes has "
                 f"{graph.edge_count} edges, more than 5% from {m_target}")

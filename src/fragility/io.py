@@ -11,11 +11,11 @@ Node ids are assigned densely in first-appearance order.  Duplicate edges
 collapse to one with a warning; self-loops are an error.  The no-strike
 format is one label per line with the same comment and split rules.
 
-The parser collects each edge as an ascending pair of ids, sorts the pairs
-once and drops repeats, then hands them to ``Graph``, whose constructor is
-the one adjacency build.  Sorted input fixes the order in which each node's
-neighbours are inserted, and so the iteration order of ``Graph.adjacency``
-that the rankings sum floats in.
+The parser packs each edge into one integer, ``low << 32 | high``, sorts the
+integers once and streams them, repeats dropped, to ``Graph``, whose
+constructor is the one adjacency build.  Sorted input fixes the order in
+which each node's neighbours are inserted, and so the iteration order of
+``Graph.adjacency`` that the rankings sum floats in.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import json
 import re
 import warnings
 from dataclasses import asdict, dataclass, field
-from itertools import groupby
+from itertools import groupby, islice
+from operator import eq
 
 from .graph import Graph
 
@@ -60,7 +61,7 @@ def parse_edge_list(text: str) -> Graph:
     """
     index: dict[str, int] = {}  # label -> id, in first-appearance order
     intern = index.setdefault
-    pairs: list[tuple[int, int]] = []
+    keys: list[int] = []  # each edge as low << 32 | high
     for lineno, parts in _records(text):
         if len(parts) == 2:
             u, v = parts
@@ -68,17 +69,19 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListError(lineno, f"self-loop on {u!r}")
             i = intern(u, len(index))
             j = intern(v, len(index))
-            pairs.append((i, j) if i < j else (j, i))
+            keys.append(i << 32 | j if i < j else j << 32 | i)
         elif len(parts) == 1:
             intern(parts[0], len(index))
         else:
             raise EdgeListError(lineno, f"expected 1 or 2 labels, got {len(parts)}")
-    pairs.sort()
-    edges = [e for e, _ in groupby(pairs)]
-    duplicates = len(pairs) - len(edges)
+    keys.sort()
+    duplicates = sum(map(eq, keys, islice(keys, 1, None)))
     if duplicates:
         warnings.warn(DuplicateEdgeWarning(
             f"collapsed {duplicates} duplicate edge record(s)"), stacklevel=2)
+    # decode to the id objects held by ``index``, so the adjacency shares them
+    ids = list(index.values())
+    edges = ((ids[key >> 32], ids[key & 0xFFFFFFFF]) for key, _ in groupby(keys))
     return Graph(len(index), edges, labels=tuple(index))
 
 

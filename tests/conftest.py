@@ -20,6 +20,9 @@ run; they read ``Graph.adjacency`` in the library's order, so the fast passes
 must equal them float for float.  ``oracle_parse_edge_list`` is the parser
 that split every record with a regex and deduplicated through a set of
 tuples, the reference for the one-pass ``parse_edge_list``.
+``oracle_graph`` is the adjacency build ``Graph`` used to run, every edge
+checked and added to two growing sets that are frozen at the end, the
+reference for the list-then-set build and its iteration order.
 """
 
 from __future__ import annotations
@@ -367,6 +370,30 @@ def oracle_parse_edge_list(text: str) -> Graph:
         warnings.warn(DuplicateEdgeWarning(
             f"collapsed {duplicates} duplicate edge record(s)"), stacklevel=2)
     return Graph(len(labels), sorted(edges), labels=tuple(labels))
+
+
+def oracle_graph(n: int, edges) -> tuple:
+    """Adjacency (each node's neighbours in iteration order), degree, edge
+    count and max degree from adding every edge to two growing sets."""
+    adjacency: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) references an unknown node id")
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        if v in adjacency[u]:
+            raise ValueError(f"duplicate edge {(u, v) if u < v else (v, u)}")
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    frozen = [frozenset(a) for a in adjacency]
+    degree = tuple(len(a) for a in frozen)
+    return ([tuple(a) for a in frozen], degree, sum(degree) // 2,
+            max(degree, default=0))
+
+
+def graph_shape(g: Graph) -> tuple:
+    """``g`` in the form ``oracle_graph`` returns."""
+    return ([tuple(a) for a in g.adjacency], g.degree, g.edge_count, g.max_degree)
 
 
 def random_graph_edges(rng: random.Random, n: int,

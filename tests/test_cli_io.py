@@ -7,12 +7,14 @@ import random
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ORACLE_SPLIT, oracle_parse_edge_list
+from conftest import (ORACLE_SPLIT, graph_shape, oracle_graph,
+                      oracle_parse_edge_list)
 from fragility import (DuplicateEdgeWarning, EdgeListError, Graph, RunManifest,
                        emit_edge_list, generate_synthetic, parse_edge_list,
                        parse_no_strike)
@@ -105,6 +107,24 @@ def _messy_scale_free_text(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+class TestParseMemory:
+    def test_peak_stays_near_the_graph_it_keeps(self):
+        # neighbour lists become sets one node at a time and edges stream to
+        # Graph as packed integers, so the load never holds the working sets
+        # beside their frozen copies (the set-by-add build peaked at 2.4x)
+        text = emit_edge_list(generate_synthetic("scale-free", 5000, 24450, seed=7))
+        tracemalloc.start()
+        try:
+            g = parse_edge_list(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count == 24450
+        assert peak <= 1.5 * retained
+        # every adjacency entry is one of the parser's own id objects
+        assert len({id(v) for a in g.adjacency for v in a}) <= g.node_count
+
+
 # bodies built from labels that include non-ASCII letters and a byte-order
 # mark, and separators that include every kind the parser treats differently
 _LABEL = st.sampled_from(["a", "b", "c", "d", "é", "\ufeffa", "10", "1"])
@@ -126,6 +146,12 @@ class TestParserMatchesOracle:
         assert new == _outcome(oracle_parse_edge_list, text)
         assert len(new[0]) == 3040 and new[3] == 14670
         assert "collapsed 1000 duplicate" in new[-1][0][1]
+        # the parser hands Graph the ascending deduplicated pairs, which the
+        # set-by-add build must turn into the same adjacency order
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DuplicateEdgeWarning)
+            g = parse_edge_list(text)
+        assert graph_shape(g) == oracle_graph(g.node_count, g.edges())
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_LINE, max_size=12), st.sampled_from(["\n", "\r\n", "\x1c"]))
@@ -293,9 +319,27 @@ class TestCliErrors:
         assert main(["centrality"]) == 1
         assert "requires --graph" in capsys.readouterr().err
 
-    def test_unreadable_graph(self, capsys):
+    def test_unreadable_graph(self, tmp_path, capsys):
         assert main(["centrality", "--graph", "/nonexistent/g.txt"]) == 1
         assert "cannot read graph" in capsys.readouterr().err
+        # an OSError other than a closed stdout stays bad input
+        assert main(["centrality", "--graph", str(tmp_path)]) == 1
+        assert "cannot read graph" in capsys.readouterr().err
+
+    def test_closed_stdout_pipe_exits_0_silently(self):
+        # the reader takes one line and closes the pipe, as `| head -1` does;
+        # 20,000 nodes write far more than the pipe and stdout buffers hold
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fragility", "synth", "--kind",
+             "star-of-stars", "--n", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert first == b"0 1\n"
+        assert err == b""
 
     def test_malformed_graph(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -368,6 +412,14 @@ class TestCliErrors:
         assert main(["synth", "--kind", "scale-free", "--n", "10", "--m", "45"]) == 2
         assert capsys.readouterr().err == (
             "error: generation landed at 35 edges, more than 5% from target 45\n")
+
+    def test_star_of_stars_zero_target_is_exit_2(self, capsys):
+        # 0 is a target like any other: 9 nodes make 8 edges, not 0
+        assert main(["synth", "--kind", "star-of-stars", "--n", "9", "--m", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: infeasible density: star-of-stars on 9 "
+                                "nodes has 8 edges, more than 5% from 0\n")
 
     @pytest.mark.parametrize("kind", ["scale-free", "random", "star-of-stars"])
     def test_negative_synth_target_is_exit_1(self, kind, capsys):

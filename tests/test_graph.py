@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,10 +15,12 @@ from fragility import (Graph, betweenness_ranking, build_fragility_ip,
                        canonical_assignment, closeness_ranking, complete_graph,
                        cycle_graph, degree_ranking, exact_opt, fragile,
                        fragility_decision, greedy_fragile, induced_subgraph,
-                       marginal_gain, network_degree_centrality, path_graph,
-                       star_graph)
+                       generate_synthetic, marginal_gain,
+                       network_degree_centrality, path_graph, star_graph)
+from fragility import graph as graph_module, harness
 
-from conftest import oracle_centrality, oracle_fragile, random_graph_edges
+from conftest import (graph_shape, oracle_centrality, oracle_fragile,
+                      oracle_graph, random_graph_edges)
 
 
 # ----- construction --------------------------------------------------------
@@ -97,6 +101,109 @@ class TestConstruction:
             star_graph(-1)
         with pytest.raises(ValueError, match="at least 3 nodes"):
             cycle_graph(2)
+
+
+def _arranged(rng: random.Random, edges, form: str):
+    """``edges`` sorted, shuffled, shuffled with about half of the pairs
+    reversed, or that last list as a one-shot generator."""
+    if form == "sorted":
+        return sorted(edges)
+    out = rng.sample(edges, len(edges))
+    if form != "shuffled":
+        out = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in out]
+    return out
+
+
+@pytest.fixture
+def graph_inputs(monkeypatch):
+    """Every Graph the library builds, with the node count and edges it got."""
+    built = []
+
+    def record(n, edges, labels=None):
+        edges = list(edges)
+        g = Graph(n, edges, labels)
+        built.append((n, edges, g))
+        return g
+
+    monkeypatch.setattr(graph_module, "Graph", record)
+    monkeypatch.setattr(harness, "Graph", record)
+    return built
+
+
+class TestBuildMatchesOracle:
+    """The list-then-set build against the set-by-add build it replaced:
+    equal in adjacency iteration order, degree, edge count and max degree."""
+
+    @pytest.mark.parametrize("form", ["sorted", "shuffled", "reversed", "generator"])
+    def test_edge_list_forms(self, form):
+        rng = random.Random(0xB17D)
+        cases = [(n, random_graph_edges(rng, n, rng.uniform(0.0, 0.9)))
+                 for n in (rng.randint(0, 70) for _ in range(60))]
+        hubs = generate_synthetic("scale-free", 2000, 9780, seed=3)
+        cases.append((2000, list(hubs.edges())))
+        cases.append((301, [(0, i) for i in range(1, 301)]))
+        for n, edges in cases:
+            given_edges = _arranged(rng, edges, form)
+            arg = iter(given_edges) if form == "generator" else given_edges
+            assert graph_shape(Graph(n, arg)) == oracle_graph(n, given_edges)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: star_graph(40), id="star"),
+        pytest.param(lambda: complete_graph(30), id="complete"),
+        pytest.param(lambda: path_graph(50), id="path"),
+        pytest.param(lambda: cycle_graph(50), id="cycle"),
+        pytest.param(lambda: generate_synthetic("scale-free", 800, 3900, seed=5),
+                     id="scale-free"),
+        pytest.param(lambda: generate_synthetic("random", 300, 2500, seed=5),
+                     id="random"),
+        pytest.param(lambda: generate_synthetic("star-of-stars", 400), id="star-of-stars"),
+        pytest.param(lambda: induced_subgraph(
+            generate_synthetic("scale-free", 800, 3900, seed=6), range(0, 800, 3)),
+            id="induced_subgraph"),
+    ])
+    def test_library_builds(self, make, graph_inputs):
+        make()
+        assert graph_inputs
+        for n, edges, g in graph_inputs:
+            assert graph_shape(g) == oracle_graph(n, edges)
+
+    def test_errors_match_oracle_on_sorted_input(self):
+        # canonical pairs in ascending order, as the parser hands them over,
+        # with one repeat, self-loop or out-of-range endpoint mixed in
+        rng = random.Random(0xE7)
+        for _ in range(300):
+            n = rng.randint(2, 14)
+            edges = random_graph_edges(rng, n, rng.uniform(0.1, 0.7)) or [(0, 1)]
+            u = rng.randrange(n)
+            edges.append(rng.choice([rng.choice(edges), (u, u), (u, n + rng.randint(0, 3))]))
+            edges.sort()
+            with pytest.raises(ValueError) as new:
+                Graph(n, edges)
+            with pytest.raises(ValueError) as old:
+                oracle_graph(n, edges)
+            assert str(new.value) == str(old.value)
+
+    def test_duplicate_names_lowest_repeated_pair_in_any_order(self):
+        rng = random.Random(0xD0)
+        for _ in range(300):
+            n = rng.randint(2, 14)
+            edges = random_graph_edges(rng, n, rng.uniform(0.1, 0.7)) or [(0, 1)]
+            edges += [rng.choice(edges) for _ in range(rng.randint(1, 3))]
+            given_edges = _arranged(rng, edges, "reversed")
+            counts = Counter((min(e), max(e)) for e in given_edges)
+            lowest = min(e for e, c in counts.items() if c > 1)
+            with pytest.raises(ValueError, match=f"^duplicate edge {re.escape(str(lowest))}$"):
+                Graph(n, given_edges)
+
+    def test_range_and_self_loop_win_over_an_earlier_duplicate(self):
+        # every edge is range- and loop-checked before any repeat is looked
+        # for; the set-by-add build stopped at whichever came first
+        with pytest.raises(ValueError, match="duplicate edge"):
+            oracle_graph(3, [(0, 1), (1, 0), (0, 3)])
+        with pytest.raises(ValueError, match="unknown node id"):
+            Graph(3, [(0, 1), (1, 0), (0, 3)])
+        with pytest.raises(ValueError, match="^self-loop at node 2$"):
+            Graph(3, [(0, 1), (1, 0), (2, 2)])
 
 
 # ----- centralization examples (hand-frozen values) ------------------------

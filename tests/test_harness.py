@@ -309,6 +309,10 @@ class TestSynthetic:
         generate_synthetic("star-of-stars", 100, 99)
         with pytest.raises(InfeasibleDensityError):
             generate_synthetic("star-of-stars", 100, 150)
+        # a target of 0 is checked too, and met only without edges
+        with pytest.raises(InfeasibleDensityError):
+            generate_synthetic("star-of-stars", 9, 0)
+        assert generate_synthetic("star-of-stars", 1, 0).edge_count == 0
 
     def test_graphs_are_simple(self):
         # Graph construction rejects duplicates/self-loops, so reaching here
