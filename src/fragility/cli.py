@@ -21,8 +21,10 @@ Each ``_cmd_*`` handler takes the parsed arguments, the loaded graph and
 protected set (both None for ``synth``) and returns its manifest
 parameters, text lines, JSON payload and the paths it wrote; ``main``
 alone loads the inputs, prints the result and writes the manifest.
-Handlers and the library raise ``ValueError`` for bad input; ``main``
-alone maps exception classes to exit codes.
+Handlers and the library raise ``ValueError`` for bad input (exit 1);
+infeasible-request and work-limit errors carry ``exit_status = 2``; ``main``
+alone maps exceptions to exit codes.  Each handler imports the solver,
+harness or LP module it runs, so no command loads one it does not call.
 """
 
 from __future__ import annotations
@@ -35,15 +37,9 @@ import sys
 import warnings
 from pathlib import Path
 
+from .defaults import DEFAULT_WORK_LIMIT, STRATEGIES
 from .graph import fragile, network_degree_centrality
-from .harness import (_RANKERS, ExperimentConfig, InfeasibleDensityError,
-                      STRATEGIES, ZeroBaselineError, benchmark_runtime,
-                      emit_csv, generate_synthetic, run_curves)
 from .io import RunManifest, emit_edge_list, parse_edge_list, parse_no_strike
-from .ip_model import (build_fragility_ip, emit_lp, emit_lp_family, linearize,
-                       relax_bounds)
-from .solvers import (DEFAULT_WORK_LIMIT, WorkLimitExceeded, exact_opt,
-                      fragility_decision, greedy_fragile)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,7 +101,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("baseline", parents=[common],
                        help="static centrality-ranking removal")
-    p.add_argument("--strategy", choices=sorted(_RANKERS), required=True)
+    p.add_argument("--strategy", required=True,
+                   choices=[s for s in STRATEGIES if s != "greedy"])
     p.add_argument("--m", type=int, required=True, help="how many nodes to remove")
     p.set_defaults(handler=_cmd_baseline)
 
@@ -196,11 +193,13 @@ def _cmd_centrality(args, graph, ns):
 
 
 def _cmd_greedy(args, graph, ns):
+    from .solvers import greedy_fragile
     solution = greedy_fragile(graph, ns, args.k)
     return {"k": args.k}, *_solution_output(graph.labels, solution), []
 
 
 def _cmd_exact(args, graph, ns):
+    from .solvers import exact_opt
     solution = exact_opt(graph, ns, args.k, args.work_limit)
     return ({"k": args.k, "work_limit": args.work_limit},
             *_solution_output(graph.labels, solution), [])
@@ -209,12 +208,15 @@ def _cmd_exact(args, graph, ns):
 def _cmd_decision(args, graph, ns):
     if not math.isfinite(args.x):
         raise ValueError(f"--x must be a finite number, got {args.x}")
+    from .solvers import fragility_decision
     answer = fragility_decision(graph, ns, args.k, args.x, args.work_limit)
     return ({"k": args.k, "x": args.x}, ["true" if answer else "false"],
             {"decision": answer}, [])
 
 
 def _cmd_emit_ip(args, graph, ns):
+    from .ip_model import (build_fragility_ip, emit_lp, emit_lp_family,
+                           linearize, relax_bounds)
     model = build_fragility_ip(graph, ns, args.k)
     if args.relax:
         model = relax_bounds(model)
@@ -246,6 +248,7 @@ def _cmd_baseline(args, graph, ns):
     targetable = graph.node_count - len(ns)
     if not 0 <= args.m <= targetable:
         raise ValueError(f"--m must lie in 0..{targetable} for this graph")
+    from .harness import _RANKERS
     removed = _RANKERS[args.strategy](graph, ns).order[:args.m]
     base = fragile(graph, ())
     frag = fragile(graph, removed)
@@ -276,6 +279,7 @@ def _parse_strategies(raw: str) -> tuple[str, ...]:
 
 
 def _cmd_curve(args, graph, ns):
+    from .harness import ExperimentConfig, emit_csv, run_curves
     cfg = ExperimentConfig(strategies=_parse_strategies(args.strategies),
                            max_fraction=args.max_fraction, step=args.step)
     points = run_curves(graph, ns, cfg)
@@ -297,6 +301,7 @@ def _cmd_bench(args, graph, ns):
         raise ValueError(f"bad --budgets value {args.budgets!r}") from None
     if not budgets:
         raise ValueError("no budgets given")
+    from .harness import benchmark_runtime
     rows = []
     for strategy in strategies:
         for budget, seconds in benchmark_runtime(graph, ns, strategy, budgets):
@@ -310,6 +315,7 @@ def _cmd_bench(args, graph, ns):
 
 
 def _cmd_synth(args, _graph, _ns):
+    from .harness import generate_synthetic
     graph = generate_synthetic(args.kind, args.n, args.m, args.seed)
     lines, outputs = _write_or_show(
         args.out, emit_edge_list(graph),
@@ -350,17 +356,19 @@ def main(argv=None) -> int:
         if path:
             manifest.write(path)
         return 0
-    except (WorkLimitExceeded, InfeasibleDensityError, ZeroBaselineError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # the reader closed stdout (``| head``), which is not bad input; with
         # stdout on devnull the flush at interpreter exit stays silent too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (OSError, ValueError) as exc:
+    except Exception as exc:
+        # an error class may carry its own status; other bugs propagate
+        bad_input = isinstance(exc, (OSError, ValueError))
+        status = getattr(exc, "exit_status", 1 if bad_input else None)
+        if status is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return status
 
 
 def entry() -> None:  # console-script shim

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 from .baselines import (betweenness_ranking, closeness_ranking,
                         degree_ranking, static_removal_schedule)
+from .defaults import STRATEGIES
 from .graph import Graph, _node_set, fragile
 from .solvers import DegreeTracker, greedy_fragile, iter_greedy_steps
-
-STRATEGIES = ("betweenness", "closeness", "degree", "greedy")
 
 CSV_HEADER = "strategy,nodes_removed,fraction_removed,fragility,percent_increase,wall_time_s"
 
@@ -36,9 +35,13 @@ CSV_HEADER = "strategy,nodes_removed,fraction_removed,fragility,percent_increase
 class InfeasibleDensityError(ValueError):
     """The requested (n, m) combination cannot be generated."""
 
+    exit_status = 2  # the ``fragility`` command's code for this error
+
 
 class ZeroBaselineError(ValueError):
     """The untouched graph's fragility is zero, so percent change is undefined."""
+
+    exit_status = 2
 
 _RANKERS = {
     "degree": degree_ranking,

@@ -13,13 +13,14 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import comb
 
+from .defaults import DEFAULT_WORK_LIMIT
 from .graph import Graph, _centralization, _node_set, fragile
-
-DEFAULT_WORK_LIMIT = 10_000_000
 
 
 class WorkLimitExceeded(RuntimeError):
     """Raised when the exact search space holds more subsets than the work limit."""
+
+    exit_status = 2  # the ``fragility`` command's code for this error
 
 
 @dataclass(frozen=True)
@@ -352,10 +353,12 @@ def fragility_decision(graph: Graph, no_strike: Collection[int] | None,
 
     Validates ids and checks ``work_limit`` up front like :func:`exact_opt`,
     then stops at the first set scoring above x: the untouched graph first,
-    scored without building a tracker, then the search, which skips
-    subtrees whose bound is at most x.
+    scored without building a tracker, then each prefix of the greedy's
+    removals, any of which is a valid witness, and only then the search,
+    which skips subtrees whose bound is at most x.
     """
     pool, k = _exact_pool(graph, no_strike, k, work_limit)
-    if fragile(graph, ()) > x:
+    if fragile(graph, ()) > x or any(
+            value > x for _, value in iter_greedy_steps(graph, no_strike, k)):
         return True
     return _search(graph, pool, k, x) is not None

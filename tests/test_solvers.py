@@ -13,6 +13,7 @@ from fragility import (DegreeTracker, Graph, RemovalSolution, WorkLimitExceeded,
                        complete_graph, cycle_graph, exact_opt, fragile,
                        fragility_decision, generate_synthetic, greedy_fragile,
                        iter_greedy_steps, path_graph, star_graph)
+from fragility import solvers
 
 from conftest import (oracle_best_removal, oracle_exact_opt, oracle_fragile,
                       oracle_greedy_steps, oracle_removal_value,
@@ -145,6 +146,23 @@ class TestDecision:
     def test_unknown_id_checked_before_any_witness(self, star4):
         with pytest.raises(ValueError, match="unknown node id 9"):
             fragility_decision(star4, {9}, 1, -1.0)
+
+    def test_greedy_witness_skips_the_search(self, double_star8, monkeypatch):
+        def search(*args):
+            raise AssertionError("the greedy's removals were a witness")
+        monkeypatch.setattr(solvers, "_search", search)
+        # the untouched graph scores exactly x; one leaf removed beats it
+        assert fragility_decision(double_star8, None, 2, 18 / 42) is True
+
+    def test_search_decides_when_the_greedy_falls_short(self, double_star8,
+                                                        monkeypatch):
+        calls = []
+        search = solvers._search
+        monkeypatch.setattr(solvers, "_search",
+                            lambda *args: calls.append(args) or search(*args))
+        x = max(greedy_fragile(double_star8, None, 2).trace)
+        assert fragility_decision(double_star8, None, 2, x) is False
+        assert len(calls) == 1
 
 
 # ----- incremental tracker vs naive recomputation --------------------------
@@ -383,7 +401,10 @@ def _check_exact(graph: Graph, no_strike, k: int) -> None:
     want = oracle_exact_opt(graph, no_strike, k)
     assert exact_opt(graph, no_strike, k) == want
     opt = want.final_fragility
-    for x in (opt, math.nextafter(opt, -math.inf), want.trace[0], 0.0):
+    # the greedy's best value decides alone just below it, never at it
+    reach = max(greedy_fragile(graph, no_strike, k).trace)
+    for x in (opt, math.nextafter(opt, -math.inf), want.trace[0], 0.0,
+              reach, math.nextafter(reach, -math.inf)):
         assert fragility_decision(graph, no_strike, k, x) == (opt > x)
 
 
