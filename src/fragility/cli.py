@@ -167,21 +167,26 @@ def _write_or_show(path, text, note=""):
     return [f"wrote {path}{note}"], [path]
 
 
-def _solution_output(labels, solution):
-    base = solution.trace[0]
+def _removal_output(labels, removed, base, final):
     lines = [
-        f"removed ({len(solution.removed)}): "
-        + (" ".join(labels[i] for i in solution.removed) or "(none)"),
+        f"removed ({len(removed)}): "
+        + (" ".join(labels[i] for i in removed) or "(none)"),
         f"baseline_fragility: {base:.6f}",
-        f"final_fragility: {solution.final_fragility:.6f}",
-        "trace: " + " ".join(f"{v:.6f}" for v in solution.trace),
+        f"final_fragility: {final:.6f}",
     ]
     payload = {
-        "removed": [labels[i] for i in solution.removed],
+        "removed": [labels[i] for i in removed],
         "baseline_fragility": base,
-        "final_fragility": solution.final_fragility,
-        "trace": list(solution.trace),
+        "final_fragility": final,
     }
+    return lines, payload
+
+
+def _solution_output(labels, solution):
+    lines, payload = _removal_output(labels, solution.removed, solution.trace[0],
+                                     solution.final_fragility)
+    lines.append("trace: " + " ".join(f"{v:.6f}" for v in solution.trace))
+    payload["trace"] = list(solution.trace)
     return lines, payload
 
 
@@ -250,22 +255,11 @@ def _cmd_baseline(args, graph, ns):
         raise ValueError(f"--m must lie in 0..{targetable} for this graph")
     from .harness import _RANKERS
     removed = _RANKERS[args.strategy](graph, ns).order[:args.m]
-    base = fragile(graph, ())
-    frag = fragile(graph, removed)
-    lines = [
-        f"strategy: {args.strategy}",
-        f"removed ({len(removed)}): "
-        + (" ".join(graph.labels[i] for i in removed) or "(none)"),
-        f"baseline_fragility: {base:.6f}",
-        f"final_fragility: {frag:.6f}",
-    ]
-    payload = {
-        "strategy": args.strategy,
-        "removed": [graph.labels[i] for i in removed],
-        "baseline_fragility": base,
-        "final_fragility": frag,
-    }
-    return {"strategy": args.strategy, "m": args.m}, lines, payload, []
+    lines, payload = _removal_output(graph.labels, removed, fragile(graph, ()),
+                                     fragile(graph, removed))
+    return ({"strategy": args.strategy, "m": args.m},
+            [f"strategy: {args.strategy}", *lines],
+            {"strategy": args.strategy, **payload}, [])
 
 
 def _parse_strategies(raw: str) -> tuple[str, ...]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain
 from math import comb
 
 from .defaults import DEFAULT_WORK_LIMIT
@@ -111,58 +110,58 @@ class DegreeTracker:
         self.max_deg = top
 
 
-def _best_removal(tracker: DegreeTracker, ns: frozenset[int],
-                  heap: list[tuple[int, int]], left: int) -> tuple[int, int]:
+def _best_removal(tracker: DegreeTracker,
+                  heap: list[tuple[int, int]]) -> tuple[int, int]:
     """Best alive candidate as ``(numerator, node)``; needs ``n_alive >= 4``.
 
     With D the max degree and T the alive nodes at D, removing candidate i
-    leaves the max at D unless every node of T other than i is adjacent to
-    i; then it falls to exactly D-1, except when i is all of T, where it is
-    recomputed.  Over the round's shared denominator ``(n2-1)(n2-2)`` the
-    value's integer numerator ``n2*D' - 2*(m - d_i)`` rises strictly with
-    ``d_i`` inside each class, so only each class's highest-degree,
-    lowest-id member is priced.  Below about 4e7 nodes distinct numerators
-    give distinct float gains, so this picks the node that comparing float
-    gains in id order would.  ``heap`` holds ``(-deg, id)`` for every alive
-    candidate, plus stale entries that are dropped here; ``left`` counts the
-    alive candidates.
+    leaves the max at D if some node of T other than i is not adjacent to
+    i and drops it to D-1 if every one is; when i is all of T the new max
+    is recomputed.  Over the round's shared denominator ``(n2-1)(n2-2)``
+    the value's integer numerator is ``n2*D' - 2*(m - d_i)``.  Below about
+    4e7 nodes distinct numerators give distinct float gains, so the largest
+    key ``(numerator, -i)`` is the node that comparing float gains in id
+    order would pick.  ``heap`` holds ``(-deg, id)`` for every alive
+    candidate, plus stale entries that are dropped here.
+
+    No new max exceeds ``cap``: D, or D-1 when T's nodes are adjacent to
+    every alive node.  So a key is at most its bound ``(n2*cap - 2*(m -
+    d_i), -i)``, and the bound falls strictly along the heap: the scan ends
+    at the first entry whose bound is below the best key, or right after
+    pricing a node whose new max meets ``cap``.  Popped entries are pushed
+    back.
     """
     deg, alive, adjacency = tracker.deg, tracker.alive, tracker.graph.adjacency
     n2 = tracker.n_alive - 1
     m, top_d = tracker.m_alive, tracker.max_deg
     top = tracker.level[top_d]
-    leaders: list[tuple[int, int]] = []  # (numerator, -id): max() wins
-    t0 = next(iter(top))
-    falls: set[int] = set()
-    if len(top) <= top_d + 1:  # else nobody is adjacent to all of T
-        falls = {x for x in chain(adjacency[t0], (t0,))
-                 if alive[x] and x not in ns
-                 and all(x == t or x in adjacency[t] for t in top)}
-    sole = -1
-    if len(top) == 1:
-        falls.discard(t0)
-        if t0 not in ns:
-            sole = t0
-            tracker.remove(t0)
-            leaders.append((n2 * tracker.max_deg - 2 * tracker.m_alive, -t0))
-            tracker.restore(t0, top_d)
-    if falls:
-        f = min(falls, key=lambda x: (-deg[x], x))
-        leaders.append((n2 * (top_d - 1) - 2 * (m - deg[f]), -f))
-    if left > len(falls) + (sole >= 0):
-        skipped = []
-        while True:
-            neg_d, i = heap[0]
-            if not alive[i] or deg[i] != -neg_d:
-                heappop(heap)
-            elif i in falls or i == sole:
-                skipped.append(heappop(heap))
-            else:
-                leaders.append((n2 * top_d - 2 * (m - deg[i]), -i))
-                break
-        for entry in skipped:
-            heappush(heap, entry)
-    num, neg_i = max(leaders)
+    cap = top_d - (top_d == n2)
+    best = (-1, 0)  # below every key: no numerator is negative
+    popped = []
+    while heap:
+        neg_d, i = heap[0]
+        d = -neg_d
+        if not alive[i] or deg[i] != d:
+            heappop(heap)
+            continue
+        if (n2 * cap - 2 * (m - d), -i) < best:
+            break
+        others = len(top) - (d == top_d)  # nodes of T other than i
+        if not others:
+            tracker.remove(i)
+            after = tracker.max_deg
+            tracker.restore(i, d)
+        elif d >= others and all(t == i or t in adjacency[i] for t in top):
+            after = top_d - 1
+        else:
+            after = top_d
+        best = max(best, (n2 * after - 2 * (m - d), -i))
+        if after == cap:
+            break
+        popped.append(heappop(heap))
+    for entry in popped:
+        heappush(heap, entry)
+    num, neg_i = best
     return num, -neg_i
 
 
@@ -174,13 +173,11 @@ def iter_greedy_steps(graph: Graph, no_strike: Collection[int] | None,
     non-negative fragility gain; zero-gain moves are accepted, so the budget
     is normally spent in full.  The lowest id among maximal scorers wins,
     and the run stops early once every candidate's gain is negative.
-    Candidates fall into three classes by how their removal moves the max
-    degree (it stays, drops by one, or is recomputed for a sole top node);
-    within a class the value rises with degree, so a round prices only the
-    three class leaders (see :func:`_best_removal`).  A round costs
-    O(D * |T| + s log N) for max degree D, |T| nodes at D and s candidates
-    skipped in the degree heap, plus O(d log N) to remove a degree-d node,
-    instead of pricing every node in O(N + M).
+    A round scans a degree heap from the top, pricing each entry exactly
+    until no later entry's bound can beat the best (see
+    :func:`_best_removal`).  It costs O(p * (|T| + log N)) for p priced
+    entries and |T| nodes at the max degree, plus O(d log N) to remove a
+    degree-d node, instead of pricing every node in O(N + M).
     """
     if k < 0:
         raise ValueError("budget k must be non-negative")
@@ -189,9 +186,7 @@ def iter_greedy_steps(graph: Graph, no_strike: Collection[int] | None,
     alive, deg = tracker.alive, tracker.deg
     heap = [(-d, i) for i, d in enumerate(deg) if i not in ns]
     heapify(heap)
-    left = len(heap)
-    taken = 0
-    while taken < k and left:
+    for _ in range(min(k, len(heap))):
         base = tracker.centrality()
         n2 = tracker.n_alive - 1
         if n2 < 3:
@@ -200,7 +195,7 @@ def iter_greedy_steps(graph: Graph, no_strike: Collection[int] | None,
                 break
             best = min(i for i in range(graph.node_count) if alive[i] and i not in ns)
         else:
-            num, best = _best_removal(tracker, ns, heap, left)
+            num, best = _best_removal(tracker, heap)
             # the float fragile gives this removal, so a zero gain is accepted exactly
             if num / ((n2 - 1) * (n2 - 2)) - base < 0.0:
                 break
@@ -208,8 +203,6 @@ def iter_greedy_steps(graph: Graph, no_strike: Collection[int] | None,
         for j in graph.adjacency[best]:
             if alive[j] and j not in ns:
                 heappush(heap, (-deg[j], j))
-        left -= 1
-        taken += 1
         yield best, tracker.centrality()
 
 
@@ -217,10 +210,11 @@ def greedy_fragile(graph: Graph, no_strike: Collection[int] | None = None,
                    k: int = 0) -> RemovalSolution:
     """Greedy removal-set search under budget ``k``.
 
-    Runs k rounds of :func:`iter_greedy_steps`, each pricing three class
-    leaders instead of every node; returns the chosen nodes in removal order
-    with the fragility trace.  The final fragility is never below the
-    untouched graph's whenever any node was removed.
+    Runs k rounds of :func:`iter_greedy_steps`, each pricing only the
+    candidates a bound cannot rule out instead of every node; returns the
+    chosen nodes in removal order with the fragility trace.  The final
+    fragility is never below the untouched graph's whenever any node was
+    removed.
     """
     base = fragile(graph, ())
     removed: list[int] = []

@@ -317,6 +317,20 @@ def _double_star(a: int, b: int) -> Graph:
     return Graph(2 + a + b, edges)
 
 
+def _wheel(spokes: int) -> Graph:
+    """Hub 0 joined to every node of the cycle ``1 .. spokes``."""
+    edges = [(0, j) for j in range(1, spokes + 1)]
+    edges += [(j, j % spokes + 1) for j in range(1, spokes + 1)]
+    return Graph(spokes + 1, edges)
+
+
+def _k2n(n: int, joined: bool) -> Graph:
+    """Hubs 0 and 1 each joined to the ``n`` leaves ``2 .. n+1``."""
+    edges = [(0, 1)] if joined else []
+    edges += [(h, 2 + j) for h in (0, 1) for j in range(n)]
+    return Graph(2 + n, edges)
+
+
 def _disjoint(*parts: Graph) -> Graph:
     edges, offset = [], 0
     for part in parts:
@@ -340,6 +354,14 @@ _HARD_CASES = [
     ("star", star_graph(6), (), 7),
     ("star-hub-protected", star_graph(6), (0,), 7),
     ("star-leaves-protected", star_graph(6), (1, 2, 3, 4, 5, 6), 3),
+    # the hub touches every alive node, so no removal keeps the max at D
+    ("wheel-hub-protected", _wheel(8), (0,), 9),
+    # every leaf is priced before the isolated node, whose max stays at D
+    ("star-isolated-hub-protected", _disjoint(star_graph(6), Graph(1, [])),
+     (0,), 8),
+    # every leaf sits below both protected hubs
+    ("k2n-hubs-protected", _k2n(5, False), (0, 1), 6),
+    ("k2n-joined-hubs-protected", _k2n(5, True), (0, 1), 6),
     # ties across the stays and falls classes
     ("double-star-even", _double_star(3, 3), (), 8),
     ("double-star-uneven", _double_star(4, 2), (), 8),
@@ -380,6 +402,18 @@ class TestClosedFormRounds:
         ns = _top(g, protected)
         assert (list(iter_greedy_steps(g, ns, k))
                 == oracle_greedy_steps(g, ns, k))
+
+    def test_round_under_a_protected_hub_pops_no_walk(self, monkeypatch):
+        # every leaf's new max is the cap, so a round stops at the first
+        # valid entry: pops are the stale entries of removed leaves
+        pops = []
+        heappop = solvers.heappop
+        monkeypatch.setattr(solvers, "heappop",
+                            lambda heap: pops.append(1) or heappop(heap))
+        k = 50
+        steps = list(iter_greedy_steps(star_graph(2000), (0,), k))
+        assert [node for node, _ in steps] == list(range(1, k + 1))
+        assert len(pops) <= 2 * k + 2
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
