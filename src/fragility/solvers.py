@@ -41,19 +41,22 @@ class DegreeTracker:
 
     Maintains surviving node/edge counts, per-node surviving degrees and the
     set of alive nodes at each degree, so pricing one more removal costs
-    O(deg) instead of a full recount; :meth:`restore` undoes removals, last
-    in first out, for the exact search and for pricing the greedy's sole top
-    node.  Values match :func:`fragility.graph.fragile` bit for bit because
-    both pass the same integer counts to the same scoring function.
+    O(deg) instead of a full recount.  ``removed`` lists the removed nodes
+    in removal order, and ``deg`` keeps each one at its degree when it was
+    removed, so :meth:`undo` reverts removals, last in first out, for the
+    exact search.  Values match :func:`fragility.graph.fragile` bit for bit
+    because both pass the same integer counts to the same scoring function.
     """
 
-    __slots__ = ("graph", "alive", "deg", "level", "n_alive", "m_alive", "max_deg")
+    __slots__ = ("graph", "alive", "deg", "level", "removed", "n_alive",
+                 "m_alive", "max_deg")
 
     def __init__(self, graph: Graph) -> None:
         n = graph.node_count
         self.graph = graph
         self.alive = [True] * n
         self.deg = list(graph.degree)
+        self.removed: list[int] = []
         self.n_alive = n
         self.m_alive = graph.edge_count
         self.max_deg = graph.max_degree
@@ -69,6 +72,7 @@ class DegreeTracker:
             raise ValueError(f"node {i} is already removed")
         deg, level = self.deg, self.level
         self.alive[i] = False
+        self.removed.append(i)
         self.n_alive -= 1
         self.m_alive -= deg[i]
         level[deg[i]].remove(i)
@@ -78,21 +82,18 @@ class DegreeTracker:
                 level[dj].remove(j)
                 deg[j] = dj - 1
                 level[dj - 1].add(j)
-        deg[i] = 0
         v = self.max_deg
         while v > 0 and not level[v]:
             v -= 1
         self.max_deg = v
 
-    def restore(self, i: int, d: int) -> None:
-        """Undo the latest :meth:`remove`, of node ``i``, whose degree was ``d``.
-
-        Removals must be undone last in, first out, so that ``i``'s alive
-        neighbours are exactly the ``d`` it had when it was removed.
-        """
-        if self.alive[i]:
-            raise ValueError(f"node {i} is not removed")
+    def undo(self) -> None:
+        """Revert the latest :meth:`remove` that is not yet undone."""
+        if not self.removed:
+            raise ValueError("no removal to undo")
+        i = self.removed.pop()
         deg, level = self.deg, self.level
+        d = deg[i]  # i's alive neighbours are the d it had when removed
         top = max(self.max_deg, d)
         for j in self.graph.adjacency[i]:
             if self.alive[j]:
@@ -105,7 +106,6 @@ class DegreeTracker:
         self.alive[i] = True
         self.n_alive += 1
         self.m_alive += d
-        deg[i] = d
         level[d].add(i)
         self.max_deg = top
 
@@ -114,15 +114,19 @@ def _best_removal(tracker: DegreeTracker,
                   heap: list[tuple[int, int]]) -> tuple[int, int]:
     """Best alive candidate as ``(numerator, node)``; needs ``n_alive >= 4``.
 
-    With D the max degree and T the alive nodes at D, removing candidate i
-    leaves the max at D if some node of T other than i is not adjacent to
-    i and drops it to D-1 if every one is; when i is all of T the new max
-    is recomputed.  Over the round's shared denominator ``(n2-1)(n2-2)``
-    the value's integer numerator is ``n2*D' - 2*(m - d_i)``.  Below about
-    4e7 nodes distinct numerators give distinct float gains, so the largest
-    key ``(numerator, -i)`` is the node that comparing float gains in id
-    order would pick.  ``heap`` holds ``(-deg, id)`` for every alive
-    candidate, plus stale entries that are dropped here.
+    With D the max degree and T the alive nodes at D, let L be D for a
+    candidate i of degree d, or the highest non-empty level below D when i
+    is all of T.  Removing i moves only its neighbours, each one level
+    down, so its new max is L-1 when at most d other alive nodes sit at L
+    and all of them are i's neighbours, and L otherwise.  Pricing only
+    reads the tracker: O(min(d, nodes at L)) an entry, plus one walk down
+    the empty levels a round, for the one entry that is all of T.  Over the
+    round's shared denominator ``(n2-1)(n2-2)`` the value's integer
+    numerator is ``n2*D' - 2*(m - d_i)``.  Below about 4e7 nodes distinct
+    numerators give distinct float gains, so the largest key ``(numerator,
+    -i)`` is the node that comparing float gains in id order would pick.
+    ``heap`` holds ``(-deg, id)`` for every alive candidate, plus stale
+    entries that are dropped here.
 
     No new max exceeds ``cap``: D, or D-1 when T's nodes are adjacent to
     every alive node.  So a key is at most its bound ``(n2*cap - 2*(m -
@@ -131,10 +135,10 @@ def _best_removal(tracker: DegreeTracker,
     pricing a node whose new max meets ``cap``.  Popped entries are pushed
     back.
     """
-    deg, alive, adjacency = tracker.deg, tracker.alive, tracker.graph.adjacency
+    deg, alive, level = tracker.deg, tracker.alive, tracker.level
+    adjacency = tracker.graph.adjacency
     n2 = tracker.n_alive - 1
     m, top_d = tracker.m_alive, tracker.max_deg
-    top = tracker.level[top_d]
     cap = top_d - (top_d == n2)
     best = (-1, 0)  # below every key: no numerator is negative
     popped = []
@@ -146,15 +150,14 @@ def _best_removal(tracker: DegreeTracker,
             continue
         if (n2 * cap - 2 * (m - d), -i) < best:
             break
-        others = len(top) - (d == top_d)  # nodes of T other than i
-        if not others:
-            tracker.remove(i)
-            after = tracker.max_deg
-            tracker.restore(i, d)
-        elif d >= others and all(t == i or t in adjacency[i] for t in top):
-            after = top_d - 1
-        else:
-            after = top_d
+        after, others = top_d, len(level[top_d]) - (d == top_d)
+        if not others:  # i is all of T: L is the next non-empty level down
+            after -= 1
+            while not level[after]:
+                after -= 1
+            others = len(level[after])
+        if d >= others and all(t == i or t in adjacency[i] for t in level[after]):
+            after -= 1
         best = max(best, (n2 * after - 2 * (m - d), -i))
         if after == cap:
             break
@@ -175,8 +178,9 @@ def iter_greedy_steps(graph: Graph, no_strike: Collection[int] | None,
     and the run stops early once every candidate's gain is negative.
     A round scans a degree heap from the top, pricing each entry exactly
     until no later entry's bound can beat the best (see
-    :func:`_best_removal`).  It costs O(p * (|T| + log N)) for p priced
-    entries and |T| nodes at the max degree, plus O(d log N) to remove a
+    :func:`_best_removal`), which only reads the tracker.  It costs
+    O(log N + min(d, nodes at L)) for each priced entry of degree d, plus
+    one walk down the empty degree levels and O(d log N) to remove a
     degree-d node, instead of pricing every node in O(N + M).
     """
     if k < 0:
@@ -253,12 +257,12 @@ def _search(graph: Graph, pool: list[int], k: int,
     """Depth-first branch and bound over removal tuples of at most ``k`` ids.
 
     Tuples are ascending ids from ``pool``, visited in preorder, so tuples
-    of one size come in lexicographic order.  Each is scored on one
-    :class:`DegreeTracker` by removing its last id and restoring it on the
-    way back.  With ``above`` None this returns the best tuple: highest
-    value, then most removals, then lexicographically smallest.  Otherwise
-    it returns the first non-empty tuple scoring strictly above ``above``,
-    or None; the caller scores the empty tuple.
+    of one size come in lexicographic order.  Each is the ``removed`` list
+    of one :class:`DegreeTracker`, scored by removing its last id and
+    undone on the way back.  With ``above`` None this returns the best
+    tuple: highest value, then most removals, then lexicographically
+    smallest.  Otherwise it returns the first non-empty tuple scoring
+    strictly above ``above``, or None; the caller scores the empty tuple.
 
     With candidates ``pool[start:]`` left, a tuple bounds each descendant
     with s more removals by ``((n-s)*D - 2*(m - S_s)) / ((n-s-1)*(n-s-2))``
@@ -271,13 +275,11 @@ def _search(graph: Graph, pool: list[int], k: int,
     tuple; the decision skips it when the bound is at most ``above``.
     """
     tracker = DegreeTracker(graph)
-    deg = tracker.deg
+    deg, removed = tracker.deg, tracker.removed
     deciding = above is not None
     best: tuple[int, ...] = ()
     # a decision starts its incumbent at above, so an equal score is no witness
     best_val = above if deciding else tracker.centrality()
-    removed: list[int] = []
-    degrees: list[int] = []  # degree of each removed id just before its removal
 
     def promising(start: int) -> bool:
         r = min(k - len(removed), len(pool) - start)
@@ -301,13 +303,10 @@ def _search(graph: Graph, pool: list[int], k: int,
         if q == len(pool):
             stack.pop()
             if removed:
-                tracker.restore(removed.pop(), degrees.pop())
+                tracker.undo()
             continue
         stack[-1] = q + 1
-        i = pool[q]
-        degrees.append(deg[i])
-        removed.append(i)
-        tracker.remove(i)
+        tracker.remove(pool[q])
         val = tracker.centrality()
         if val > best_val:
             if deciding:
@@ -318,7 +317,7 @@ def _search(graph: Graph, pool: list[int], k: int,
         if promising(q + 1):
             stack.append(q + 1)
         else:
-            tracker.restore(removed.pop(), degrees.pop())
+            tracker.undo()
     return None if deciding else best
 
 

@@ -190,7 +190,7 @@ class TestDegreeTracker:
         with pytest.raises(ValueError, match="already removed"):
             t.remove(1)
 
-    def test_restore_undoes_remove(self):
+    def test_undo_reverts_remove(self):
         def state(t):
             return (list(t.alive), list(t.deg), [set(lv) for lv in t.level],
                     t.max_deg, t.n_alive, t.m_alive)
@@ -200,25 +200,33 @@ class TestDegreeTracker:
             n = rng.randint(1, 14)
             g = Graph(n, random_graph_edges(rng, n, rng.uniform(0.1, 0.9)))
             tracker = DegreeTracker(g)
-            undo: list[tuple[int, int]] = []
+            removed: list[int] = []
             before: list[tuple] = []
             for _ in range(4 * n):
-                if undo and (len(undo) == n or rng.random() < 0.45):
-                    tracker.restore(*undo.pop())
+                if removed and (len(removed) == n or rng.random() < 0.45):
+                    tracker.undo()
+                    removed.pop()
                     assert state(tracker) == before.pop()
                 else:
                     i = rng.choice([j for j in range(n) if tracker.alive[j]])
                     before.append(state(tracker))
-                    undo.append((i, tracker.deg[i]))
+                    removed.append(i)
                     tracker.remove(i)
-                    assert tracker.centrality() == fragile(g, [j for j, _ in undo])
-            while undo:
-                tracker.restore(*undo.pop())
+                    assert tracker.centrality() == fragile(g, removed)
+                assert tracker.removed == removed
+            while removed:
+                tracker.undo()
+                removed.pop()
             assert state(tracker) == state(DegreeTracker(g))
 
-    def test_restore_of_alive_node_rejected(self, star4):
-        with pytest.raises(ValueError, match="not removed"):
-            DegreeTracker(star4).restore(1, 1)
+    def test_undo_without_removal_rejected(self, star4):
+        t = DegreeTracker(star4)
+        with pytest.raises(ValueError, match="no removal"):
+            t.undo()
+        t.remove(1)
+        t.undo()
+        with pytest.raises(ValueError, match="no removal"):
+            t.undo()
 
     def test_counts_after_removal(self, double_star8):
         t = DegreeTracker(double_star8)
@@ -339,6 +347,13 @@ def _disjoint(*parts: Graph) -> Graph:
     return Graph(offset, edges)
 
 
+def _gap_hub() -> Graph:
+    # hub 8 of degree 7 above an empty level 6; node 4 of degree 5 is not
+    # one of its neighbours
+    return Graph(9, [(0, 2), (0, 4), (0, 8), (1, 4), (1, 8), (2, 4), (2, 8),
+                     (3, 4), (3, 8), (4, 7), (5, 8), (6, 8), (7, 8)])
+
+
 def _top(graph: Graph, count: int) -> list[int]:
     return sorted(range(graph.node_count),
                   key=lambda i: (-graph.degree[i], i))[:count]
@@ -354,6 +369,15 @@ _HARD_CASES = [
     ("star", star_graph(6), (), 7),
     ("star-hub-protected", star_graph(6), (0,), 7),
     ("star-leaves-protected", star_graph(6), (1, 2, 3, 4, 5, 6), 3),
+    # a sole top node of degree 6 above empty levels 5 to 3, whose next
+    # non-empty level holds only its neighbours, leaves 1 and 2
+    ("star-leaf-edge", Graph(7, [*star_graph(6).edges(), (1, 2)]), (), 7),
+    # a sole top node whose next non-empty level holds a non-neighbour, so
+    # its new max stays there and its removal gains: with no empty level,
+    # then below one
+    ("star-path-hub-targetable", _disjoint(star_graph(3), path_graph(3)),
+     (1, 2, 3, 4, 5, 6), 2),
+    ("gap-hub-targetable", _gap_hub(), tuple(range(8)), 2),
     # the hub touches every alive node, so no removal keeps the max at D
     ("wheel-hub-protected", _wheel(8), (0,), 9),
     # every leaf is priced before the isolated node, whose max stays at D
@@ -362,7 +386,8 @@ _HARD_CASES = [
     # every leaf sits below both protected hubs
     ("k2n-hubs-protected", _k2n(5, False), (0, 1), 6),
     ("k2n-joined-hubs-protected", _k2n(5, True), (0, 1), 6),
-    # ties across the stays and falls classes
+    # leaves keep the max at D and joined hubs drop it to D-1: ties among
+    # and between them
     ("double-star-even", _double_star(3, 3), (), 8),
     ("double-star-uneven", _double_star(4, 2), (), 8),
     ("double-star-hubs-protected", _double_star(3, 3), (0, 1), 6),
@@ -414,6 +439,19 @@ class TestClosedFormRounds:
         steps = list(iter_greedy_steps(star_graph(2000), (0,), k))
         assert [node for node, _ in steps] == list(range(1, k + 1))
         assert len(pops) <= 2 * k + 2
+
+    def test_pricing_removes_nothing(self, monkeypatch):
+        # the unprotected hub is all of T in every round: pricing it reads
+        # the levels below D instead of removing and undoing it
+        calls = []
+        remove, undo = DegreeTracker.remove, DegreeTracker.undo
+        monkeypatch.setattr(DegreeTracker, "remove",
+                            lambda t, i: calls.append("remove") or remove(t, i))
+        monkeypatch.setattr(DegreeTracker, "undo",
+                            lambda t: calls.append("undo") or undo(t))
+        steps = list(iter_greedy_steps(star_graph(2000), (), 50))
+        assert [node for node, _ in steps] == list(range(1, 51))
+        assert calls == ["remove"] * 50
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
