@@ -21,9 +21,9 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from fragility import (ExperimentConfig, RunManifest, benchmark_runtime,
-                       emit_csv, emit_edge_list, generate_synthetic,
-                       run_curves)
+from fragility import (ExperimentConfig, benchmark_runtime, emit_csv,
+                       emit_edge_list, generate_synthetic, run_curves,
+                       run_manifest, write_manifest)
 from fragility.harness import STRATEGIES
 
 # (nodes, edges) pairs matching the densities of the published case-study
@@ -65,15 +65,15 @@ def run_curve_experiments(cfg: ScriptConfig) -> None:
         graph_path.write_text(emit_edge_list(graph), encoding="utf-8")
         csv_path = cfg.out_dir / f"curve_n{n}.csv"
         emit_csv(points, csv_path)
-        RunManifest(
-            command="scripts/run_experiments.py curves",
-            parameters={"kind": "scale-free", "n": n, "m": m,
-                        "max_fraction": cfg.max_fraction,
-                        "strategies": list(curve_cfg.strategies)},
+        write_manifest(run_manifest(
+            "scripts/run_experiments.py curves",
+            {"kind": "scale-free", "n": n, "m": m,
+             "max_fraction": cfg.max_fraction,
+             "strategies": list(curve_cfg.strategies)},
             graph_path=str(graph_path),
             seed=cfg.seed,
-            outputs=(str(csv_path),),
-        ).write(str(csv_path) + ".manifest.json")
+            outputs=[str(csv_path)],
+        ), str(csv_path) + ".manifest.json")
 
         budget = max(p.nodes_removed for p in points)
         finals = {p.strategy: p for p in points if p.nodes_removed == budget}
@@ -100,12 +100,12 @@ def run_bench_experiment(cfg: ScriptConfig) -> None:
         print(f"  {strategy:12s} total {time.perf_counter() - t0:.2f}s")
     bench_path = cfg.out_dir / f"bench_n{n}.csv"
     bench_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    RunManifest(
-        command="scripts/run_experiments.py bench",
-        parameters={"kind": "scale-free", "n": n, "m": m, "budgets": budgets},
+    write_manifest(run_manifest(
+        "scripts/run_experiments.py bench",
+        {"kind": "scale-free", "n": n, "m": m, "budgets": budgets},
         seed=cfg.seed,
-        outputs=(str(bench_path),),
-    ).write(str(bench_path) + ".manifest.json")
+        outputs=[str(bench_path)],
+    ), str(bench_path) + ".manifest.json")
     print(f"  wrote {bench_path}")
 
 

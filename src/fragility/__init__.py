@@ -24,8 +24,8 @@ _EXPORTS = {
     "harness": ("CSV_HEADER", "CurvePoint", "ExperimentConfig",
                 "InfeasibleDensityError", "ZeroBaselineError", "benchmark_runtime",
                 "emit_csv", "generate_synthetic", "parse_csv", "run_curves"),
-    "io": ("DuplicateEdgeWarning", "EdgeListError", "RunManifest",
-           "emit_edge_list", "parse_edge_list", "parse_no_strike"),
+    "io": ("DuplicateEdgeWarning", "EdgeListError", "emit_edge_list",
+           "parse_edge_list", "parse_no_strike", "run_manifest", "write_manifest"),
     "ip_model": ("FeasibilityReport", "InfeasibleAssignmentError", "IpAssignment",
                  "IpModel", "build_fragility_ip", "canonical_assignment",
                  "check_feasible", "emit_lp", "emit_lp_family",

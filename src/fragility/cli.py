@@ -39,7 +39,8 @@ from pathlib import Path
 
 from .defaults import DEFAULT_WORK_LIMIT, STRATEGIES
 from .graph import fragile, network_degree_centrality
-from .io import RunManifest, emit_edge_list, parse_edge_list, parse_no_strike
+from .io import (emit_edge_list, parse_edge_list, parse_no_strike, run_manifest,
+                 write_manifest)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -333,13 +334,12 @@ def main(argv=None) -> int:
                 "csv output is only available for the curve and bench commands")
         graph, ns = (None, None) if args.command == "synth" else _load_graph(args)
         parameters, lines, payload, outputs = args.handler(args, graph, ns)
-        manifest = RunManifest(
-            command=args.command, parameters=parameters, graph_path=args.graph,
+        manifest = run_manifest(
+            args.command, parameters, graph_path=args.graph,
             no_strike_path=args.no_strike, seed=getattr(args, "seed", None),
-            outputs=tuple(outputs))
+            outputs=outputs)
         if args.format == "json":
-            body = {**payload, "command": args.command,
-                    "manifest": json.loads(manifest.to_json())}
+            body = {**payload, "command": args.command, "manifest": manifest}
             print(json.dumps(body, indent=2, sort_keys=True))
         else:
             for line in lines:
@@ -348,7 +348,7 @@ def main(argv=None) -> int:
         if path is None and outputs:
             path = outputs[0] + ".manifest.json"
         if path:
-            manifest.write(path)
+            write_manifest(manifest, path)
         return 0
     except BrokenPipeError:
         # the reader closed stdout (``| head``), which is not bad input; with

@@ -22,7 +22,7 @@ class Graph:
     """
 
     __slots__ = ("node_count", "edge_count", "adjacency", "degree", "labels",
-                 "max_degree", "_edges", "_label_index")
+                 "max_degree", "_edges")
 
     def __init__(self, node_count: int,
                  edges: Iterable[tuple[int, int]],
@@ -36,12 +36,11 @@ class Graph:
             label_tuple = tuple(labels)
             if len(label_tuple) != node_count:
                 raise ValueError("need exactly one label per node")
-            if any(not lab for lab in label_tuple):
+            if not all(isinstance(lab, str) and lab for lab in label_tuple):
                 raise ValueError("labels must be non-empty strings")
+            if len(set(label_tuple)) != node_count:
+                raise ValueError("labels must be unique")
         self.labels = label_tuple
-        self._label_index = {lab: i for i, lab in enumerate(label_tuple)}
-        if len(self._label_index) != node_count:
-            raise ValueError("labels must be unique")
 
         # Neighbour lists first, then one set per node at a time, so no
         # working set outlives its frozen copy.  Iteration order must be that
@@ -75,12 +74,6 @@ class Graph:
             self._edges = tuple((u, v) for u, adj in enumerate(self.adjacency)
                                 for v in sorted(adj) if u < v)
         return self._edges
-
-    def id_of(self, label: str) -> int:
-        try:
-            return self._label_index[label]
-        except KeyError:
-            raise KeyError(f"unknown node label {label!r}") from None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.node_count}, m={self.edge_count})"

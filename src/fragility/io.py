@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import asdict, dataclass, field
+from collections.abc import Iterable
 from itertools import groupby, islice
 from operator import eq
 
@@ -100,34 +100,28 @@ def emit_edge_list(graph: Graph) -> str:
 
 def parse_no_strike(text: str, graph: Graph) -> frozenset[int]:
     """Parse a no-strike list against an already-loaded graph."""
+    ids = {lab: i for i, lab in enumerate(graph.labels)}
     members: set[int] = set()
     for lineno, parts in _records(text):
         if len(parts) != 1:
             raise EdgeListError(lineno, "expected exactly one label per line")
         label = parts[0]
-        try:
-            members.add(graph.id_of(label))
-        except KeyError:
-            raise EdgeListError(lineno, f"unknown node label {label!r}") from None
+        if label not in ids:
+            raise EdgeListError(lineno, f"unknown node label {label!r}")
+        members.add(ids[label])
     return frozenset(members)
 
 
-@dataclass(frozen=True)
-class RunManifest:
+def run_manifest(command: str, parameters: dict, graph_path: str | None = None,
+                 no_strike_path: str | None = None, seed: int | None = None,
+                 outputs: Iterable[str] = ()) -> dict:
     """Reproducibility record written next to produced outputs."""
+    return {"command": command, "parameters": parameters,
+            "graph_path": graph_path, "no_strike_path": no_strike_path,
+            "seed": seed, "outputs": list(outputs)}
 
-    command: str
-    parameters: dict
-    graph_path: str | None = None
-    no_strike_path: str | None = None
-    seed: int | None = None
-    outputs: tuple[str, ...] = field(default_factory=tuple)
 
-    def to_json(self) -> str:
-        payload = asdict(self)
-        payload["outputs"] = list(self.outputs)
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+def write_manifest(manifest: dict, path) -> None:
+    """Write ``manifest`` as JSON: indent 2, sorted keys, then a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

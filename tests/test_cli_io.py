@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (ORACLE_SPLIT, graph_shape, oracle_graph,
                       oracle_parse_edge_list)
-from fragility import (DuplicateEdgeWarning, EdgeListError, Graph, RunManifest,
+from fragility import (DuplicateEdgeWarning, EdgeListError, Graph,
                        emit_edge_list, generate_synthetic, parse_edge_list,
-                       parse_no_strike)
+                       parse_no_strike, run_manifest, write_manifest)
 from fragility import harness
 from fragility.cli import main
 
@@ -213,21 +213,37 @@ class TestNoStrike:
         with pytest.raises(EdgeListError, match="exactly one"):
             parse_no_strike("a b\n", g)
 
+    def test_graph_built_in_code(self):
+        # labels in an order no edge-list parse would give them
+        g = Graph(4, [(0, 1), (2, 3)], labels=["z", "y", "x", "w"])
+        assert parse_no_strike("w\n# x\ny\n", g) == {3, 1}
+        with pytest.raises(EdgeListError, match="line 3: unknown node label 'a'"):
+            parse_no_strike("x\n\na\n", g)
+
 
 class TestManifest:
-    def test_json_is_deterministic_and_sorted(self):
-        m = RunManifest("greedy", {"k": 2}, "g.txt", None, None, ("out.csv",))
-        a, b = m.to_json(), m.to_json()
-        assert a == b
+    def test_json_is_deterministic_and_sorted(self, tmp_path):
+        m = run_manifest("greedy", {"k": 2}, "g.txt", None, None, ("out.csv",))
+        assert m["outputs"] == ["out.csv"]
+        write_manifest(m, tmp_path / "a.json")
+        write_manifest(m, tmp_path / "b.json")
+        a = (tmp_path / "a.json").read_text(encoding="utf-8")
+        assert a == (tmp_path / "b.json").read_text(encoding="utf-8")
+        assert a == json.dumps(m, indent=2, sort_keys=True) + "\n"
         payload = json.loads(a)
         assert list(payload) == sorted(payload)
         assert payload["command"] == "greedy"
         assert payload["outputs"] == ["out.csv"]
 
+    def test_defaults(self):
+        assert run_manifest("synth", {"n": 5}) == {
+            "command": "synth", "parameters": {"n": 5}, "graph_path": None,
+            "no_strike_path": None, "seed": None, "outputs": []}
+
     def test_write(self, tmp_path):
-        m = RunManifest("synth", {"n": 5}, seed=3)
+        m = run_manifest("synth", {"n": 5}, seed=3)
         dest = tmp_path / "run.manifest.json"
-        m.write(dest)
+        write_manifest(m, dest)
         assert json.loads(dest.read_text())["seed"] == 3
 
 

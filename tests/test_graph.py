@@ -70,6 +70,8 @@ class TestConstruction:
             Graph(3, [], labels=("a",))
         with pytest.raises(ValueError, match="non-empty"):
             Graph(2, [], labels=("a", ""))
+        with pytest.raises(ValueError, match="non-empty strings"):
+            Graph(2, [(0, 1)], labels=[1, 2])
         with pytest.raises(ValueError, match="unique"):
             Graph(2, [], labels=("a", "a"))
 
