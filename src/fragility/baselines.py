@@ -80,8 +80,7 @@ def _reach_sums(graph: Graph) -> list[tuple[int, int]]:
     stops growing holds v's whole component, so v leaves the loop, and its
     ball stays correct at every later level its neighbours read it.
     """
-    n = graph.node_count
-    adj = tuple(map(tuple, graph.adjacency))  # same order as the frozensets, iterated faster
+    n, adj = graph.node_count, graph.adjacency
     ball = [1 << v for v in range(n)]
     r = [0] * n
     s = [0] * n
@@ -173,8 +172,7 @@ def _sweep(per_source: Callable, graph: Graph) -> Iterator:
     the adjacency once, at fork.  The sweep runs in-process instead when
     :func:`_pool_size` allows one worker.
     """
-    n = graph.node_count
-    adj = tuple(map(tuple, graph.adjacency))  # same order as the frozensets, iterated faster
+    n, adj = graph.node_count, graph.adjacency
     workers = _pool_size(n * graph.edge_count)
     if workers == 1:
         for s in range(n):

@@ -18,7 +18,8 @@ class Graph:
 
     Nodes are ``0 .. node_count - 1``.  Each node carries an external string
     label (defaulting to its id).  Self-loops and parallel edges are rejected
-    at construction.
+    at construction.  ``adjacency[i]`` is a tuple of i's neighbour ids, so
+    ``j in adjacency[i]`` works but costs O(deg i).
     """
 
     __slots__ = ("node_count", "edge_count", "adjacency", "degree", "labels",
@@ -43,10 +44,11 @@ class Graph:
         self.labels = label_tuple
 
         # Neighbour lists first, then one set per node at a time, so no
-        # working set outlives its frozen copy.  Iteration order must be that
-        # of adding each neighbour in input order (rankings sum floats in
-        # it): ``set(nb)`` adds in list order and ``frozenset`` copies that
-        # layout, while ``frozenset(nb)`` sizes its table differently.
+        # working set outlives its tuple.  The tuple keeps the order of a set
+        # grown by adding each neighbour in input order and then frozen,
+        # which the rankings sum floats in: ``frozenset`` re-sizes the table
+        # of ``set(nb)``, so ``tuple(set(nb))`` and ``frozenset(nb)`` would
+        # each give another order.
         adjacency: list = [[] for _ in range(node_count)]
         for u, v in edges:
             if not (0 <= u < node_count and 0 <= v < node_count):
@@ -61,7 +63,7 @@ class Graph:
                 # u is the lowest node with a repeat, so each repeat is above it
                 v = min(v for v, c in Counter(nb).items() if c > 1)
                 raise ValueError(f"duplicate edge {(u, v)}")
-            adjacency[u] = frozenset(a)
+            adjacency[u] = tuple(frozenset(a))
         self.adjacency = tuple(adjacency)
         self.degree = tuple(map(len, adjacency))
         self.edge_count = sum(self.degree) // 2

@@ -11,11 +11,13 @@ Node ids are assigned densely in first-appearance order.  Duplicate edges
 collapse to one with a warning; self-loops are an error.  The no-strike
 format is one label per line with the same comment and split rules.
 
-The parser packs each edge into one integer, ``low << 32 | high``, sorts the
-integers once and streams them, repeats dropped, to ``Graph``, whose
-constructor is the one adjacency build.  Sorted input fixes the order in
-which each node's neighbours are inserted, and so the iteration order of
-``Graph.adjacency`` that the rankings sum floats in.
+The parser reads the text in blocks of about 64 KiB, each cut just past a
+newline, so it never holds the list of all lines.  It packs each edge into
+one integer, ``low << 32 | high``, sorts the integers once and streams them,
+repeats dropped, to ``Graph``, whose constructor is the one adjacency build
+and keeps each node's neighbours as a tuple.  Sorted input fixes the order
+in which each node's neighbours are inserted, and so the order of the
+``Graph.adjacency`` tuples that the rankings sum floats in.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from operator import eq
 from .graph import Graph
 
 _LABEL_SAFE = re.compile(r"^[^,\s#]+$")
+_BLOCK = 1 << 16  # characters of text split into lines at a time
 
 
 class EdgeListError(ValueError):
@@ -46,11 +49,20 @@ class DuplicateEdgeWarning(UserWarning):
 
 def _records(text: str):
     """Line number and labels of each record: the body before any ``#``,
-    split on runs of commas and whitespace."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            yield lineno, body.replace(",", " ").split()
+    split on runs of commas and whitespace.
+
+    The text is split into lines one block at a time, each block ending
+    just past a ``"\\n"``, so no line or ``"\\r\\n"`` is cut and the lines of
+    the whole text are never held at once.
+    """
+    lineno = start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        for lineno, raw in enumerate(text[start:end].splitlines(), lineno + 1):
+            body = raw.split("#", 1)[0].strip()
+            if body:
+                yield lineno, body.replace(",", " ").split()
+        start = end
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -119,10 +119,11 @@ def _best_removal(tracker: DegreeTracker,
     is all of T.  Removing i moves only its neighbours, each one level
     down, so its new max is L-1 when at most d other alive nodes sit at L
     and all of them are i's neighbours, and L otherwise.  Pricing only
-    reads the tracker: O(min(d, nodes at L)) an entry, plus one walk down
-    the empty levels a round, for the one entry that is all of T.  Over the
-    round's shared denominator ``(n2-1)(n2-2)`` the value's integer
-    numerator is ``n2*D' - 2*(m - d_i)``.  Below about 4e7 nodes distinct
+    reads the tracker: O(d) an entry, to count i's neighbours at L when at
+    most d others sit there, plus one walk down the empty levels a round,
+    for the one entry that is all of T.  Over the round's shared
+    denominator ``(n2-1)(n2-2)`` the value's integer numerator is
+    ``n2*D' - 2*(m - d_i)``.  Below about 4e7 nodes distinct
     numerators give distinct float gains, so the largest key ``(numerator,
     -i)`` is the node that comparing float gains in id order would pick.
     ``heap`` holds ``(-deg, id)`` for every alive candidate, plus stale
@@ -156,7 +157,8 @@ def _best_removal(tracker: DegreeTracker,
             while not level[after]:
                 after -= 1
             others = len(level[after])
-        if d >= others and all(t == i or t in adjacency[i] for t in level[after]):
+        # i is not its own neighbour, so this counts the others at L it touches
+        if d >= others and len(level[after].intersection(adjacency[i])) == others:
             after -= 1
         best = max(best, (n2 * after - 2 * (m - d), -i))
         if after == cap:
@@ -179,9 +181,9 @@ def iter_greedy_steps(graph: Graph, no_strike: Collection[int] | None,
     A round scans a degree heap from the top, pricing each entry exactly
     until no later entry's bound can beat the best (see
     :func:`_best_removal`), which only reads the tracker.  It costs
-    O(log N + min(d, nodes at L)) for each priced entry of degree d, plus
-    one walk down the empty degree levels and O(d log N) to remove a
-    degree-d node, instead of pricing every node in O(N + M).
+    O(log N + d) for each priced entry of degree d, plus one walk down the
+    empty degree levels and O(d log N) to remove a degree-d node, instead
+    of pricing every node in O(N + M).
     """
     if k < 0:
         raise ValueError("budget k must be non-negative")

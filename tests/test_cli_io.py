@@ -20,6 +20,7 @@ from fragility import (DuplicateEdgeWarning, EdgeListError, Graph,
                        parse_no_strike, run_manifest, write_manifest)
 from fragility import harness
 from fragility.cli import main
+from fragility.io import _BLOCK, _records
 
 
 # ----- edge-list parsing ---------------------------------------------------
@@ -108,21 +109,55 @@ def _messy_scale_free_text(seed: int) -> str:
 
 
 class TestParseMemory:
-    def test_peak_stays_near_the_graph_it_keeps(self):
-        # neighbour lists become sets one node at a time and edges stream to
-        # Graph as packed integers, so the load never holds the working sets
-        # beside their frozen copies (the set-by-add build peaked at 2.4x)
+    def test_peak_stays_below_one_frozenset_per_node(self):
+        # neighbour tuples are built one node at a time, edges stream to Graph
+        # as packed integers and the text is split into lines block by block,
+        # so the whole load peaks below what one frozenset per node would hold
         text = emit_edge_list(generate_synthetic("scale-free", 5000, 24450, seed=7))
         tracemalloc.start()
         try:
             g = parse_edge_list(text)
             retained, peak = tracemalloc.get_traced_memory()
+            frozen = [frozenset(a) for a in g.adjacency]
+            frozen_size = tracemalloc.get_traced_memory()[0] - retained
         finally:
             tracemalloc.stop()
         assert g.edge_count == 24450
-        assert peak <= 1.5 * retained
+        assert all(type(a) is tuple for a in g.adjacency)
+        assert peak < frozen_size, (peak, frozen_size, len(frozen))
         # every adjacency entry is one of the parser's own id objects
         assert len({id(v) for a in g.adjacency for v in a}) <= g.node_count
+
+
+def _block_edge_text(sep: str, at: int) -> str:
+    """30,000 records ending in turn with ``"\\n"``, ``"\\r\\n"`` and
+    ``"\\x1c"``, with commas and comments mixed in; the first record is
+    padded so that the last ``sep`` starting at or before ``at`` starts at
+    ``at``."""
+    ends = ["\n", "\r\n", "\x1c"]
+    text = "".join(f"{i},{i + 1}" + (" # c" if i % 7 == 0 else "") + ends[i % 3]
+                   for i in range(30000))
+    j = text.rindex(sep, 0, at + 1)
+    return text[:3] + " " * (at - j) + text[3:]
+
+
+class TestRecordBlocks:
+    @pytest.mark.parametrize("sep, at", [("\r\n", _BLOCK - 1), ("\r\n", _BLOCK),
+                                         ("\x1c", _BLOCK), ("\x1c", _BLOCK - 1)])
+    def test_block_edges_cut_no_line(self, sep, at):
+        text = _block_edge_text(sep, at)
+        assert len(text) > 200 * 1024 and text.startswith(sep, at)
+        per_line = [(n, body.replace(",", " ").split())
+                    for n, raw in enumerate(text.splitlines(), start=1)
+                    if (body := raw.split("#", 1)[0].strip())]
+        assert list(_records(text)) == per_line
+        assert per_line[-1][0] == 30000
+
+    def test_bad_record_reports_its_line(self):
+        lines = _block_edge_text("\r\n", _BLOCK - 1).splitlines(keepends=True)
+        lines[29999] = "a b c\n"
+        with pytest.raises(EdgeListError, match=r"^line 30000: expected 1 or 2"):
+            parse_edge_list("".join(lines))
 
 
 # bodies built from labels that include non-ASCII letters and a byte-order

@@ -408,17 +408,26 @@ _HARD_CASES = [
     ("k-beyond-pool", _disjoint(star_graph(3), path_graph(4)), (0, 5), 50),
 ]
 
+# greedy only: too large for the exhaustive oracle of the branch and bound
+_LARGE_CASES = [
+    ("star2000", star_graph(2000), (), 60),
+    ("k2n2000-hubs-protected", _k2n(2000, False), (0, 1), 60),
+    ("complete30", complete_graph(30), (), 30),
+]
+
 
 class TestClosedFormRounds:
     @pytest.mark.parametrize("graph, no_strike, k",
-                             [case[1:] for case in _HARD_CASES],
-                             ids=[case[0] for case in _HARD_CASES])
+                             [case[1:] for case in _HARD_CASES + _LARGE_CASES],
+                             ids=[case[0] for case in _HARD_CASES + _LARGE_CASES])
     def test_hard_cases_match_oracle(self, graph, no_strike, k):
+        assert all(type(a) is tuple for a in graph.adjacency)
         assert (list(iter_greedy_steps(graph, no_strike, k))
                 == oracle_greedy_steps(graph, no_strike, k))
 
     @pytest.mark.parametrize("n, m, seed, protected, k", [
         (1133, 5541, 0, 20, 113),
+        (1133, 5541, 0, 0, 113),
         (1133, 5541, 1, 0, 113),
         (5000, 24450, 0, 20, 40),
     ])
