@@ -233,9 +233,11 @@ def _cmd_emit_ip(args, graph, ns):
         out_dir = Path(args.out_dir or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = []
-        for i, text in emit_lp_family(model):
+        for i, parts in emit_lp_family(model):
             path = out_dir / f"{args.prefix}_i{i}.lp"
-            path.write_text(text, encoding="utf-8")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(parts)
+            del parts  # free this model's head before the next is rendered
             outputs.append(str(path))
         return ({**parameters, "all_i": True}, [f"wrote {p}" for p in outputs],
                 {"models": outputs}, outputs)

@@ -40,13 +40,14 @@ with the constant denominator folded into the coefficients, and tightens the
 budget row to ``sum X <= i``.  Only linearized models can be exported.
 
 :func:`emit_lp` writes one linearized model; :func:`emit_lp_family` yields
-the whole family ``i = 1..k``.  Only the header comments, the objective and
+the whole family ``i = 1..k``, each model as a tuple of text parts to be
+written one after another.  Only the header comments, the objective and
 the c3 row change with ``i``, so the family renders the rest (rows c4..c11,
-Bounds, Binary) once and shares that body among its models.  Both use the
-same renderers, which build every variable name once per family.  The
-per-edge rows c5..c9 come from ``_EDGE_ROWS``, the table ``IpModel._iter_rows``
-also reads; the renderer fills one line template per family and wraps only
-rows longer than a line.
+Bounds, Binary) once, in sections, and shares those strings among its
+models.  Both use the same renderers, which build every variable name once
+per family.  The per-edge rows c5..c9 come from ``_EDGE_ROWS``, the table
+``IpModel._iter_rows`` also reads; the renderer fills one line template per
+family and wraps only rows longer than a line.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ import functools
 import re
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .graph import Graph, _centralization, _node_set
 
@@ -392,21 +394,24 @@ def _tokens(terms: Iterable[tuple[float, str]], sense: str, rhs: float) -> list[
     return tokens
 
 
-def _wrap(prefix: str, tokens: list[str]) -> str:
+def _wrap(prefix: str, tokens: Iterable[str]) -> str:
     """``prefix`` and ``tokens`` in lines of at most ``_WIDTH`` columns.  A
     line takes its first token whatever its length, then every next token
-    that fits; later lines start with three spaces."""
-    out = [prefix]
+    that fits; later lines start with three spaces.  Each line is joined
+    as soon as it is full, so no list of all tokens is built."""
+    lines = []
+    line = [prefix]
     size = len(prefix)
     for tok in tokens:
         size += len(tok) + 1
-        if size > _WIDTH and len(out) > 1:
-            out.append("\n   ")
+        if size > _WIDTH and len(line) > 1:
+            lines.append(" ".join(line))
+            line = ["  ", tok]  # joined, a three-space indent
             size = len(tok) + 3
         else:
-            out.append(" ")
-        out.append(tok)
-    return "".join(out)
+            line.append(tok)
+    lines.append(" ".join(line))
+    return "\n".join(lines)
 
 
 def _row_text(row: Row) -> str:
@@ -430,49 +435,56 @@ def _render_head(model: IpModel, names: _Names) -> str:
                      "objective left unscaled")
     q_coef = (n - i) * scale if scale is not None else float(n - i)
     y_coef = -2.0 * scale if scale is not None else -2.0
-    tokens: list[str] = []
-    for coef, group in zip((q_coef, y_coef), names.objective):
-        if coef:
-            tokens += map(_sign(coef).__add__, group)
-    if tokens:
-        tokens[0] = tokens[0].removeprefix("+ ")
+    tokens = chain.from_iterable(
+        map(_sign(coef).__add__, group)
+        for coef, group in zip((q_coef, y_coef), names.objective) if coef)
+    first = next(tokens, None)
     lines.append("Maximize")
-    lines.append(_wrap(" obj:", tokens or ["0"]))
+    lines.append(_wrap(" obj:", ["0"] if first is None else
+                       chain([first.removeprefix("+ ")], tokens)))
     lines.append("Subject To")
     (c3, _), _ = model._node_rows(names)
     lines.append(_row_text(c3))
     return "\n".join(lines) + "\n"
 
 
-def _render_body(model: IpModel, names: _Names) -> str:
+def _render_body(model: IpModel, names: _Names) -> tuple[str, ...]:
     """Every row after c3, then Bounds, Binary and End: the same text at
-    every removal count.  Each per-edge family is one line template; only
-    a row longer than a line is wrapped, token by token."""
+    every removal count.  It comes in sections, each joined from its own
+    lines: c4, one per family c5..c9, the c11 rows with the node domains,
+    the per-edge binaries, and End.  Each per-edge family is one line
+    template; only a row longer than a line is wrapped, token by token."""
     (_, c4), c11 = model._node_rows(names)
-    lines = [_row_text(c4)]
+    sections = [_row_text(c4) + "\n"]
     for fam, terms, sense, rhs in _EDGE_ROWS:
         tokens = _tokens([(c, f"{p}{{{k}}}") for c, p, k in terms], sense, rhs)
-        line = f" {fam}_{{0}}: {' '.join(tokens)}".format
+        line = f" {fam}_{{0}}: {' '.join(tokens)}\n".format
+        lines = []
         for args in names.edges:
             text = line(*args)
-            if len(text) > _WIDTH:
-                text = _wrap(f" {fam}_{args[0]}:", [t.format(*args) for t in tokens])
+            if len(text) > _WIDTH + 1:
+                text = _wrap(f" {fam}_{args[0]}:",
+                             [t.format(*args) for t in tokens]) + "\n"
             lines.append(text)
-    lines.extend(map(_row_text, c11))
+        sections.append("".join(lines))
+    lines = list(map(_row_text, c11))
     domains = model.domains()
     unit_vars = [d.var for d in domains if d.kind == "unit"]
     if unit_vars:
         lines.append("Bounds")
         lines.extend(f" 0 <= {name} <= 1" for name in unit_vars)
     rank = {name: pos for pos, name in enumerate(names.x + names.z)}
-    binary = [f" {name}" for name in sorted(
-        (d.var for d in domains if d.kind == "binary"), key=rank.__getitem__)]
-    binary += [f" Y_{ab}\n Qf_{ab}\n Qb_{ab}" for ab, _, _ in names.edges]
-    if binary:
+    binary = sorted((d.var for d in domains if d.kind == "binary"),
+                    key=rank.__getitem__)
+    if binary or names.edges:
         lines.append("Binary")
-        lines += binary
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+        lines.extend(f" {name}" for name in binary)
+    lines.append("")
+    sections.append("\n".join(lines))
+    sections.append("".join(f" Y_{ab}\n Qf_{ab}\n Qb_{ab}\n"
+                            for ab, _, _ in names.edges))
+    sections.append("End\n")
+    return tuple(sections)
 
 
 def emit_lp(model: IpModel) -> str:
@@ -486,17 +498,20 @@ def emit_lp(model: IpModel) -> str:
             "model objective is fractional; call linearize(model, i) for each "
             "removal count i in 1..k and emit those models instead")
     names = _Names(model)
-    return _render_head(model, names) + _render_body(model, names)
+    return "".join((_render_head(model, names), *_render_body(model, names)))
 
 
-def emit_lp_family(model: IpModel) -> Iterator[tuple[int, str]]:
-    """Yield ``(i, emit_lp(linearize(model, i)))`` for ``i = 1..model.k``.
+def emit_lp_family(model: IpModel) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Yield ``(i, parts)`` for ``i = 1..model.k``, where ``"".join(parts)``
+    is ``emit_lp(linearize(model, i))``.
 
-    The shared body is rendered once, when the first model is requested;
-    each model then costs only its head, and is yielded before the next
-    one is rendered.
+    ``parts`` is the model's head followed by the shared body's sections.
+    The body is rendered once, when the first model is requested, and every
+    model's parts hold those same strings; each model then costs only its
+    head, and is yielded before the next one is rendered.  Writing the parts
+    one by one (``fh.writelines(parts)``) never builds a model-sized string.
     """
     names = _Names(model)
     body = _render_body(model, names)
     for i in range(1, model.k + 1):
-        yield i, _render_head(linearize(model, i), names) + body
+        yield i, (_render_head(linearize(model, i), names), *body)

@@ -587,6 +587,45 @@ class TestCliEmitIp:
         assert main(["emit-ip", "--graph", str(graph_file), "--k", "2",
                      "--linearize-i", "5"]) == 1
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("where", [["--out-dir", "taken"], ["--prefix", "a/b"]])
+    def test_unwritable_model_path_is_one_error_line(self, graph_file, tmp_path,
+                                                     monkeypatch, where, fmt,
+                                                     capsys):
+        # --out-dir names an existing file, or --prefix points into a
+        # directory that does not exist
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("")
+        assert main(["emit-ip", "--graph", str(graph_file), "--k", "2", "--all-i",
+                     *where, "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.lp"))
+
+    def test_all_i_peak_memory_stays_below_four_models(self, tmp_path):
+        # each model is written part by part, and the parts of its shared
+        # body are rendered once; whole-model strings and their encoded
+        # copies took the peak to 4.6 models
+        graph = tmp_path / "g.txt"
+        graph.write_text(emit_edge_list(
+            generate_synthetic("scale-free", 1133, 5541, seed=1)), encoding="utf-8")
+        argv = ["emit-ip", "--graph", str(graph), "--k", "10", "--all-i",
+                "--out-dir", str(tmp_path / "lp")]
+        import fragility.ip_model  # noqa: F401  (loaded before tracing starts)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        model_size = (tmp_path / "lp" / "model_i1.lp").stat().st_size
+        assert model_size > 1_900_000
+        assert peak < 4 * model_size, (peak, model_size)
+
 
 class TestCliSynth:
     def test_synth_stdout_round_trip(self, capsys):

@@ -16,7 +16,7 @@ from fragility import (Graph, InfeasibleAssignmentError, IpAssignment,
                        path_graph, relax_bounds, star_graph)
 from fragility import ip_model
 
-from conftest import oracle_emit_lp, random_graph_edges
+from conftest import _oracle_wrap, oracle_emit_lp, random_graph_edges
 
 
 GOLDEN_SINGLE_EDGE_LP = """\
@@ -475,15 +475,47 @@ class TestEmitLp:
         assert " c11_4: X_4 = 0" in text
 
 
+# a line of exactly 72 columns, then a continuation line of exactly 72, then
+# one that wraps; and a token longer than a whole line, alone on its lines
+_WRAP_ON_THE_LIMIT = (" obj:", ["a" * 66, "b" * 69, "c"])
+_WRAP_LONG_TOKEN = (" c4:", ["x" * 80, "y", "z" * 75, "w"])
+_WRAP_TOKEN = st.text(st.characters(min_codepoint=33, max_codepoint=126),
+                      min_size=1, max_size=80)
+
+
+class TestWrap:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([" obj:", " c3:", f" c11_{'n' * 64}:"]),
+           st.lists(_WRAP_TOKEN, max_size=40))
+    @example(*_WRAP_ON_THE_LIMIT)
+    @example(*_WRAP_LONG_TOKEN)
+    @example(" obj:", [])
+    def test_generator_input_matches_oracle(self, prefix, tokens):
+        assert (ip_model._wrap(prefix, (t for t in tokens))
+                == "\n".join(_oracle_wrap(prefix, tokens)))
+
+    def test_examples_sit_on_the_limit(self):
+        lines = ip_model._wrap(*_WRAP_ON_THE_LIMIT).split("\n")
+        assert [len(line) for line in lines] == [72, 72, 4]
+        lines = ip_model._wrap(*_WRAP_LONG_TOKEN).split("\n")
+        assert lines == [" c4: " + "x" * 80, "   y", "   " + "z" * 75, "   w"]
+
+
 # ----- the LP family ------------------------------------------------------
 
 def _assert_family_matches(model):
+    """Each model of the family, its parts joined, against ``emit_lp`` and
+    the oracle; returns the ``(i, text)`` pairs."""
     family = list(emit_lp_family(model))
+    texts = [(i, "".join(parts)) for i, parts in family]
     per_i = [(i, emit_lp(linearize(model, i))) for i in range(1, model.k + 1)]
-    assert family == per_i
-    assert [text for _, text in family] == [
+    assert texts == per_i
+    assert [text for _, text in texts] == [
         oracle_emit_lp(linearize(model, i)) for i in range(1, model.k + 1)]
-    return family
+    # the body is rendered once: every model holds the first model's strings
+    for _, parts in family:
+        assert all(p is q for p, q in zip(parts[1:], family[0][1][1:], strict=True))
+    return texts
 
 
 # label stems: empty, short, or long enough that per-edge and c11 rows wrap;
