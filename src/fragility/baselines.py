@@ -244,7 +244,8 @@ def betweenness_scores(graph: Graph) -> list[float]:
     Unweighted accumulation over breadth-first shortest-path DAGs; the
     undirected double count is halved at the end.  No further normalization.
     Each node's dependencies are added in source order, so the sum does not
-    depend on how the sources are spread over workers.
+    depend on how the sources are spread over workers, nor, as each BFS
+    walks the ascending ``Graph.adjacency``, on the order of the edges given.
     """
     bet = [0.0] * graph.node_count
     for delta in _sweep(_dependencies, graph):

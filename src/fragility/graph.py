@@ -9,8 +9,9 @@ vanishes there.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Collection, Iterable
+from itertools import compress, islice
+from operator import eq
 
 
 class Graph:
@@ -18,12 +19,13 @@ class Graph:
 
     Nodes are ``0 .. node_count - 1``.  Each node carries an external string
     label (defaulting to its id).  Self-loops and parallel edges are rejected
-    at construction.  ``adjacency[i]`` is a tuple of i's neighbour ids, so
+    at construction.  ``adjacency[i]`` is the tuple of i's neighbour ids in
+    ascending order, whatever the order of the edges given, so
     ``j in adjacency[i]`` works but costs O(deg i).
     """
 
     __slots__ = ("node_count", "edge_count", "adjacency", "degree", "labels",
-                 "max_degree", "_edges")
+                 "max_degree")
 
     def __init__(self, node_count: int,
                  edges: Iterable[tuple[int, int]],
@@ -43,12 +45,6 @@ class Graph:
                 raise ValueError("labels must be unique")
         self.labels = label_tuple
 
-        # Neighbour lists first, then one set per node at a time, so no
-        # working set outlives its tuple.  The tuple keeps the order of a set
-        # grown by adding each neighbour in input order and then frozen,
-        # which the rankings sum floats in: ``frozenset`` re-sizes the table
-        # of ``set(nb)``, so ``tuple(set(nb))`` and ``frozenset(nb)`` would
-        # each give another order.
         adjacency: list = [[] for _ in range(node_count)]
         for u, v in edges:
             if not (0 <= u < node_count and 0 <= v < node_count):
@@ -58,24 +54,21 @@ class Graph:
             adjacency[u].append(v)
             adjacency[v].append(u)
         for u, nb in enumerate(adjacency):
-            a = set(nb)
-            if len(a) != len(nb):
-                # u is the lowest node with a repeat, so each repeat is above it
-                v = min(v for v, c in Counter(nb).items() if c > 1)
+            nb.sort()
+            # u is the lowest node with a repeat, so each repeat is above it
+            v = next(compress(nb, map(eq, nb, islice(nb, 1, None))), None)
+            if v is not None:
                 raise ValueError(f"duplicate edge {(u, v)}")
-            adjacency[u] = tuple(frozenset(a))
+            adjacency[u] = tuple(nb)
         self.adjacency = tuple(adjacency)
         self.degree = tuple(map(len, adjacency))
         self.edge_count = sum(self.degree) // 2
         self.max_degree = max(self.degree, default=0)
-        self._edges: tuple[tuple[int, int], ...] | None = None
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """All edges as (u, v) pairs with u < v, sorted; built on first call."""
-        if self._edges is None:
-            self._edges = tuple((u, v) for u, adj in enumerate(self.adjacency)
-                                for v in sorted(adj) if u < v)
-        return self._edges
+        """All edges as (u, v) pairs with u < v, sorted."""
+        return tuple((u, v) for u, adj in enumerate(self.adjacency)
+                     for v in adj if u < v)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.node_count}, m={self.edge_count})"

@@ -292,7 +292,7 @@ def _uniform_random(n: int, m_target: int | None, rng: random.Random) -> Graph:
         if u == v:
             continue
         chosen.add((u, v) if u < v else (v, u))
-    return Graph(n, sorted(chosen))
+    return Graph(n, chosen)
 
 
 def _star_of_stars(n: int, m_target: int | None) -> Graph:

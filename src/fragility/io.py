@@ -14,10 +14,7 @@ format is one label per line with the same comment and split rules.
 The parser reads the text in blocks of about 64 KiB, each cut just past a
 newline, so it never holds the list of all lines.  It packs each edge into
 one integer, ``low << 32 | high``, sorts the integers once and streams them,
-repeats dropped, to ``Graph``, whose constructor is the one adjacency build
-and keeps each node's neighbours as a tuple.  Sorted input fixes the order
-in which each node's neighbours are inserted, and so the order of the
-``Graph.adjacency`` tuples that the rankings sum floats in.
+repeats dropped, to ``Graph``, whose constructor is the one adjacency build.
 """
 
 from __future__ import annotations

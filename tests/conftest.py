@@ -20,9 +20,9 @@ run; they read ``Graph.adjacency`` in the library's order, so the fast passes
 must equal them float for float.  ``oracle_parse_edge_list`` is the parser
 that split every record with a regex and deduplicated through a set of
 tuples, the reference for the one-pass ``parse_edge_list``.
-``oracle_graph`` is the adjacency build ``Graph`` used to run, every edge
-checked and added to two growing sets that are frozen at the end, the
-reference for the list-then-set build and its iteration order.
+``oracle_graph`` checks every edge and adds it to two growing sets, which
+it sorts at the end, the reference for the list-then-sort build of
+``Graph`` and its ascending neighbour tuples.
 """
 
 from __future__ import annotations
@@ -373,7 +373,7 @@ def oracle_parse_edge_list(text: str) -> Graph:
 
 
 def oracle_graph(n: int, edges) -> tuple:
-    """Adjacency (each node's neighbours in iteration order), degree, edge
+    """Adjacency (each node's neighbours in ascending order), degree, edge
     count and max degree from adding every edge to two growing sets."""
     adjacency: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
@@ -385,9 +385,8 @@ def oracle_graph(n: int, edges) -> tuple:
             raise ValueError(f"duplicate edge {(u, v) if u < v else (v, u)}")
         adjacency[u].add(v)
         adjacency[v].add(u)
-    frozen = [frozenset(a) for a in adjacency]
-    degree = tuple(len(a) for a in frozen)
-    return ([tuple(a) for a in frozen], degree, sum(degree) // 2,
+    degree = tuple(len(a) for a in adjacency)
+    return ([tuple(sorted(a)) for a in adjacency], degree, sum(degree) // 2,
             max(degree, default=0))
 
 

@@ -181,8 +181,8 @@ class TestParserMatchesOracle:
         assert new == _outcome(oracle_parse_edge_list, text)
         assert len(new[0]) == 3040 and new[3] == 14670
         assert "collapsed 1000 duplicate" in new[-1][0][1]
-        # the parser hands Graph the ascending deduplicated pairs, which the
-        # set-by-add build must turn into the same adjacency order
+        # the parser hands Graph the ascending deduplicated pairs, which must
+        # give each node's neighbours in ascending order, as the oracle does
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DuplicateEdgeWarning)
             g = parse_edge_list(text)

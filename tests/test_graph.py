@@ -11,9 +11,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from fragility import (Graph, betweenness_ranking, build_fragility_ip,
-                       canonical_assignment, closeness_ranking, complete_graph,
-                       cycle_graph, degree_ranking, exact_opt, fragile,
+from fragility import (Graph, betweenness_ranking, betweenness_scores,
+                       build_fragility_ip, canonical_assignment,
+                       closeness_ranking, complete_graph, cycle_graph,
+                       degree_ranking, exact_opt, fragile,
                        fragility_decision, greedy_fragile, induced_subgraph,
                        generate_synthetic, marginal_gain,
                        network_degree_centrality, path_graph, star_graph)
@@ -90,7 +91,7 @@ class TestConstruction:
                            for u, v in rng.sample(edges, len(edges))]
             g = Graph(n, given_order)
             assert g.edges() == tuple(sorted(edges))
-            assert g.edges() is g.edges()  # built once, then cached
+            assert all(x < y for a in g.adjacency for x, y in zip(a, a[1:]))
             assert g.edge_count == len(edges)
 
     def test_empty_graph(self):
@@ -133,8 +134,9 @@ def graph_inputs(monkeypatch):
 
 
 class TestBuildMatchesOracle:
-    """The list-then-set build against the set-by-add build it replaced:
-    equal in adjacency iteration order, degree, edge count and max degree."""
+    """The list-then-sort build against sets grown one edge at a time and
+    sorted at the end: equal in adjacency (each node's neighbours ascending),
+    degree, edge count and max degree."""
 
     @pytest.mark.parametrize("form", ["sorted", "shuffled", "reversed", "generator"])
     def test_edge_list_forms(self, form):
@@ -199,13 +201,29 @@ class TestBuildMatchesOracle:
 
     def test_range_and_self_loop_win_over_an_earlier_duplicate(self):
         # every edge is range- and loop-checked before any repeat is looked
-        # for; the set-by-add build stopped at whichever came first
+        # for; the oracle, adding one edge at a time, stops at whichever
+        # comes first
         with pytest.raises(ValueError, match="duplicate edge"):
             oracle_graph(3, [(0, 1), (1, 0), (0, 3)])
         with pytest.raises(ValueError, match="unknown node id"):
             Graph(3, [(0, 1), (1, 0), (0, 3)])
         with pytest.raises(ValueError, match="^self-loop at node 2$"):
             Graph(3, [(0, 1), (1, 0), (2, 2)])
+
+
+def test_edge_order_does_not_change_adjacency_or_betweenness():
+    # the same graph from its sorted edges, a shuffle of them, and the
+    # reversed list with each pair flipped: the neighbour tuples, and so
+    # every betweenness float summed along them, are the same
+    edges = list(generate_synthetic("scale-free", 500, 2000, seed=0).edges())
+    shuffled = random.Random(0x5EED).sample(edges, len(edges))
+    flipped = [(v, u) for u, v in reversed(edges)]
+    first, *others = [Graph(500, e) for e in (edges, shuffled, flipped)]
+    scores = betweenness_scores(first)
+    for g in others:
+        assert g.adjacency == first.adjacency
+        assert g.edges() == first.edges()
+        assert betweenness_scores(g) == scores
 
 
 # ----- centralization examples (hand-frozen values) ------------------------
