@@ -7,8 +7,8 @@ protected (no-strike) set and never exceeding the removal budget ``k``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Collection, Iterator
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import comb
 
@@ -22,18 +22,17 @@ class WorkLimitExceeded(RuntimeError):
     exit_status = 2  # the ``fragility`` command's code for this error
 
 
-@dataclass(frozen=True)
-class RemovalSolution:
+class RemovalSolution(namedtuple("RemovalSolution",
+                                  ("removed", "trace", "final_fragility"))):
     """Ordered removal set plus the fragility after each step.
 
     ``trace[0]`` is the fragility of the untouched graph; ``trace[j]`` the
     fragility after the first ``j`` removals, so ``len(trace) == len(removed)
-    + 1`` and ``final_fragility == trace[-1]``.
+    + 1`` and ``final_fragility == trace[-1]``.  A named tuple, so loading
+    the solvers does not load ``dataclasses``.
     """
 
-    removed: tuple[int, ...]
-    trace: tuple[float, ...]
-    final_fragility: float
+    __slots__ = ()
 
 
 class DegreeTracker:
@@ -254,8 +253,8 @@ def _exact_pool(graph: Graph, no_strike: Collection[int] | None, k: int,
     return pool, k
 
 
-def _search(graph: Graph, pool: list[int], k: int,
-            above: float | None = None) -> tuple[int, ...] | None:
+def _search(graph: Graph, pool: list[int], k: int, above: float | None = None,
+            floor: float = 0.0) -> tuple[int, ...] | None:
     """Depth-first branch and bound over removal tuples of at most ``k`` ids.
 
     Tuples are ascending ids from ``pool``, visited in preorder, so tuples
@@ -274,7 +273,11 @@ def _search(graph: Graph, pool: list[int], k: int,
     quotient and rounding is monotone, so no descendant's float value
     exceeds it.  A subtree is skipped when that float bound is below the
     incumbent, or equal to it with no descendant larger than the incumbent
-    tuple; the decision skips it when the bound is at most ``above``.
+    tuple; the decision skips it when the bound is at most ``above``.  The
+    optimum also skips a subtree whose bound is strictly below ``floor``,
+    the value of some set the caller knows to be feasible: the best tuple
+    and every tie of it score at least that, and a bound equal to the floor
+    is still searched, so the tie rule is kept.
     """
     tracker = DegreeTracker(graph)
     deg, removed = tracker.deg, tracker.removed
@@ -295,6 +298,8 @@ def _search(graph: Graph, pool: list[int], k: int,
             bound = max(bound, _centralization(n - s, top, m - lost))
         if deciding:
             return bound > best_val
+        if bound < floor:
+            return False
         # an equal score wins only with more removals than the incumbent
         return bound > best_val or (bound == best_val
                                     and len(removed) + r > len(best))
@@ -331,12 +336,14 @@ def exact_opt(graph: Graph, no_strike: Collection[int] | None = None,
     set can beat a larger one.  Ties on value prefer more removals, then the
     lexicographically smallest id tuple, which keeps results deterministic.
     The search scores sets incrementally and skips subtrees whose bound
-    cannot reach the incumbent, with the same result as scoring every
-    subset.  Raises :class:`WorkLimitExceeded` up front when the subset
-    count would exceed ``work_limit``.
+    cannot reach the incumbent, or the best value among the greedy's
+    prefixes, with the same result as scoring every subset.  Raises
+    :class:`WorkLimitExceeded` up front when the subset count would exceed
+    ``work_limit``.
     """
     pool, k = _exact_pool(graph, no_strike, k, work_limit)
-    best = _search(graph, pool, k)
+    floor = max(greedy_fragile(graph, no_strike, k).trace)
+    best = _search(graph, pool, k, floor=floor)
     trace = [fragile(graph, best[:j]) for j in range(len(best) + 1)]
     return RemovalSolution(best, tuple(trace), trace[-1])
 

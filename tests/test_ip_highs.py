@@ -5,7 +5,9 @@ turned row by row into a ``scipy.optimize.milp`` problem (HiGHS), with one
 extra row ``sum X >= i`` so that exactly ``i`` nodes are removed.  The best
 over ``i`` (with the untouched graph for ``i = 0``) must equal the optimum
 of ``exact_opt``.  scipy is not a dependency of the package, so the module
-is skipped without it.
+is skipped without it.  Two of the scale-free "desk" graphs at the 12%
+budget, far past what the score-every-subset oracle can scan, check the
+branch and bound and the greedy's gap to the optimum.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import random
 
 import pytest
 
-from fragility import (Graph, build_fragility_ip, complete_graph, cycle_graph,
-                       exact_opt, fragile, linearize, path_graph, star_graph)
+from fragility import (DEFAULT_WORK_LIMIT, Graph, build_fragility_ip,
+                       complete_graph, cycle_graph, exact_opt, fragile,
+                       generate_synthetic, greedy_fragile, linearize,
+                       path_graph, star_graph)
 from fragility.ip_model import Row
 
 from conftest import random_graph_edges
@@ -69,7 +73,9 @@ def _solve_at(model, i: int) -> tuple[tuple[int, ...], float] | None:
     return removed, -res.fun
 
 
-def _check(graph: Graph, no_strike, k: int) -> None:
+def _check(graph: Graph, no_strike, k: int,
+           work_limit: int = DEFAULT_WORK_LIMIT) -> float:
+    """Assert that the best over the family is ``exact_opt``'s; return it."""
     model = build_fragility_ip(graph, no_strike, k)
     pool = graph.node_count - len(set(no_strike))
     best = fragile(graph, ())
@@ -89,7 +95,8 @@ def _check(graph: Graph, no_strike, k: int) -> None:
             # the solver's objective is the score of the set it returns
             assert numerator / ((n - 1) * (n - 2)) == pytest.approx(value, abs=1e-9)
         best = max(best, value)
-    assert best == exact_opt(graph, no_strike, k).final_fragility
+    assert best == exact_opt(graph, no_strike, k, work_limit).final_fragility
+    return best
 
 
 _CASES = [
@@ -117,3 +124,16 @@ def test_random_models_agree_with_exact_opt():
         g = Graph(n, random_graph_edges(rng, n, rng.uniform(0.2, 0.8)))
         ns = tuple(rng.sample(range(n), rng.randint(0, 2)))
         _check(g, ns, rng.randint(1, n))
+
+
+@pytest.mark.parametrize("n, m, k, greedy, optimum", [
+    (57, 162, 7, 0.3248299, 0.3248299),
+    # the greedy falls short of the optimum here
+    (102, 388, 12, 0.3891726, 0.3894280),
+], ids=["desk57", "desk102"])
+def test_desk_graphs_at_twelve_percent(n, m, k, greedy, optimum):
+    g = generate_synthetic("scale-free", n, m, seed=0)
+    # the default work limit refuses both: about 3e8 and 1.6e15 subsets
+    best = _check(g, (), k, 10**16)
+    assert round(best, 7) == optimum
+    assert round(max(greedy_fragile(g, (), k).trace), 7) == greedy

@@ -61,13 +61,18 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, modules):
     assert set(last.split(" ")) == modules
 
 
-def test_centrality_loads_no_dataclasses(tmp_path):
+# the commands that load no module defining a dataclass
+LEAN = [argv for argv, modules in LOADS if modules <= BASE | {"solvers"}]
+
+
+@pytest.mark.parametrize("argv", LEAN, ids=[a[0] for a in LEAN])
+def test_command_loads_no_dataclasses(tmp_path, argv):
     # ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``
     (tmp_path / "g.txt").write_text(GRAPH, encoding="utf-8")
     code = ("import sys\nfrom fragility.cli import main\n"
             "assert main(sys.argv[1:]) == 0\n"
             "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
-    assert _fresh(code, "centrality", *G, cwd=tmp_path)[-1] == "False False"
+    assert _fresh(code, *argv, cwd=tmp_path)[-1] == "False False"
 
 
 def test_import_and_dir_load_no_submodule(tmp_path):

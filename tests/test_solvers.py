@@ -28,6 +28,8 @@ class TestGreedyExamples:
         assert sol.removed == ()
         assert sol.trace == (18 / 42,)
         assert sol.final_fragility == 18 / 42
+        assert repr(sol) == ("RemovalSolution(removed=(), trace=(0.42857142857142855,),"
+                             " final_fragility=0.42857142857142855)")
 
     def test_negative_budget_rejected(self, star4):
         with pytest.raises(ValueError, match="non-negative"):
@@ -528,6 +530,29 @@ class TestBranchAndBound:
                                max_size=3 if n else 0))
         k = data.draw(st.integers(min_value=0, max_value=n + 1))
         _check_exact(g, ns, k)
+
+    def test_subtree_whose_bound_ties_the_floor_is_searched(self):
+        # the greedy's three removals reach the optimum's value 1.0, so that
+        # is the floor; the tie rule wants the smaller tuple (1, 3, 5), which
+        # skipping subtrees whose bound equals the floor would lose
+        g = Graph(7, [(0, 2), (0, 4), (0, 6), (1, 4), (2, 3), (2, 5)])
+        greedy = greedy_fragile(g, (2,), 3)
+        assert greedy.removed == (4, 6, 1)
+        assert max(greedy.trace) == 1.0
+        want = oracle_exact_opt(g, (2,), 3)
+        assert want.removed == (1, 3, 5) and want.final_fragility == 1.0
+        assert exact_opt(g, (2,), 3) == want
+
+    def test_greedy_floor_prunes_the_desk_graph(self, monkeypatch):
+        removals = []
+        remove = DegreeTracker.remove
+        monkeypatch.setattr(DegreeTracker, "remove",
+                            lambda t, i: removals.append(i) or remove(t, i))
+        g = generate_synthetic("scale-free", 57, 162, seed=0)
+        sol = exact_opt(g, None, 7, work_limit=10**9)
+        # the greedy's 7 removals and the search's; 6,568 sets without the floor
+        assert len(removals) == 1089
+        assert sol.final_fragility == max(greedy_fragile(g, None, 7).trace)
 
     def test_decision_stops_at_first_witness(self, monkeypatch):
         removals = []
