@@ -64,7 +64,7 @@ def run_curve_experiments(cfg: ScriptConfig) -> None:
         graph_path = cfg.out_dir / f"scale_free_n{n}.edges"
         graph_path.write_text(emit_edge_list(graph), encoding="utf-8")
         csv_path = cfg.out_dir / f"curve_n{n}.csv"
-        emit_csv(points, csv_path)
+        csv_path.write_text(emit_csv(points), encoding="utf-8")
         write_manifest(run_manifest(
             "scripts/run_experiments.py curves",
             {"kind": "scale-free", "n": n, "m": m,

@@ -14,9 +14,8 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "baselines": ("NodeRanking", "betweenness_ranking", "betweenness_scores",
-                  "closeness_ranking", "closeness_scores", "degree_ranking",
-                  "static_removal_schedule"),
+    "baselines": ("betweenness_ranking", "betweenness_scores",
+                  "closeness_ranking", "closeness_scores", "degree_ranking"),
     "defaults": ("DEFAULT_WORK_LIMIT", "STRATEGIES"),
     "graph": ("Graph", "complete_graph", "cycle_graph", "fragile",
               "induced_subgraph", "marginal_gain", "network_degree_centrality",

@@ -35,7 +35,6 @@ import os
 import threading
 from array import array
 from collections.abc import Callable, Collection, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import add
@@ -43,31 +42,17 @@ from operator import add
 from .graph import Graph, _node_set
 
 
-@dataclass(frozen=True)
-class NodeRanking:
-    """Per-node scores plus the fixed removal order they induce.
-
-    ``order`` ranks the targetable nodes by descending score, ties broken by
-    ascending node id.  Ties are decided on exact scores, so the floats in
-    ``scores`` may rise by a rounding error between two tied nodes.
-    """
-
-    scores: dict[int, float]
-    order: tuple[int, ...]
-
-
-def _rank(graph: Graph, full_scores: list[float], keys: Sequence,
-          no_strike: frozenset[int]) -> NodeRanking:
+def _rank(graph: Graph, keys: Sequence,
+          no_strike: frozenset[int]) -> tuple[int, ...]:
+    """Targetable nodes by descending key, ties by ascending id."""
     targetable = [i for i in range(graph.node_count) if i not in no_strike]
-    order = tuple(sorted(targetable, key=lambda i: (-keys[i], i)))
-    return NodeRanking({i: full_scores[i] for i in targetable}, order)
+    return tuple(sorted(targetable, key=lambda i: (-keys[i], i)))
 
 
 def degree_ranking(graph: Graph,
-                   no_strike: Collection[int] | None = None) -> NodeRanking:
+                   no_strike: Collection[int] | None = None) -> tuple[int, ...]:
     """Rank targetable nodes by plain degree."""
-    ns = _node_set(graph.node_count, no_strike)
-    return _rank(graph, [float(d) for d in graph.degree], graph.degree, ns)
+    return _rank(graph, graph.degree, _node_set(graph.node_count, no_strike))
 
 
 def _reach_sums(graph: Graph) -> list[tuple[int, int]]:
@@ -106,14 +91,6 @@ def _reach_sums(graph: Graph) -> list[tuple[int, int]]:
     return list(zip(r, s))
 
 
-def _closeness(graph: Graph) -> tuple[list[float], list[Fraction | int]]:
-    """Closeness scores, and the exact keys ``r**2 / s`` that rank them."""
-    n = graph.node_count
-    reach = _reach_sums(graph)
-    scores = [(r / (n - 1)) * (r / s) if s else 0.0 for r, s in reach]
-    return scores, [Fraction(r * r, s) if s else 0 for r, s in reach]
-
-
 def closeness_scores(graph: Graph) -> list[float]:
     """Component-adjusted closeness for every node.
 
@@ -121,13 +98,17 @@ def closeness_scores(graph: Graph) -> list[float]:
     (r / (N - 1)) * (r / s); isolated nodes score 0.  On a connected graph
     this is the usual inverse of the mean shortest-path distance.
     """
-    return _closeness(graph)[0]
+    n = graph.node_count
+    return [(r / (n - 1)) * (r / s) if s else 0.0
+            for r, s in _reach_sums(graph)]
 
 
-def closeness_ranking(graph: Graph,
-                      no_strike: Collection[int] | None = None) -> NodeRanking:
+def closeness_ranking(graph: Graph, no_strike: Collection[int] | None = None
+                      ) -> tuple[int, ...]:
+    """Rank targetable nodes by closeness, on the exact keys ``r**2 / s``."""
     ns = _node_set(graph.node_count, no_strike)
-    return _rank(graph, *_closeness(graph), ns)
+    keys = [Fraction(r * r, s) if s else 0 for r, s in _reach_sums(graph)]
+    return _rank(graph, keys, ns)
 
 
 # Below this N * M a pool's start-up costs more than its workers save.  On
@@ -286,8 +267,8 @@ def _near_ties(order: Sequence[int], scores: list[float]) -> list[int]:
     return sorted(tied)
 
 
-def betweenness_ranking(graph: Graph,
-                        no_strike: Collection[int] | None = None) -> NodeRanking:
+def betweenness_ranking(graph: Graph, no_strike: Collection[int] | None = None
+                        ) -> tuple[int, ...]:
     """Rank targetable nodes by betweenness, exact ties by ascending id.
 
     Near-equal float scores are ranked again by their exact values, summed
@@ -295,24 +276,21 @@ def betweenness_ranking(graph: Graph,
     """
     ns = _node_set(graph.node_count, no_strike)
     scores = betweenness_scores(graph)
-    ranking = _rank(graph, scores, scores, ns)
-    tied = _near_ties(ranking.order, scores)
+    order = _rank(graph, scores, ns)
+    tied = _near_ties(order, scores)
     if not tied:
-        return ranking
+        return order
     keys: list = list(scores)
     exact = [Fraction(0)] * len(tied)
     for part in _sweep(partial(_exact_dependencies, tied), graph):
         exact = list(map(add, exact, part))
     for v, x in zip(tied, exact):
         keys[v] = x / 2
-    return _rank(graph, scores, keys, ns)
+    return _rank(graph, keys, ns)
 
 
-def static_removal_schedule(ranking: NodeRanking, m: int) -> frozenset[int]:
-    """Top ``m`` nodes of a fixed ranking, as the set to remove."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    if m > len(ranking.order):
-        raise ValueError(
-            f"cannot remove {m} nodes: only {len(ranking.order)} are targetable")
-    return frozenset(ranking.order[:m])
+_RANKERS = {
+    "degree": degree_ranking,
+    "closeness": closeness_ranking,
+    "betweenness": betweenness_ranking,
+}

@@ -24,7 +24,8 @@ alone loads the inputs, prints the result and writes the manifest.
 Handlers and the library raise ``ValueError`` for bad input (exit 1);
 infeasible-request and work-limit errors carry ``exit_status = 2``; ``main``
 alone maps exceptions to exit codes.  Each handler imports the solver,
-harness or LP module it runs, so no command loads one it does not call.
+ranking, harness or LP module it runs, so no command loads one it does
+not call.
 """
 
 from __future__ import annotations
@@ -256,8 +257,8 @@ def _cmd_baseline(args, graph, ns):
     targetable = graph.node_count - len(ns)
     if not 0 <= args.m <= targetable:
         raise ValueError(f"--m must lie in 0..{targetable} for this graph")
-    from .harness import _RANKERS
-    removed = _RANKERS[args.strategy](graph, ns).order[:args.m]
+    from .baselines import _RANKERS
+    removed = _RANKERS[args.strategy](graph, ns)[:args.m]
     lines, payload = _removal_output(graph.labels, removed, fragile(graph, ()),
                                      fragile(graph, removed))
     return ({"strategy": args.strategy, "m": args.m},

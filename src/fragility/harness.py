@@ -23,8 +23,7 @@ import time
 from collections.abc import Collection
 from dataclasses import dataclass
 
-from .baselines import (betweenness_ranking, closeness_ranking,
-                        degree_ranking, static_removal_schedule)
+from .baselines import _RANKERS
 from .defaults import STRATEGIES
 from .graph import Graph, _node_set, fragile
 from .solvers import DegreeTracker, greedy_fragile, iter_greedy_steps
@@ -42,12 +41,6 @@ class ZeroBaselineError(ValueError):
     """The untouched graph's fragility is zero, so percent change is undefined."""
 
     exit_status = 2
-
-_RANKERS = {
-    "degree": degree_ranking,
-    "closeness": closeness_ranking,
-    "betweenness": betweenness_ranking,
-}
 
 
 @dataclass(frozen=True)
@@ -124,7 +117,7 @@ def _ranking_curve(graph: Graph, no_strike, strategy: str,
     Every step, and the returned total, carries the ranking's own time.
     """
     t0 = time.perf_counter()
-    order = _RANKERS[strategy](graph, no_strike).order
+    order = _RANKERS[strategy](graph, no_strike)
     ranking_time = time.perf_counter() - t0
     tracker = DegreeTracker(graph)
     steps = []
@@ -154,8 +147,7 @@ def benchmark_runtime(graph: Graph, no_strike: Collection[int] | None,
             if strategy == "greedy":
                 greedy_fragile(graph, no_strike, b)
             else:
-                ranking = _RANKERS[strategy](graph, no_strike)
-                static_removal_schedule(ranking, min(b, len(ranking.order)))
+                _RANKERS[strategy](graph, no_strike)[:b]
             times.append(time.perf_counter() - t0)
         results.append((b, statistics.median(times)))
     return results
@@ -163,25 +155,14 @@ def benchmark_runtime(graph: Graph, no_strike: Collection[int] | None,
 
 # ----- CSV -----------------------------------------------------------------
 
-def emit_csv(points: Collection[CurvePoint], destination=None) -> str:
-    """Serialize curve points as CSV, 6-decimal floats, deterministic order.
-
-    ``destination`` may be a path or a writable text stream; the text is
-    returned either way.
-    """
+def emit_csv(points: Collection[CurvePoint]) -> str:
+    """Serialize curve points as CSV, 6-decimal floats, deterministic order."""
     rows = sorted(points, key=lambda p: (p.strategy, p.nodes_removed))
     lines = [CSV_HEADER]
     for p in rows:
         lines.append(f"{p.strategy},{p.nodes_removed},{p.fraction_removed:.6f},"
                      f"{p.fragility:.6f},{p.percent_increase:.6f},{p.wall_time:.6f}")
-    text = "\n".join(lines) + "\n"
-    if destination is not None:
-        if hasattr(destination, "write"):
-            destination.write(text)
-        else:
-            with open(destination, "w", encoding="utf-8") as fh:
-                fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def parse_csv(text: str) -> list[CurvePoint]:

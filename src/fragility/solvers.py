@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Collection, Iterator
 from heapq import heapify, heappop, heappush
-from math import comb
+from math import comb, inf, isnan, nextafter
 
 from .defaults import DEFAULT_WORK_LIMIT
 from .graph import Graph, _centralization, _node_set, fragile
@@ -253,17 +253,16 @@ def _exact_pool(graph: Graph, no_strike: Collection[int] | None, k: int,
     return pool, k
 
 
-def _search(graph: Graph, pool: list[int], k: int, above: float | None = None,
-            floor: float = 0.0) -> tuple[int, ...] | None:
+def _search(graph: Graph, pool: list[int], k: int,
+            floor: float) -> tuple[int, ...]:
     """Depth-first branch and bound over removal tuples of at most ``k`` ids.
 
     Tuples are ascending ids from ``pool``, visited in preorder, so tuples
     of one size come in lexicographic order.  Each is the ``removed`` list
     of one :class:`DegreeTracker`, scored by removing its last id and
-    undone on the way back.  With ``above`` None this returns the best
-    tuple: highest value, then most removals, then lexicographically
-    smallest.  Otherwise it returns the first non-empty tuple scoring
-    strictly above ``above``, or None; the caller scores the empty tuple.
+    undone on the way back.  Returns the best tuple (highest value, then
+    most removals, then lexicographically smallest) when it scores at least
+    ``floor``; otherwise every tuple, the one returned too, scores below it.
 
     With candidates ``pool[start:]`` left, a tuple bounds each descendant
     with s more removals by ``((n-s)*D - 2*(m - S_s)) / ((n-s-1)*(n-s-2))``
@@ -273,18 +272,15 @@ def _search(graph: Graph, pool: list[int], k: int, above: float | None = None,
     quotient and rounding is monotone, so no descendant's float value
     exceeds it.  A subtree is skipped when that float bound is below the
     incumbent, or equal to it with no descendant larger than the incumbent
-    tuple; the decision skips it when the bound is at most ``above``.  The
-    optimum also skips a subtree whose bound is strictly below ``floor``,
-    the value of some set the caller knows to be feasible: the best tuple
-    and every tie of it score at least that, and a bound equal to the floor
-    is still searched, so the tie rule is kept.
+    tuple.  It is also skipped when its bound is strictly below ``floor``:
+    a best tuple scoring at least the floor, and every tie of it, lie only
+    in subtrees whose bound is at least the floor, and a bound equal to the
+    floor is still searched, so the tie rule is kept.
     """
     tracker = DegreeTracker(graph)
     deg, removed = tracker.deg, tracker.removed
-    deciding = above is not None
     best: tuple[int, ...] = ()
-    # a decision starts its incumbent at above, so an equal score is no witness
-    best_val = above if deciding else tracker.centrality()
+    best_val = tracker.centrality()
 
     def promising(start: int) -> bool:
         r = min(k - len(removed), len(pool) - start)
@@ -296,8 +292,6 @@ def _search(graph: Graph, pool: list[int], k: int, above: float | None = None,
         for s in range(1, r + 1):
             lost += largest[s - 1]
             bound = max(bound, _centralization(n - s, top, m - lost))
-        if deciding:
-            return bound > best_val
         if bound < floor:
             return False
         # an equal score wins only with more removals than the incumbent
@@ -316,16 +310,14 @@ def _search(graph: Graph, pool: list[int], k: int, above: float | None = None,
         tracker.remove(pool[q])
         val = tracker.centrality()
         if val > best_val:
-            if deciding:
-                return tuple(removed)
             best, best_val = tuple(removed), val
-        elif val == best_val and not deciding and len(removed) > len(best):
+        elif val == best_val and len(removed) > len(best):
             best = tuple(removed)
         if promising(q + 1):
             stack.append(q + 1)
         else:
             tracker.undo()
-    return None if deciding else best
+    return best
 
 
 def exact_opt(graph: Graph, no_strike: Collection[int] | None = None,
@@ -343,7 +335,7 @@ def exact_opt(graph: Graph, no_strike: Collection[int] | None = None,
     """
     pool, k = _exact_pool(graph, no_strike, k, work_limit)
     floor = max(greedy_fragile(graph, no_strike, k).trace)
-    best = _search(graph, pool, k, floor=floor)
+    best = _search(graph, pool, k, floor)
     trace = [fragile(graph, best[:j]) for j in range(len(best) + 1)]
     return RemovalSolution(best, tuple(trace), trace[-1])
 
@@ -353,14 +345,22 @@ def fragility_decision(graph: Graph, no_strike: Collection[int] | None,
                        work_limit: int = DEFAULT_WORK_LIMIT) -> bool:
     """True iff some removal set of size <= k pushes fragility strictly above x.
 
-    Validates ids and checks ``work_limit`` up front like :func:`exact_opt`,
-    then stops at the first set scoring above x: the untouched graph first,
-    scored without building a tracker, then each prefix of the greedy's
-    removals, any of which is a valid witness, and only then the search,
-    which skips subtrees whose bound is at most x.
+    Raises ``ValueError`` for a NaN ``x``.  Validates ids and checks
+    ``work_limit`` up front like :func:`exact_opt`, then stops at the first
+    set scoring above x: the untouched graph, scored without building a
+    tracker, then each prefix of the greedy's removals.  Otherwise every
+    prefix scored at most x, and the answer is whether the optimum's branch
+    and bound, run with the floor just above x, finds a set above x.  A
+    float bound is below that floor exactly when it is at most x, so the
+    search skips only subtrees that cannot hold a set above x, and is never
+    cut off from an optimum above x, whose path's bounds are all at least
+    its value.
     """
+    if isnan(x):
+        raise ValueError("threshold x must not be NaN")
     pool, k = _exact_pool(graph, no_strike, k, work_limit)
     if fragile(graph, ()) > x or any(
             value > x for _, value in iter_greedy_steps(graph, no_strike, k)):
         return True
-    return _search(graph, pool, k, x) is not None
+    best = _search(graph, pool, k, nextafter(x, inf))
+    return fragile(graph, best) > x

@@ -16,7 +16,7 @@ from fragility import baselines
 from fragility import (Graph, betweenness_ranking, betweenness_scores,
                        closeness_ranking, closeness_scores, complete_graph,
                        cycle_graph, degree_ranking, generate_synthetic,
-                       path_graph, star_graph, static_removal_schedule)
+                       path_graph, star_graph)
 
 from conftest import (oracle_betweenness, oracle_brandes_scores,
                       oracle_closeness_scores, random_graph_edges)
@@ -26,18 +26,15 @@ from conftest import (oracle_betweenness, oracle_brandes_scores,
 
 class TestDegree:
     def test_star(self, star4):
-        r = degree_ranking(star4)
-        assert r.scores[0] == 4.0
-        assert r.order == (0, 1, 2, 3, 4)
+        assert star4.degree[0] == 4
+        assert degree_ranking(star4) == (0, 1, 2, 3, 4)
 
     def test_no_strike_excluded(self, star4):
-        r = degree_ranking(star4, no_strike={0, 2})
-        assert set(r.scores) == {1, 3, 4}
-        assert r.order == (1, 3, 4)
+        assert degree_ranking(star4, no_strike={0, 2}) == (1, 3, 4)
 
     def test_ties_by_ascending_id(self):
         g = cycle_graph(5)
-        assert degree_ranking(g).order == (0, 1, 2, 3, 4)
+        assert degree_ranking(g) == (0, 1, 2, 3, 4)
 
     def test_unknown_no_strike(self, star4):
         with pytest.raises(ValueError, match="unknown node id"):
@@ -59,13 +56,13 @@ class TestCloseness:
         # ends: 1+2+3=6 -> 3/6; middles: 1+1+2=4 -> 3/4
         assert s[0] == pytest.approx(3 / 6)
         assert s[1] == pytest.approx(3 / 4)
-        assert closeness_ranking(path4).order == (1, 2, 0, 3)
+        assert closeness_ranking(path4) == (1, 2, 0, 3)
 
     def test_disconnected_component_adjustment(self, two_disjoint_edges):
         # each node reaches 1 of 3 peers at distance 1: (1/3) * 1 = 1/3
         s = closeness_scores(two_disjoint_edges)
         assert s == [pytest.approx(1 / 3)] * 4
-        assert closeness_ranking(two_disjoint_edges).order == (0, 1, 2, 3)
+        assert closeness_ranking(two_disjoint_edges) == (0, 1, 2, 3)
 
     def test_isolated_node_scores_zero(self):
         g = Graph(3, [(0, 1)])
@@ -85,7 +82,7 @@ class TestCloseness:
                        (7, 8), (7, 9), (7, 10), (7, 11)])
         s = closeness_scores(g)
         assert s[0] != s[7]
-        assert closeness_ranking(g).order[:2] == (0, 7)
+        assert closeness_ranking(g)[:2] == (0, 7)
 
 
 # ----- betweenness ---------------------------------------------------------
@@ -122,8 +119,7 @@ class TestBetweenness:
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_ranking_order(self, double_star8):
-        r = betweenness_ranking(double_star8)
-        assert r.order[:2] == (0, 1)  # hubs first
+        assert betweenness_ranking(double_star8)[:2] == (0, 1)  # hubs first
 
     def test_exact_ties_rank_by_id(self):
         # nodes 1 and 3 both score exactly 11/6, but their floats differ in
@@ -132,34 +128,8 @@ class TestBetweenness:
         s = betweenness_scores(g)
         assert s[1] < s[3]
         assert s[1] == pytest.approx(11 / 6) and s[3] == pytest.approx(11 / 6)
-        assert betweenness_ranking(g).order == (1, 3, 4, 0, 5, 2)
-        assert betweenness_ranking(g, no_strike={4}).order == (1, 3, 0, 5, 2)
-
-
-# ----- schedules -----------------------------------------------------------
-
-class TestSchedule:
-    def test_prefix_sets(self, star4):
-        r = degree_ranking(star4)
-        assert static_removal_schedule(r, 0) == frozenset()
-        assert static_removal_schedule(r, 2) == {0, 1}
-
-    def test_rejects_negative(self, star4):
-        with pytest.raises(ValueError, match="non-negative"):
-            static_removal_schedule(degree_ranking(star4), -1)
-
-    def test_rejects_overrun(self, star4):
-        r = degree_ranking(star4, no_strike={0})
-        with pytest.raises(ValueError, match="targetable"):
-            static_removal_schedule(r, 5)
-
-    def test_budget_prefix_nesting(self, double_star10):
-        r = betweenness_ranking(double_star10)
-        prev: frozenset[int] = frozenset()
-        for m in range(len(r.order) + 1):
-            cur = static_removal_schedule(r, m)
-            assert prev <= cur
-            prev = cur
+        assert betweenness_ranking(g) == (1, 3, 4, 0, 5, 2)
+        assert betweenness_ranking(g, no_strike={4}) == (1, 3, 0, 5, 2)
 
 
 # ----- randomized properties ----------------------------------------------
@@ -178,10 +148,9 @@ class TestProperties:
     def test_orders_are_permutations(self, ne):
         n, edges = ne
         g = Graph(n, edges)
-        for rank in (degree_ranking(g), closeness_ranking(g),
-                     betweenness_ranking(g)):
-            assert sorted(rank.order) == list(range(n))
-            assert set(rank.scores) == set(range(n))
+        for order in (degree_ranking(g), closeness_ranking(g),
+                      betweenness_ranking(g)):
+            assert sorted(order) == list(range(n))
 
     @settings(max_examples=50, deadline=None)
     @given(_graphs())
@@ -190,9 +159,10 @@ class TestProperties:
         # last bits may rise along the order (see the exact-tie tests)
         n, edges = ne
         g = Graph(n, edges)
-        for rank in (degree_ranking(g), closeness_ranking(g),
-                     betweenness_ranking(g)):
-            vals = [rank.scores[i] for i in rank.order]
+        for order, scores in ((degree_ranking(g), g.degree),
+                              (closeness_ranking(g), closeness_scores(g)),
+                              (betweenness_ranking(g), betweenness_scores(g))):
+            vals = [scores[i] for i in order]
             assert all(a >= b or math.isclose(a, b, rel_tol=1e-9)
                        for a, b in zip(vals, vals[1:]))
 
@@ -218,9 +188,7 @@ class TestProperties:
     def test_no_strike_does_not_change_scores(self, double_star8):
         full = betweenness_ranking(double_star8)
         masked = betweenness_ranking(double_star8, no_strike={0, 3})
-        for i in masked.scores:
-            assert masked.scores[i] == full.scores[i]
-        assert all(i not in masked.scores for i in (0, 3))
+        assert masked == tuple(i for i in full if i not in (0, 3))
 
 
 # ----- fast passes against the per-source BFS oracles ---------------------
@@ -286,7 +254,7 @@ class TestBitIdenticalPooled(TestBitIdenticalToOracles):
 
     def test_exact_ties_rank_by_id(self, sweep):
         # the float pass, then the exact pass, each through the workers
-        assert betweenness_ranking(Graph(6, _TIED_EDGES)).order == (
+        assert betweenness_ranking(Graph(6, _TIED_EDGES)) == (
             1, 3, 4, 0, 5, 2)
         assert sweep == ["fork", "fork"]
         assert not multiprocessing.active_children()

@@ -1,9 +1,9 @@
 """The package namespace and what each command loads.
 
 ``fragility`` resolves its exported names on first use, and ``fragility.cli``
-imports the solver, harness and LP modules inside the handlers that run
-them.  Each load test runs in a fresh interpreter, since ``sys.modules``
-only grows within a process.
+imports the solver, ranking, harness and LP modules inside the handlers
+that run them.  Each load test runs in a fresh interpreter, since
+``sys.modules`` only grows within a process.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ LOADS = [
     (["exact", *G, "--k", "2"], BASE | {"solvers"}),
     (["decision", *G, "--k", "2", "--x", "0.9"], BASE | {"solvers"}),
     (["emit-ip", *G, "--k", "2", "--linearize-i", "1"], BASE | {"ip_model"}),
-    (["baseline", *G, "--strategy", "degree", "--m", "1"], HARNESS),
+    (["baseline", *G, "--strategy", "degree", "--m", "1"], BASE | {"baselines"}),
     (["curve", *G, "--strategies", "degree"], HARNESS),
     (["bench", *G, "--strategies", "degree", "--budgets", "1"], HARNESS),
     (["synth", "--kind", "random", "--n", "5", "--m", "4"], HARNESS),
@@ -62,7 +62,8 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, modules):
 
 
 # the commands that load no module defining a dataclass
-LEAN = [argv for argv, modules in LOADS if modules <= BASE | {"solvers"}]
+LEAN = [argv for argv, modules in LOADS
+        if modules <= BASE | {"baselines", "solvers"}]
 
 
 @pytest.mark.parametrize("argv", LEAN, ids=[a[0] for a in LEAN])

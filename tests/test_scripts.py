@@ -39,3 +39,24 @@ def test_run_experiments_writes_curves_and_manifests(tmp_path, capsys,
         assert manifest["parameters"]["m"] == m
         assert manifest["outputs"] == [str(csv_path)]
     assert not (tmp_path / "bench_n1133.csv").exists()
+
+
+def test_run_experiments_bench_writes_medians(tmp_path, capsys, monkeypatch):
+    script = _load_script(monkeypatch)
+    monkeypatch.setattr(script, "CURVE_SIZES", ((57, 162),))
+    monkeypatch.setattr(script, "BENCH_SIZE", (57, 162))
+    assert script.main(["--out-dir", str(tmp_path),
+                        "--max-fraction", "0.05"]) == 0
+    assert "benchmark on N=57" in capsys.readouterr().out
+    bench_path = tmp_path / "bench_n57.csv"
+    lines = bench_path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "strategy,budget,median_wall_time_s"
+    # budgets 1, 57 // 40, 57 // 20 and 57 // 10, each measured once
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(s, int(b)) for s, b, _ in rows] == [
+        (s, b) for s in STRATEGIES for b in (1, 2, 5)]
+    assert all(float(t) >= 0.0 for _, _, t in rows)
+    manifest = json.loads(Path(f"{bench_path}.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["parameters"]["budgets"] == [1, 1, 2, 5]
+    assert manifest["outputs"] == [str(bench_path)]

@@ -149,6 +149,11 @@ class TestDecision:
         with pytest.raises(ValueError, match="unknown node id 9"):
             fragility_decision(star4, {9}, 1, -1.0)
 
+    def test_nan_threshold_rejected_before_any_work(self, star4):
+        # nextafter(nan) is nan, which would switch the search's floor off
+        with pytest.raises(ValueError, match="^threshold x must not be NaN$"):
+            fragility_decision(star4, {9}, 1, math.nan, work_limit=-1)
+
     def test_greedy_witness_skips_the_search(self, double_star8, monkeypatch):
         def search(*args):
             raise AssertionError("the greedy's removals were a witness")
@@ -564,3 +569,50 @@ class TestBranchAndBound:
         assert removals == []  # the untouched graph is the witness
         assert fragility_decision(g, None, 2, fragile(g, ())) is True
         assert 0 < len(removals) < 1133  # of 642,411 sets of size 1 or 2
+
+
+class TestDecisionAtTheGreedyGap:
+    """At k = 12 on the 102-node desk graph the greedy's best falls short of
+    the optimum, so every threshold in between needs the search."""
+
+    K = 12
+    WORK_LIMIT = 10**16  # sizes 0..12 of 102 ids hold about 1.6e15 sets
+
+    @pytest.fixture(scope="class")
+    def gap(self):
+        g = generate_synthetic("scale-free", 102, 388, seed=0)
+        reach = max(greedy_fragile(g, None, self.K).trace)
+        opt = exact_opt(g, None, self.K, self.WORK_LIMIT).final_fragility
+        assert reach < opt
+        return g, reach, opt
+
+    @staticmethod
+    def _counted(monkeypatch, call):
+        """``call()`` and the number of DegreeTracker removals it made."""
+        removals = []
+        remove = DegreeTracker.remove
+        monkeypatch.setattr(DegreeTracker, "remove",
+                            lambda t, i: removals.append(i) or remove(t, i))
+        return call(), len(removals)
+
+    def _decide(self, monkeypatch, g, x):
+        return self._counted(monkeypatch, lambda: fragility_decision(
+            g, None, self.K, x, self.WORK_LIMIT))
+
+    def test_only_the_search_witnesses_the_greedy_best(self, gap, monkeypatch):
+        g, reach, _ = gap
+        answer, count = self._decide(monkeypatch, g, reach)
+        assert answer is True
+        _, exact_count = self._counted(
+            monkeypatch, lambda: exact_opt(g, None, self.K, self.WORK_LIMIT))
+        # the greedy's removals and one optimum search, no more
+        assert count <= exact_count
+
+    def test_optimum_value_is_not_above(self, gap, monkeypatch):
+        g, _, opt = gap
+        assert self._decide(monkeypatch, g, opt) == (False, 8825)
+
+    def test_just_below_the_optimum_is_above(self, gap, monkeypatch):
+        g, _, opt = gap
+        answer, _ = self._decide(monkeypatch, g, math.nextafter(opt, -math.inf))
+        assert answer is True
