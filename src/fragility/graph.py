@@ -10,7 +10,7 @@ vanishes there.
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable
-from itertools import compress, islice
+from itertools import islice
 from operator import eq
 
 
@@ -41,7 +41,7 @@ class Graph:
                 raise ValueError("need exactly one label per node")
             if not all(isinstance(lab, str) and lab for lab in label_tuple):
                 raise ValueError("labels must be non-empty strings")
-            if len(set(label_tuple)) != node_count:
+            if len(dict.fromkeys(label_tuple)) != node_count:
                 raise ValueError("labels must be unique")
         self.labels = label_tuple
 
@@ -53,17 +53,8 @@ class Graph:
                 raise ValueError(f"self-loop at node {u}")
             adjacency[u].append(v)
             adjacency[v].append(u)
-        for u, nb in enumerate(adjacency):
-            nb.sort()
-            # u is the lowest node with a repeat, so each repeat is above it
-            v = next(compress(nb, map(eq, nb, islice(nb, 1, None))), None)
-            if v is not None:
-                raise ValueError(f"duplicate edge {(u, v)}")
-            adjacency[u] = tuple(nb)
-        self.adjacency = tuple(adjacency)
-        self.degree = tuple(map(len, adjacency))
-        self.edge_count = sum(self.degree) // 2
-        self.max_degree = max(self.degree, default=0)
+        if repeat := _finish(self, adjacency)[0]:
+            raise ValueError(f"duplicate edge {repeat}")
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (u, v) pairs with u < v, sorted."""
@@ -72,6 +63,27 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.node_count}, m={self.edge_count})"
+
+
+def _finish(graph: Graph, adjacency: list) -> tuple[tuple[int, int] | None, int]:
+    """Store ``adjacency``'s lists on ``graph`` as ascending tuples, repeats
+    collapsed, with the degrees; return the lowest repeated pair (``None`` if
+    none) and the count of surplus entries, two per extra copy of an edge."""
+    repeat, surplus = None, 0
+    for u, nb in enumerate(adjacency):
+        if len(nb) > 1:
+            nb.sort()
+            if extra := sum(map(eq, nb, islice(nb, 1, None))):
+                surplus += extra
+                # u is the lowest node with a repeat, so each repeat is above it
+                repeat = repeat or (u, next(v for v, w in zip(nb, nb[1:]) if v == w))
+                nb = dict.fromkeys(nb)
+        adjacency[u] = tuple(nb)
+    graph.adjacency = tuple(adjacency)
+    graph.degree = tuple(map(len, adjacency))
+    graph.edge_count = sum(graph.degree) // 2
+    graph.max_degree = max(graph.degree, default=0)
+    return repeat, surplus
 
 
 def _node_set(node_count: int, nodes: Collection[int] | None) -> frozenset[int]:

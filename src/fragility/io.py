@@ -12,9 +12,10 @@ collapse to one with a warning; self-loops are an error.  The no-strike
 format is one label per line with the same comment and split rules.
 
 The parser reads the text in blocks of about 64 KiB, each cut just past a
-newline, so it never holds the list of all lines.  It packs each edge into
-one integer, ``low << 32 | high``, sorts the integers once and streams them,
-repeats dropped, to ``Graph``, whose constructor is the one adjacency build.
+newline, so it never holds the list of all lines.  Each edge record appends
+each endpoint's id to the other's neighbour list, so the edges are walked
+once; the lists then go through the same finishing step as ``Graph``'s own,
+which sorts them and collapses the repeats.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ import json
 import re
 import warnings
 from collections.abc import Iterable
-from itertools import groupby, islice
-from operator import eq
 
-from .graph import Graph
+from .graph import Graph, _finish
 
 _LABEL_SAFE = re.compile(r"^[^,\s#]+$")
 _BLOCK = 1 << 16  # characters of text split into lines at a time
@@ -70,7 +69,7 @@ def parse_edge_list(text: str) -> Graph:
     """
     index: dict[str, int] = {}  # label -> id, in first-appearance order
     intern = index.setdefault
-    keys: list[int] = []  # each edge as low << 32 | high
+    adjacency: list[list[int]] = []  # each id's neighbour ids, repeats kept
     for lineno, parts in _records(text):
         if len(parts) == 2:
             u, v = parts
@@ -78,20 +77,22 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListError(lineno, f"self-loop on {u!r}")
             i = intern(u, len(index))
             j = intern(v, len(index))
-            keys.append(i << 32 | j if i < j else j << 32 | i)
+            while len(adjacency) < len(index):
+                adjacency.append([])
+            adjacency[i].append(j)
+            adjacency[j].append(i)
         elif len(parts) == 1:
             intern(parts[0], len(index))
         else:
             raise EdgeListError(lineno, f"expected 1 or 2 labels, got {len(parts)}")
-    keys.sort()
-    duplicates = sum(map(eq, keys, islice(keys, 1, None)))
+    adjacency += ([] for _ in range(len(index) - len(adjacency)))  # ids declared last
+    # an edgeless graph over the labels, then the lists become its adjacency
+    graph = Graph(len(adjacency), (), labels=tuple(index))
+    duplicates = _finish(graph, adjacency)[1] // 2
     if duplicates:
         warnings.warn(DuplicateEdgeWarning(
             f"collapsed {duplicates} duplicate edge record(s)"), stacklevel=2)
-    # decode to the id objects held by ``index``, so the adjacency shares them
-    ids = list(index.values())
-    edges = ((ids[key >> 32], ids[key & 0xFFFFFFFF]) for key, _ in groupby(keys))
-    return Graph(len(index), edges, labels=tuple(index))
+    return graph
 
 
 def emit_edge_list(graph: Graph) -> str:

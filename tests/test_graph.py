@@ -172,8 +172,8 @@ class TestBuildMatchesOracle:
             assert graph_shape(g) == oracle_graph(n, edges)
 
     def test_errors_match_oracle_on_sorted_input(self):
-        # canonical pairs in ascending order, as the parser hands them over,
-        # with one repeat, self-loop or out-of-range endpoint mixed in
+        # canonical pairs in ascending order, with one repeat, self-loop or
+        # out-of-range endpoint mixed in
         rng = random.Random(0xE7)
         for _ in range(300):
             n = rng.randint(2, 14)
