@@ -9,7 +9,7 @@ vanishes there.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable
+from collections.abc import Collection, Iterable, Sized
 from itertools import islice
 from operator import eq
 
@@ -45,7 +45,10 @@ class Graph:
                 raise ValueError("labels must be unique")
         self.labels = label_tuple
 
-        adjacency: list = [[] for _ in range(node_count)]
+        if isinstance(edges, Sized) and not len(edges):
+            adjacency: list = [()] * node_count  # no edges: no per-node lists
+        else:
+            adjacency = [[] for _ in range(node_count)]
         for u, v in edges:
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise ValueError(f"edge ({u}, {v}) references an unknown node id")

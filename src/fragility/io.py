@@ -15,7 +15,9 @@ The parser reads the text in blocks of about 64 KiB, each cut just past a
 newline, so it never holds the list of all lines.  Each edge record appends
 each endpoint's id to the other's neighbour list, so the edges are walked
 once; the lists then go through the same finishing step as ``Graph``'s own,
-which sorts them and collapses the repeats.
+which sorts them and collapses the repeats.  The label-to-id dict is freed
+before that step, and the ``Graph`` the step fills is built over the labels
+with no edges, so it holds no per-node lists.
 """
 
 from __future__ import annotations
@@ -86,8 +88,10 @@ def parse_edge_list(text: str) -> Graph:
         else:
             raise EdgeListError(lineno, f"expected 1 or 2 labels, got {len(parts)}")
     adjacency += ([] for _ in range(len(index) - len(adjacency)))  # ids declared last
+    labels = tuple(index)
+    del index, intern  # frees the dict: the lists hold the ids they need
     # an edgeless graph over the labels, then the lists become its adjacency
-    graph = Graph(len(adjacency), (), labels=tuple(index))
+    graph = Graph(len(adjacency), (), labels=labels)
     duplicates = _finish(graph, adjacency)[1] // 2
     if duplicates:
         warnings.warn(DuplicateEdgeWarning(

@@ -38,16 +38,17 @@ class RemovalSolution(namedtuple("RemovalSolution",
 class DegreeTracker:
     """Degree bookkeeping for a graph under progressive node removal.
 
-    Maintains surviving node/edge counts, per-node surviving degrees and the
-    set of alive nodes at each degree, so pricing one more removal costs
-    O(deg) instead of a full recount.  ``removed`` lists the removed nodes
-    in removal order, and ``deg`` keeps each one at its degree when it was
-    removed, so :meth:`undo` reverts removals, last in first out, for the
-    exact search.  Values match :func:`fragility.graph.fragile` bit for bit
-    because both pass the same integer counts to the same scoring function.
+    Maintains surviving node/edge counts, per-node surviving degrees and
+    ``count[d]``, the number of alive nodes at degree d, so pricing one more
+    removal costs O(deg) instead of a full recount.  ``removed`` lists the
+    removed nodes in removal order, and ``deg`` keeps each one at its
+    (stale) degree when it was removed, so :meth:`undo` reverts removals,
+    last in first out, for the exact search.  Values match
+    :func:`fragility.graph.fragile` bit for bit because both pass the same
+    integer counts to the same scoring function.
     """
 
-    __slots__ = ("graph", "alive", "deg", "level", "removed", "n_alive",
+    __slots__ = ("graph", "alive", "deg", "count", "removed", "n_alive",
                  "m_alive", "max_deg")
 
     def __init__(self, graph: Graph) -> None:
@@ -59,9 +60,9 @@ class DegreeTracker:
         self.n_alive = n
         self.m_alive = graph.edge_count
         self.max_deg = graph.max_degree
-        self.level: list[set[int]] = [set() for _ in range(self.max_deg + 1)]
-        for i, d in enumerate(self.deg):
-            self.level[d].add(i)
+        self.count = [0] * (self.max_deg + 1)
+        for d in self.deg:
+            self.count[d] += 1
 
     def centrality(self) -> float:
         return _centralization(self.n_alive, self.max_deg, self.m_alive)
@@ -69,20 +70,20 @@ class DegreeTracker:
     def remove(self, i: int) -> None:
         if not self.alive[i]:
             raise ValueError(f"node {i} is already removed")
-        deg, level = self.deg, self.level
-        self.alive[i] = False
+        alive, deg, count = self.alive, self.deg, self.count
+        alive[i] = False
         self.removed.append(i)
         self.n_alive -= 1
         self.m_alive -= deg[i]
-        level[deg[i]].remove(i)
+        count[deg[i]] -= 1
         for j in self.graph.adjacency[i]:
-            if self.alive[j]:
+            if alive[j]:
                 dj = deg[j]
-                level[dj].remove(j)
+                count[dj] -= 1
                 deg[j] = dj - 1
-                level[dj - 1].add(j)
+                count[dj - 1] += 1
         v = self.max_deg
-        while v > 0 and not level[v]:
+        while v > 0 and not count[v]:
             v -= 1
         self.max_deg = v
 
@@ -91,26 +92,25 @@ class DegreeTracker:
         if not self.removed:
             raise ValueError("no removal to undo")
         i = self.removed.pop()
-        deg, level = self.deg, self.level
+        alive, deg, count = self.alive, self.deg, self.count
         d = deg[i]  # i's alive neighbours are the d it had when removed
         top = max(self.max_deg, d)
         for j in self.graph.adjacency[i]:
-            if self.alive[j]:
+            if alive[j]:
                 dj = deg[j]
-                level[dj].remove(j)
+                count[dj] -= 1
                 deg[j] = dj + 1
-                level[dj + 1].add(j)
+                count[dj + 1] += 1
                 if dj >= top:
                     top = dj + 1
-        self.alive[i] = True
+        alive[i] = True
         self.n_alive += 1
         self.m_alive += d
-        level[d].add(i)
+        count[d] += 1
         self.max_deg = top
 
 
-def _best_removal(tracker: DegreeTracker,
-                  heap: list[tuple[int, int]]) -> tuple[int, int]:
+def _best_removal(tracker: DegreeTracker, heap: list[int]) -> tuple[int, int]:
     """Best alive candidate as ``(numerator, node)``; needs ``n_alive >= 4``.
 
     With D the max degree and T the alive nodes at D, let L be D for a
@@ -118,15 +118,16 @@ def _best_removal(tracker: DegreeTracker,
     is all of T.  Removing i moves only its neighbours, each one level
     down, so its new max is L-1 when at most d other alive nodes sit at L
     and all of them are i's neighbours, and L otherwise.  Pricing only
-    reads the tracker: O(d) an entry, to count i's neighbours at L when at
-    most d others sit there, plus one walk down the empty levels a round,
-    for the one entry that is all of T.  Over the round's shared
-    denominator ``(n2-1)(n2-2)`` the value's integer numerator is
-    ``n2*D' - 2*(m - d_i)``.  Below about 4e7 nodes distinct
+    reads the tracker: O(d) an entry, to find i's alive neighbours at L
+    when ``count`` puts at most d others there, plus one walk down the
+    empty levels a round, for the one entry that is all of T.  Over the
+    round's shared denominator ``(n2-1)(n2-2)`` the value's integer
+    numerator is ``n2*D' - 2*(m - d_i)``.  Below about 4e7 nodes distinct
     numerators give distinct float gains, so the largest key ``(numerator,
     -i)`` is the node that comparing float gains in id order would pick.
-    ``heap`` holds ``(-deg, id)`` for every alive candidate, plus stale
-    entries that are dropped here.
+    ``heap`` holds ``i - d*N`` for every alive candidate i of degree d (N
+    the node count), which sorts as ``(-d, i)`` since ``0 <= i < N``, plus
+    stale entries that are dropped here.
 
     No new max exceeds ``cap``: D, or D-1 when T's nodes are adjacent to
     every alive node.  So a key is at most its bound ``(n2*cap - 2*(m -
@@ -135,30 +136,39 @@ def _best_removal(tracker: DegreeTracker,
     pricing a node whose new max meets ``cap``.  Popped entries are pushed
     back.
     """
-    deg, alive, level = tracker.deg, tracker.alive, tracker.level
+    deg, alive, count = tracker.deg, tracker.alive, tracker.count
     adjacency = tracker.graph.adjacency
+    n = len(deg)
     n2 = tracker.n_alive - 1
     m, top_d = tracker.m_alive, tracker.max_deg
     cap = top_d - (top_d == n2)
     best = (-1, 0)  # below every key: no numerator is negative
     popped = []
     while heap:
-        neg_d, i = heap[0]
+        neg_d, i = divmod(heap[0], n)
         d = -neg_d
         if not alive[i] or deg[i] != d:
             heappop(heap)
             continue
         if (n2 * cap - 2 * (m - d), -i) < best:
             break
-        after, others = top_d, len(level[top_d]) - (d == top_d)
+        after, others = top_d, count[top_d] - (d == top_d)
         if not others:  # i is all of T: L is the next non-empty level down
             after -= 1
-            while not level[after]:
+            while not count[after]:
                 after -= 1
-            others = len(level[after])
-        # i is not its own neighbour, so this counts the others at L it touches
-        if d >= others and len(level[after].intersection(adjacency[i])) == others:
-            after -= 1
+            others = count[after]
+        # i is not its own neighbour, so at most `others` of its neighbours
+        # sit alive at L, and finding that many ends the count; a removed
+        # neighbour keeps a stale degree, which may equal L
+        if d >= others:
+            need = others
+            for j in adjacency[i]:
+                if deg[j] == after and alive[j]:
+                    need -= 1
+                    if not need:
+                        after -= 1
+                        break
         best = max(best, (n2 * after - 2 * (m - d), -i))
         if after == cap:
             break
@@ -177,19 +187,20 @@ def iter_greedy_steps(graph: Graph, no_strike: Collection[int] | None,
     non-negative fragility gain; zero-gain moves are accepted, so the budget
     is normally spent in full.  The lowest id among maximal scorers wins,
     and the run stops early once every candidate's gain is negative.
-    A round scans a degree heap from the top, pricing each entry exactly
-    until no later entry's bound can beat the best (see
-    :func:`_best_removal`), which only reads the tracker.  It costs
-    O(log N + d) for each priced entry of degree d, plus one walk down the
-    empty degree levels and O(d log N) to remove a degree-d node, instead
-    of pricing every node in O(N + M).
+    A round scans a heap of int keys by degree, then id, from the top,
+    pricing each entry exactly until no later entry's bound can beat the
+    best (see :func:`_best_removal`), which only reads the tracker.  It
+    costs O(log N + d) for each priced entry of degree d, plus one walk
+    down the empty degree levels and O(d log N) to remove a degree-d node,
+    instead of pricing every node in O(N + M).
     """
     if k < 0:
         raise ValueError("budget k must be non-negative")
     ns = _node_set(graph.node_count, no_strike)
     tracker = DegreeTracker(graph)
     alive, deg = tracker.alive, tracker.deg
-    heap = [(-d, i) for i, d in enumerate(deg) if i not in ns]
+    n = graph.node_count
+    heap = [i - d * n for i, d in enumerate(deg) if i not in ns]
     heapify(heap)
     for _ in range(min(k, len(heap))):
         base = tracker.centrality()
@@ -198,7 +209,7 @@ def iter_greedy_steps(graph: Graph, no_strike: Collection[int] | None,
             # every removal scores 0.0: only a zero base accepts one
             if base > 0.0:
                 break
-            best = min(i for i in range(graph.node_count) if alive[i] and i not in ns)
+            best = min(i for i in range(n) if alive[i] and i not in ns)
         else:
             num, best = _best_removal(tracker, heap)
             # the float fragile gives this removal, so a zero gain is accepted exactly
@@ -207,7 +218,7 @@ def iter_greedy_steps(graph: Graph, no_strike: Collection[int] | None,
         tracker.remove(best)
         for j in graph.adjacency[best]:
             if alive[j] and j not in ns:
-                heappush(heap, (-deg[j], j))
+                heappush(heap, j - deg[j] * n)
         yield best, tracker.centrality()
 
 

@@ -6,10 +6,13 @@ library results can be checked against an implementation that shares no
 code with them.  ``oracle_removal_value`` and ``oracle_greedy_steps`` are
 the exception: they are the greedy round that prices every candidate on a
 ``DegreeTracker``, kept as the reference for the closed-form rounds of
-``iter_greedy_steps``.  So is ``oracle_exact_opt``, the scan that scores
-every subset with ``fragile``, kept as the reference for the branch and
-bound of ``exact_opt``; its scan, ``oracle_best_removal``, takes any score,
-so it also runs on the library-free ``oracle_fragile``.  ``oracle_emit_lp``
+``iter_greedy_steps``.  They read its ``alive`` and ``deg``, not its
+``count``: ``oracle_degree_tally`` counts the alive nodes at each degree
+for them, and is the reference for ``count`` too.  So is
+``oracle_exact_opt``, the scan that scores every subset with ``fragile``,
+kept as the reference for the branch and bound of ``exact_opt``; its scan,
+``oracle_best_removal``, takes any score, so it also runs on the
+library-free ``oracle_fragile``.  ``oracle_emit_lp``
 renders one linearized model from ``IpModel.rows()`` in a single pass, term
 by term, the reference for the name-table writer behind ``emit_lp`` and
 ``emit_lp_family``; it has its own term, coefficient and wrap helpers, so
@@ -176,11 +179,28 @@ def oracle_brandes_scores(graph: Graph) -> list[float]:
     return [b / 2.0 for b in bet]
 
 
-def oracle_removal_value(tracker: DegreeTracker, i: int) -> float:
-    """Centralization after additionally removing alive node ``i``."""
+def oracle_degree_tally(tracker: DegreeTracker) -> list[int]:
+    """Alive nodes at each degree ``0 .. len(tracker.count) - 1``, counted
+    from ``alive`` and ``deg`` alone, the reference for ``tracker.count``."""
+    tally = [0] * len(tracker.count)
+    for alive, d in zip(tracker.alive, tracker.deg):
+        if alive:
+            tally[d] += 1
+    return tally
+
+
+def oracle_removal_value(tracker: DegreeTracker, i: int,
+                         tally: list[int] | None = None) -> float:
+    """Centralization after additionally removing alive node ``i``.
+
+    ``tally`` is ``oracle_degree_tally(tracker)``, which a caller pricing
+    many nodes of one state may pass in instead of recounting it each time.
+    """
     n2 = tracker.n_alive - 1
     if n2 < 3:
         return 0.0
+    if tally is None:
+        tally = oracle_degree_tally(tracker)
     # count, per degree, how removing i moves alive nodes between levels
     delta = {tracker.deg[i]: -1}
     for j in tracker.graph.adjacency[i]:
@@ -189,7 +209,7 @@ def oracle_removal_value(tracker: DegreeTracker, i: int) -> float:
             delta[dj] = delta.get(dj, 0) - 1
             delta[dj - 1] = delta.get(dj - 1, 0) + 1
     top = tracker.max_deg
-    while top > 0 and len(tracker.level[top]) + delta.get(top, 0) <= 0:
+    while top > 0 and tally[top] + delta.get(top, 0) <= 0:
         top -= 1
     m2 = tracker.m_alive - tracker.deg[i]
     return (n2 * top - 2 * m2) / ((n2 - 1) * (n2 - 2))
@@ -209,10 +229,11 @@ def oracle_greedy_steps(graph: Graph, no_strike, k: int) -> list[tuple[int, floa
         base = tracker.centrality()
         best = -1
         best_gain = 0.0
+        tally = oracle_degree_tally(tracker)
         for i in range(graph.node_count):
             if not tracker.alive[i] or i in ns:
                 continue
-            gain = oracle_removal_value(tracker, i) - base
+            gain = oracle_removal_value(tracker, i, tally) - base
             if gain > best_gain or (best < 0 and gain >= best_gain):
                 best = i
                 best_gain = gain

@@ -7,11 +7,17 @@ over ``i`` (with the untouched graph for ``i = 0``) must equal the optimum
 of ``exact_opt``.  scipy is not a dependency of the package, so the module
 is skipped without it.  Two of the scale-free "desk" graphs at the 12%
 budget, far past what the score-every-subset oracle can scan, check the
-branch and bound and the greedy's gap to the optimum.
+branch and bound and the greedy's gap to the optimum; a third, 105/590,
+is collected only when the environment variable ``FRAGILITY_SLOW_HIGHS``
+is set, as HiGHS takes about 16 s on it.  No test is skipped without it,
+so a run that reports a skip still means scipy is missing.  The
+constraint matrix is sparse: each row holds a few of the model's
+thousands of variables.
 """
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -25,6 +31,7 @@ from fragility.ip_model import Row
 from conftest import random_graph_edges
 
 optimize = pytest.importorskip("scipy.optimize")
+sparse = pytest.importorskip("scipy.sparse")
 np = pytest.importorskip("numpy")
 
 
@@ -38,12 +45,15 @@ def _solve_at(model, i: int) -> tuple[tuple[int, ...], float] | None:
     rows.append(Row("at_least_i",
                     tuple((1.0, model.x_name(j)) for j in range(model.n_nodes)),
                     ">=", float(i)))
-    a = np.zeros((len(rows), len(names)))
+    # the matrix in coordinate form; repeated (row, column) pairs are summed
+    coefs, row_ids, col_ids = [], [], []
     lower = np.full(len(rows), -np.inf)
     upper = np.full(len(rows), np.inf)
     for r, row in enumerate(rows):
         for coef, var in row.terms:
-            a[r, col[var]] += coef
+            coefs.append(coef)
+            row_ids.append(r)
+            col_ids.append(col[var])
         if row.sense in ("<=", "="):
             upper[r] = row.rhs
         if row.sense in (">=", "="):
@@ -61,6 +71,8 @@ def _solve_at(model, i: int) -> tuple[tuple[int, ...], float] | None:
         c[col[model.qf_name(e)]] -= model.n_nodes - i
         c[col[model.qb_name(e)]] -= model.n_nodes - i
         c[col[model.y_name(e)]] += 2
+    a = sparse.csr_array((coefs, (row_ids, col_ids)),
+                         shape=(len(rows), len(names)))
     res = optimize.milp(c, integrality=integrality,
                         bounds=optimize.Bounds(np.zeros(len(names)), ub),
                         constraints=optimize.LinearConstraint(a, lower, upper),
@@ -126,14 +138,21 @@ def test_random_models_agree_with_exact_opt():
         _check(g, ns, rng.randint(1, n))
 
 
-@pytest.mark.parametrize("n, m, k, greedy, optimum", [
-    (57, 162, 7, 0.3248299, 0.3248299),
+_DESKS = [
+    pytest.param(57, 162, 7, 0.3248299, 0.3248299, id="desk57"),
     # the greedy falls short of the optimum here
-    (102, 388, 12, 0.3891726, 0.3894280),
-], ids=["desk57", "desk102"])
+    pytest.param(102, 388, 12, 0.3891726, 0.3894280, id="desk102"),
+]
+# about 16 s in HiGHS, so collected only when FRAGILITY_SLOW_HIGHS is set
+if os.environ.get("FRAGILITY_SLOW_HIGHS"):
+    _DESKS.append(pytest.param(105, 590, 12, 0.3399427, 0.3399427, id="desk105"))
+
+
+@pytest.mark.parametrize("n, m, k, greedy, optimum", _DESKS)
 def test_desk_graphs_at_twelve_percent(n, m, k, greedy, optimum):
     g = generate_synthetic("scale-free", n, m, seed=0)
-    # the default work limit refuses both: about 3e8 and 1.6e15 subsets
+    # the default work limit refuses every desk graph: about 3e8 subsets
+    # for 57/162, 1.6e15 and 2.2e15 for the two others
     best = _check(g, (), k, 10**16)
     assert round(best, 7) == optimum
     assert round(max(greedy_fragile(g, (), k).trace), 7) == greedy

@@ -15,8 +15,8 @@ from fragility import (DegreeTracker, Graph, RemovalSolution, WorkLimitExceeded,
                        iter_greedy_steps, path_graph, star_graph)
 from fragility import solvers
 
-from conftest import (oracle_best_removal, oracle_exact_opt, oracle_fragile,
-                      oracle_greedy_steps, oracle_removal_value,
+from conftest import (oracle_best_removal, oracle_degree_tally, oracle_exact_opt,
+                      oracle_fragile, oracle_greedy_steps, oracle_removal_value,
                       random_graph_edges)
 
 
@@ -199,7 +199,7 @@ class TestDegreeTracker:
 
     def test_undo_reverts_remove(self):
         def state(t):
-            return (list(t.alive), list(t.deg), [set(lv) for lv in t.level],
+            return (list(t.alive), list(t.deg), list(t.count),
                     t.max_deg, t.n_alive, t.m_alive)
 
         rng = random.Random(0x0DD)
@@ -221,6 +221,7 @@ class TestDegreeTracker:
                     tracker.remove(i)
                     assert tracker.centrality() == fragile(g, removed)
                 assert tracker.removed == removed
+                assert tracker.count == oracle_degree_tally(tracker)
             while removed:
                 tracker.undo()
                 removed.pop()
@@ -361,6 +362,13 @@ def _gap_hub() -> Graph:
                      (3, 4), (3, 8), (4, 7), (5, 8), (6, 8), (7, 8)])
 
 
+def _stale_neighbour() -> Graph:
+    # once node 1 (degree 3) is removed, node 2 is all of T at D = 3, and
+    # node 4's neighbours are node 3 (degree 2) and node 1, whose stale
+    # degree 3 equals L
+    return Graph(6, [(0, 1), (0, 2), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4)])
+
+
 def _top(graph: Graph, count: int) -> list[int]:
     return sorted(range(graph.node_count),
                   key=lambda i: (-graph.degree[i], i))[:count]
@@ -385,6 +393,9 @@ _HARD_CASES = [
     ("star-path-hub-targetable", _disjoint(star_graph(3), path_graph(3)),
      (1, 2, 3, 4, 5, 6), 2),
     ("gap-hub-targetable", _gap_hub(), tuple(range(8)), 2),
+    # a removed neighbour sits at L by its stale degree: counting it would
+    # price node 4 at max 2 and pick node 0 in the second round, not node 4
+    ("stale-neighbour", _stale_neighbour(), (), 3),
     # the hub touches every alive node, so no removal keeps the max at D
     ("wheel-hub-protected", _wheel(8), (0,), 9),
     # every leaf is priced before the isolated node, whose max stays at D
