@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from fragility import (ExperimentConfig, benchmark_runtime, emit_csv,
@@ -33,17 +32,9 @@ CURVE_SIZES: tuple[tuple[int, int], ...] = ((57, 162), (102, 388), (105, 590),
 BENCH_SIZE: tuple[int, int] = (1133, 5541)
 
 
-@dataclass(frozen=True)
-class ScriptConfig:
-    out_dir: Path
-    seed: int
-    max_fraction: float
-    skip_bench: bool
-
-
-def parse_args(argv: list[str] | None = None) -> ScriptConfig:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out-dir", default="results",
+    parser.add_argument("--out-dir", type=Path, default=Path("results"),
                         help="directory for CSVs and manifests (default results)")
     parser.add_argument("--seed", type=int, default=0,
                         help="generator seed (default 0)")
@@ -51,12 +42,10 @@ def parse_args(argv: list[str] | None = None) -> ScriptConfig:
                         help="largest fraction of nodes to remove (default 0.12)")
     parser.add_argument("--skip-bench", action="store_true",
                         help="only produce the removal curves")
-    args = parser.parse_args(argv)
-    return ScriptConfig(Path(args.out_dir), args.seed, args.max_fraction,
-                        args.skip_bench)
+    return parser.parse_args(argv)
 
 
-def run_curve_experiments(cfg: ScriptConfig) -> None:
+def run_curve_experiments(cfg: argparse.Namespace) -> None:
     curve_cfg = ExperimentConfig(max_fraction=cfg.max_fraction)
     for n, m in CURVE_SIZES:
         graph = generate_synthetic("scale-free", n, m, seed=cfg.seed)
@@ -86,7 +75,7 @@ def run_curve_experiments(cfg: ScriptConfig) -> None:
         print(f"  wrote {csv_path}")
 
 
-def run_bench_experiment(cfg: ScriptConfig) -> None:
+def run_bench_experiment(cfg: argparse.Namespace) -> None:
     n, m = BENCH_SIZE
     graph = generate_synthetic("scale-free", n, m, seed=cfg.seed)
     budgets = [1, n // 40, n // 20, n // 10]

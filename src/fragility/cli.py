@@ -222,6 +222,10 @@ def _cmd_decision(args, graph, ns):
 
 
 def _cmd_emit_ip(args, graph, ns):
+    if args.all_i and args.out is not None:
+        raise ValueError("--out writes one model; --all-i writes into --out-dir")
+    if not args.all_i and args.out_dir is not None:
+        raise ValueError("--out-dir is for --all-i; pass --out for one model")
     from .ip_model import (build_fragility_ip, emit_lp, emit_lp_family,
                            linearize, relax_bounds)
     model = build_fragility_ip(graph, ns, args.k)

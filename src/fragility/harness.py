@@ -10,6 +10,9 @@ stamps every step with the ranking's time.  One budget loop then reads every
 point from the list: budget ``b`` takes ``min(b, len(steps))`` removals, the
 untouched graph when that is none, and the whole run's time when the run
 stopped short of ``b``.
+
+``CurvePoint`` and ``ExperimentConfig`` are named tuples, so loading the
+harness does not load ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import math
 import random
 import statistics
 import time
+from collections import namedtuple
 from collections.abc import Collection
-from dataclasses import dataclass
 
 from .baselines import _RANKERS
 from .defaults import STRATEGIES
@@ -43,23 +46,27 @@ class ZeroBaselineError(ValueError):
     exit_status = 2
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    strategy: str
-    nodes_removed: int
-    fraction_removed: float
-    fragility: float
-    percent_increase: float
-    wall_time: float
+CurvePoint = namedtuple("CurvePoint", ("strategy", "nodes_removed", "fraction_removed",
+                                       "fragility", "percent_increase", "wall_time"))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    strategies: tuple[str, ...] = STRATEGIES
-    max_fraction: float = 0.12
-    step: int = 1
+class ExperimentConfig(namedtuple("ExperimentConfig",
+                                  ("strategies", "max_fraction", "step"),
+                                  defaults=(STRATEGIES, 0.12, 1))):
+    """The strategies a curve runs, the largest fraction of nodes it removes
+    and its budget step.  Every way to make one checks the fields: the
+    constructor, and ``_make``, which ``_replace`` calls."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(cls, *args, **kwargs)._checked()
+
+    @classmethod
+    def _make(cls, iterable):
+        return super()._make(iterable)._checked()
+
+    def _checked(self) -> ExperimentConfig:
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ValueError(f"unknown strategy {s!r}")
@@ -67,6 +74,7 @@ class ExperimentConfig:
             raise ValueError("max_fraction must lie in (0, 1]")
         if self.step < 1:
             raise ValueError("step must be at least 1")
+        return self
 
 
 def _budgets(n_nodes: int, cfg: ExperimentConfig) -> list[int]:

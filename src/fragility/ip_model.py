@@ -48,14 +48,17 @@ models.  Both use the same renderers, which build every variable name once
 per family.  The per-edge rows c5..c9 come from ``_EDGE_ROWS``, the table
 ``IpModel._iter_rows`` also reads; the renderer fills one line template per
 family and wraps only rows longer than a line.
+
+The model and its records are named tuples, so loading this module does
+not load ``dataclasses``; the transforms return ``model._replace(...)``.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from collections import namedtuple
 from collections.abc import Collection, Iterable, Iterator
-from dataclasses import dataclass, replace
 from itertools import chain
 
 from .graph import Graph, _centralization, _node_set
@@ -67,8 +70,8 @@ class InfeasibleAssignmentError(ValueError):
     """Raised when an assignment offered for evaluation violates the model."""
 
 
-@dataclass(frozen=True)
-class Objective:
+class Objective(namedtuple("Objective", ("removal_count", "scale"),
+                           defaults=(None, None))):
     """Objective description: fractional while ``removal_count`` is None,
     otherwise linear at that fixed removal count i.
 
@@ -77,36 +80,20 @@ class Objective:
     otherwise ``scale`` is None and coefficients are emitted unscaled.
     """
 
-    removal_count: int | None = None
-    scale: float | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Row:
-    rid: str
-    terms: tuple[tuple[float, str], ...]
-    sense: str  # "<=", ">=", "="
-    rhs: float
+# ``terms`` is a tuple of (coefficient, variable name); ``sense`` is "<=",
+# ">=" or "="; a domain's ``kind`` is "binary" or "unit"
+Row = namedtuple("Row", ("rid", "terms", "sense", "rhs"))
+DomainRecord = namedtuple("DomainRecord", ("rid", "var", "kind"))
+FeasibilityReport = namedtuple("FeasibilityReport", ("ok", "violations"))
 
 
-@dataclass(frozen=True)
-class DomainRecord:
-    rid: str
-    var: str
-    kind: str  # "binary" | "unit"
-
-
-@dataclass(frozen=True)
-class IpAssignment:
+class IpAssignment(namedtuple("IpAssignment", ("values",))):
     """Variable values keyed by LP variable name (0/1 for binary domains)."""
 
-    values: dict[str, float]
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    ok: bool
-    violations: tuple[str, ...]
+    __slots__ = ()
 
 
 def _sanitize_label(label: str) -> str:
@@ -148,17 +135,12 @@ class _Names:
                 ["Y_" + ab for ab, _, _ in self.edges])
 
 
-@dataclass(frozen=True)
-class IpModel:
+class IpModel(namedtuple("IpModel", ("n_nodes", "var_labels", "edges", "k",
+                                     "no_strike", "objective", "relaxed"),
+                         defaults=(False,))):
     """Immutable model instance; transforms return new instances."""
 
-    n_nodes: int
-    var_labels: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]
-    k: int
-    no_strike: frozenset[int]
-    objective: Objective
-    relaxed: bool = False
+    __slots__ = ()
 
     # ----- variable naming ------------------------------------------------
     def x_name(self, i: int) -> str:
@@ -265,12 +247,12 @@ def linearize(model: IpModel, i: int) -> IpModel:
     n = model.n_nodes
     den = (n - 1 - i) * (n - 2 - i)
     scale = 1.0 / den if (n - i >= 3 and den > 0) else None
-    return replace(model, objective=Objective(i, scale))
+    return model._replace(objective=Objective(i, scale))
 
 
 def relax_bounds(model: IpModel) -> IpModel:
     """Continuous [0, 1] domains for X and Z; edge variables stay binary."""
-    return replace(model, relaxed=True)
+    return model._replace(relaxed=True)
 
 
 # ----- assignments ---------------------------------------------------------
@@ -332,11 +314,10 @@ def check_feasible(model: IpModel, assignment: IpAssignment) -> FeasibilityRepor
                 violations.append(f"{dom.rid}: {dom.var}={v:g} not binary")
         elif not (-_EPS <= v <= 1 + _EPS):
             violations.append(f"{dom.rid}: {dom.var}={v:g} outside [0, 1]")
-    for e in model.edges:
-        for name in (model.y_name(e), model.qf_name(e), model.qb_name(e)):
-            v = values[name]
-            if not (abs(v) <= _EPS or abs(v - 1) <= _EPS):
-                violations.append(f"dom_{name}: {name}={v:g} not binary")
+    for name in names[2 * model.n_nodes:]:  # each edge's Y, Qf and Qb
+        v = values[name]
+        if not (abs(v) <= _EPS or abs(v - 1) <= _EPS):
+            violations.append(f"dom_{name}: {name}={v:g} not binary")
     return FeasibilityReport(not violations, tuple(violations))
 
 

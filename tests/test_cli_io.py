@@ -663,6 +663,21 @@ class TestCliEmitIp:
                      "--linearize-i", "1", "--relax", "--out", str(dest)]) == 0
         assert "Bounds" in dest.read_text()
 
+    @pytest.mark.parametrize("argv, option", [
+        (["--all-i", "--out", "x.lp", "--out-dir", "lpA"], "--out"),
+        (["--linearize-i", "1", "--out-dir", "lpB"], "--out-dir"),
+    ])
+    def test_output_option_its_mode_ignores_is_exit_1(self, graph_file, tmp_path,
+                                                      monkeypatch, argv, option,
+                                                      capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["emit-ip", "--graph", str(graph_file), "--k", "2", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {option} ")
+        assert [p.name for p in tmp_path.iterdir()] == [graph_file.name]
+
     def test_bad_linearize_index(self, graph_file, capsys):
         assert main(["emit-ip", "--graph", str(graph_file), "--k", "2",
                      "--linearize-i", "5"]) == 1

@@ -36,6 +36,26 @@ class TestConfig:
         with pytest.raises(ValueError, match="step"):
             ExperimentConfig(step=0)
 
+    @pytest.mark.parametrize("field, bad, match", [
+        ("strategies", ("greedy", "pagerank"), "unknown strategy"),
+        ("max_fraction", 0.0, "max_fraction"),
+        ("max_fraction", 1.2, "max_fraction"),
+        ("step", 0, "step must be at least 1"),
+    ])
+    def test_every_way_to_make_one_checks(self, field, bad, match):
+        good = ExperimentConfig(strategies=("degree",), max_fraction=0.5, step=2)
+        fields = {**good._asdict(), field: bad}
+        makers = [lambda: ExperimentConfig(*fields.values()),
+                  lambda: ExperimentConfig(**fields),
+                  lambda: good._replace(**{field: bad}),
+                  lambda: ExperimentConfig._make(fields.values()),
+                  lambda: ExperimentConfig._make(iter(fields.values()))]
+        for make in makers:
+            with pytest.raises(ValueError, match=match):
+                make()
+        assert good._replace(step=3) == ExperimentConfig(("degree",), 0.5, 3)
+        assert type(ExperimentConfig._make(good)) is ExperimentConfig
+
 
 # ----- curves --------------------------------------------------------------
 

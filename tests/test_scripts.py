@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 from fragility import parse_csv
@@ -13,18 +12,15 @@ from fragility.harness import STRATEGIES
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
 
 
-def _load_script(monkeypatch):
+def _load_script():
     spec = importlib.util.spec_from_file_location("run_experiments", SCRIPT)
     module = importlib.util.module_from_spec(spec)
-    # dataclasses look their defining module up in sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
 
-def test_run_experiments_writes_curves_and_manifests(tmp_path, capsys,
-                                                     monkeypatch):
-    script = _load_script(monkeypatch)
+def test_run_experiments_writes_curves_and_manifests(tmp_path, capsys):
+    script = _load_script()
     assert script.main(["--out-dir", str(tmp_path), "--skip-bench",
                         "--max-fraction", "0.05"]) == 0
     assert "wrote" in capsys.readouterr().out
@@ -42,7 +38,7 @@ def test_run_experiments_writes_curves_and_manifests(tmp_path, capsys,
 
 
 def test_run_experiments_bench_writes_medians(tmp_path, capsys, monkeypatch):
-    script = _load_script(monkeypatch)
+    script = _load_script()
     monkeypatch.setattr(script, "CURVE_SIZES", ((57, 162),))
     monkeypatch.setattr(script, "BENCH_SIZE", (57, 162))
     assert script.main(["--out-dir", str(tmp_path),
