@@ -18,8 +18,7 @@ _EXPORTS = {
                   "closeness_ranking", "closeness_scores", "degree_ranking"),
     "defaults": ("DEFAULT_WORK_LIMIT", "STRATEGIES"),
     "graph": ("Graph", "complete_graph", "cycle_graph", "fragile",
-              "induced_subgraph", "marginal_gain", "network_degree_centrality",
-              "path_graph", "star_graph"),
+              "network_degree_centrality", "path_graph", "star_graph"),
     "harness": ("CSV_HEADER", "CurvePoint", "ExperimentConfig",
                 "InfeasibleDensityError", "ZeroBaselineError", "benchmark_runtime",
                 "emit_csv", "generate_synthetic", "parse_csv", "run_curves"),

@@ -98,7 +98,7 @@ def _build_parser() -> _Parser:
                    help="continuous [0,1] domains for X and Z")
     p.add_argument("--out", help="output path for --linearize-i (default stdout)")
     p.add_argument("--out-dir", help="output directory for --all-i")
-    p.add_argument("--prefix", default="model", help="file prefix for --all-i")
+    p.add_argument("--prefix", help="file prefix for --all-i (default model)")
     p.set_defaults(handler=_cmd_emit_ip)
 
     p = sub.add_parser("baseline", parents=[common],
@@ -226,6 +226,9 @@ def _cmd_emit_ip(args, graph, ns):
         raise ValueError("--out writes one model; --all-i writes into --out-dir")
     if not args.all_i and args.out_dir is not None:
         raise ValueError("--out-dir is for --all-i; pass --out for one model")
+    if not args.all_i and args.prefix is not None:
+        raise ValueError("--prefix names the files of --all-i; pass --out for "
+                         "one model")
     from .ip_model import (build_fragility_ip, emit_lp, emit_lp_family,
                            linearize, relax_bounds)
     model = build_fragility_ip(graph, ns, args.k)
@@ -236,10 +239,11 @@ def _cmd_emit_ip(args, graph, ns):
         if args.k < 1:
             raise ValueError("--all-i needs a budget of at least 1")
         out_dir = Path(args.out_dir or ".")
+        prefix = "model" if args.prefix is None else args.prefix
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = []
         for i, parts in emit_lp_family(model):
-            path = out_dir / f"{args.prefix}_i{i}.lp"
+            path = out_dir / f"{prefix}_i{i}.lp"
             with open(path, "w", encoding="utf-8") as fh:
                 fh.writelines(parts)
             del parts  # free this model's head before the next is rendered

@@ -138,28 +138,6 @@ def fragile(graph: Graph, removed: Collection[int]) -> float:
     return _centralization(survivors, top, degree_sum // 2)
 
 
-def marginal_gain(graph: Graph, base: Collection[int], candidate: int) -> float:
-    """Change in fragility from additionally removing ``candidate``.
-
-    Equals ``fragile(graph, base | {candidate}) - fragile(graph, base)``.
-    The candidate must not already be in the base set.
-    """
-    base = _node_set(graph.node_count, base)
-    if candidate in base:
-        raise ValueError(f"candidate {candidate} is already removed")
-    return fragile(graph, base | {candidate}) - fragile(graph, base)
-
-
-def induced_subgraph(graph: Graph, keep: Collection[int]) -> Graph:
-    """Subgraph on ``keep``, reindexed densely with labels preserved."""
-    keep_set = _node_set(graph.node_count, keep)
-    order = sorted(keep_set)
-    remap = {old: new for new, old in enumerate(order)}
-    edges = [(remap[u], remap[v]) for u, v in graph.edges()
-             if u in keep_set and v in keep_set]
-    return Graph(len(order), edges, labels=[graph.labels[i] for i in order])
-
-
 def star_graph(leaves: int) -> Graph:
     """Star with one hub (id 0) and ``leaves`` pendant nodes."""
     if leaves < 0:

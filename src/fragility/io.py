@@ -12,12 +12,16 @@ collapse to one with a warning; self-loops are an error.  The no-strike
 format is one label per line with the same comment and split rules.
 
 The parser reads the text in blocks of about 64 KiB, each cut just past a
-newline, so it never holds the list of all lines.  Each edge record appends
-each endpoint's id to the other's neighbour list, so the edges are walked
-once; the lists then go through the same finishing step as ``Graph``'s own,
-which sorts them and collapses the repeats.  The label-to-id dict is freed
-before that step, and the ``Graph`` the step fills is built over the labels
-with no edges, so it holds no per-node lists.
+newline, so it never holds the list of all lines.  Each block is searched
+once for ``#`` and ``,``: the lines of a block with neither are only split
+on whitespace, and only those of a block with either are cut at ``#``,
+stripped and have their commas replaced.  Each label costs one dict probe;
+a label not seen before gets the next id and an empty neighbour list.  Each
+edge record appends each endpoint's id to the other's neighbour list, so the
+edges are walked once; the lists then go through the same finishing step
+as ``Graph``'s own, which sorts them and collapses the repeats.  The
+label-to-id dict is freed before that step, and the ``Graph`` the step fills
+is built over the labels with no edges, so it holds no per-node lists.
 """
 
 from __future__ import annotations
@@ -51,15 +55,23 @@ def _records(text: str):
 
     The text is split into lines one block at a time, each block ending
     just past a ``"\\n"``, so no line or ``"\\r\\n"`` is cut and the lines of
-    the whole text are never held at once.
+    the whole text are never held at once.  Each block is searched once for
+    ``#`` and ``,``: in a block with neither, a line's labels are just its
+    whitespace split, and only the lines of a block with either are cut at
+    ``#``, stripped and have their commas replaced.
     """
     lineno = start = 0
     while start < len(text):
         end = text.find("\n", start + _BLOCK) + 1 or len(text)
-        for lineno, raw in enumerate(text[start:end].splitlines(), lineno + 1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                yield lineno, body.replace(",", " ").split()
+        if text.find("#", start, end) < 0 and text.find(",", start, end) < 0:
+            for lineno, raw in enumerate(text[start:end].splitlines(), lineno + 1):
+                if parts := raw.split():
+                    yield lineno, parts
+        else:
+            for lineno, raw in enumerate(text[start:end].splitlines(), lineno + 1):
+                # a body of commas alone is a record of no labels
+                if body := raw.split("#", 1)[0].strip():
+                    yield lineno, body.replace(",", " ").split()
         start = end
 
 
@@ -70,26 +82,29 @@ def parse_edge_list(text: str) -> Graph:
     edge records were collapsed, if any.
     """
     index: dict[str, int] = {}  # label -> id, in first-appearance order
-    intern = index.setdefault
+    probe = index.get
     adjacency: list[list[int]] = []  # each id's neighbour ids, repeats kept
     for lineno, parts in _records(text):
         if len(parts) == 2:
             u, v = parts
             if u == v:
                 raise EdgeListError(lineno, f"self-loop on {u!r}")
-            i = intern(u, len(index))
-            j = intern(v, len(index))
-            while len(adjacency) < len(index):
+            if (i := probe(u)) is None:
+                i = index[u] = len(adjacency)
+                adjacency.append([])
+            if (j := probe(v)) is None:
+                j = index[v] = len(adjacency)
                 adjacency.append([])
             adjacency[i].append(j)
             adjacency[j].append(i)
         elif len(parts) == 1:
-            intern(parts[0], len(index))
+            if parts[0] not in index:
+                index[parts[0]] = len(adjacency)
+                adjacency.append([])
         else:
             raise EdgeListError(lineno, f"expected 1 or 2 labels, got {len(parts)}")
-    adjacency += ([] for _ in range(len(index) - len(adjacency)))  # ids declared last
     labels = tuple(index)
-    del index, intern  # frees the dict: the lists hold the ids they need
+    del index, probe  # frees the dict: the lists hold the ids they need
     # an edgeless graph over the labels, then the lists become its adjacency
     graph = Graph(len(adjacency), (), labels=labels)
     duplicates = _finish(graph, adjacency)[1] // 2

@@ -25,7 +25,10 @@ that split every record with a regex and deduplicated through a set of
 tuples, the reference for the one-pass ``parse_edge_list``.
 ``oracle_graph`` checks every edge and adds it to two growing sets, which
 it sorts at the end, the reference for the list-then-sort build of
-``Graph`` and its ascending neighbour tuples.
+``Graph`` and its ascending neighbour tuples.  ``oracle_marginal_gain`` and
+``oracle_induced_subgraph`` are the gain of one more removal and the
+reindexed subgraph on kept nodes, which no solver needs; the tests of the
+score's shape read them.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from itertools import combinations
 import pytest
 
 from fragility import DegreeTracker, Graph, RemovalSolution, fragile
+from fragility import graph as graph_module
 from fragility.io import DuplicateEdgeWarning, EdgeListError
 
 # Populated by tests/test_acceptance.py; echoed after the run so the
@@ -391,6 +395,26 @@ def oracle_parse_edge_list(text: str) -> Graph:
         warnings.warn(DuplicateEdgeWarning(
             f"collapsed {duplicates} duplicate edge record(s)"), stacklevel=2)
     return Graph(len(labels), sorted(edges), labels=tuple(labels))
+
+
+def oracle_marginal_gain(graph: Graph, base, candidate: int) -> float:
+    """``fragile(graph, base | {candidate}) - fragile(graph, base)``; the
+    candidate must not already be in the base set."""
+    base = frozenset(base)
+    if candidate in base:
+        raise ValueError(f"candidate {candidate} is already removed")
+    return fragile(graph, base | {candidate}) - fragile(graph, base)
+
+
+def oracle_induced_subgraph(graph: Graph, keep) -> Graph:
+    """Subgraph on ``keep``, reindexed densely in id order with labels
+    preserved, built by ``fragility.graph.Graph`` as it is when called."""
+    order = sorted(graph_module._node_set(graph.node_count, keep))
+    remap = {old: new for new, old in enumerate(order)}
+    edges = [(remap[u], remap[v]) for u, v in graph.edges()
+             if u in remap and v in remap]
+    return graph_module.Graph(len(order), edges,
+                              labels=[graph.labels[i] for i in order])
 
 
 def oracle_graph(n: int, edges) -> tuple:

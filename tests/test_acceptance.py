@@ -13,7 +13,8 @@ from itertools import combinations, product
 from time import perf_counter
 
 import conftest
-from conftest import (oracle_betweenness, oracle_fragile, random_graph_edges)
+from conftest import (oracle_betweenness, oracle_fragile,
+                      oracle_marginal_gain, random_graph_edges)
 from test_ip_model import feasible_binary_maximum
 
 from fragility import (ExperimentConfig, Graph, IpAssignment,
@@ -22,7 +23,7 @@ from fragility import (ExperimentConfig, Graph, IpAssignment,
                        complete_graph, cycle_graph, emit_csv, emit_edge_list,
                        emit_lp, evaluate_objective, exact_opt, fragile,
                        generate_synthetic, greedy_fragile, linearize,
-                       marginal_gain, network_degree_centrality, parse_csv,
+                       network_degree_centrality, parse_csv,
                        parse_edge_list, run_curves, star_graph)
 from fragility.cli import main as cli_main
 
@@ -257,11 +258,11 @@ def test_criterion_7_shape_witnesses(star4, double_star10, k4_pendant):
         # removal can lower the score
         assert fragile(star4, {0}) == 0.0 < fragile(star4, ()) == 1.0
         # a node's gain can shrink as the removed set grows
-        assert (marginal_gain(double_star10, (), 0) == 28 / 56 - 32 / 72
-                > marginal_gain(double_star10, {1}, 0) == -0.5)
+        assert (oracle_marginal_gain(double_star10, (), 0) == 28 / 56 - 32 / 72
+                > oracle_marginal_gain(double_star10, {1}, 0) == -0.5)
         # a node's gain can grow as the removed set grows
-        assert (marginal_gain(k4_pendant, (), 4) == -0.5
-                < marginal_gain(k4_pendant, {0}, 4) == 0.0 - 2 / 6)
+        assert (oracle_marginal_gain(k4_pendant, (), 4) == -0.5
+                < oracle_marginal_gain(k4_pendant, {0}, 4) == 0.0 - 2 / 6)
         note["detail"] = ("fragility rises (4/9 -> 1/2) and falls (1 -> 0) "
                           "under removal; marginal gains shrink (1/18 -> -1/2) "
                           "and grow (-1/2 -> -1/3) with context")

@@ -166,6 +166,73 @@ class TestRecordBlocks:
             parse_edge_list("".join(lines))
 
 
+def _clean_head() -> list[str]:
+    """9000 edge records with neither ``#`` nor ``,``, over 64 KiB of text."""
+    return [f"c{i} c{i + 1}" for i in range(9000)]
+
+
+def _two_blocks(head: list[str], tail: list[str]) -> str:
+    """``head`` then ``tail``, one record a line: the first block lies inside
+    ``head`` and holds no ``#`` or ``,``; ``tail`` lies in the second block,
+    which holds a ``,``."""
+    text = "".join(line + "\n" for line in head + tail)
+    cut = text.find("\n", _BLOCK) + 1
+    assert "#" not in text[:cut] and "," not in text[:cut]
+    assert text.index("\n".join(tail)) > cut and "," in text[cut:]
+    return text
+
+
+class TestBlockChecks:
+    """Each block is searched once for ``#`` and ``,``.  The lines of a block
+    with neither are only split on whitespace; the lines of a block with
+    either are cut at ``#``, stripped and have their commas replaced.  Both
+    give the oracle's outcome, line numbers included."""
+
+    def test_clean_block_then_commas_and_comments(self):
+        tail = ["a,b", " b , c # note", "# whole line", "c\td,", "d", "e , # alone",
+                ",a", "c1 c0 #"]
+        text = _two_blocks(_clean_head(), tail)
+        new = _outcome(parse_edge_list, text)
+        assert new == _outcome(oracle_parse_edge_list, text)
+        assert new[0][-5:] == ("a", "b", "c", "d", "e") and new[3] == 9003
+        assert new[-1] == [(DuplicateEdgeWarning,
+                            "collapsed 1 duplicate edge record(s)")]
+
+    @pytest.mark.parametrize("line", [",", " , # x"])
+    @pytest.mark.parametrize("head", [[], _clean_head()], ids=["one-block", "second-block"])
+    def test_comma_only_line_has_no_labels(self, line, head):
+        text = "".join(f"{rec}\n" for rec in head + ["a b", line, "b c"])
+        at = len(head) + 2
+        new = _outcome(parse_edge_list, text)
+        assert new == (EdgeListError, f"line {at}: expected 1 or 2 labels, got 0", at)
+        assert new == _outcome(oracle_parse_edge_list, text)
+
+    @pytest.mark.parametrize("end", ["\x1c", "\u2028", "\r"])
+    def test_comment_ends_at_any_line_break(self, end):
+        head = _clean_head()
+        head[50] = f"p q{end}q r"  # a break other than "\n" in the clean block
+        text = _two_blocks(head, [f"a b # x{end}b c", f"c,d{end}# y{end}d e # z"])
+        new = _outcome(parse_edge_list, text)
+        assert new == _outcome(oracle_parse_edge_list, text)
+        assert new[0][-5:] == ("a", "b", "c", "d", "e") and new[3] == 9005
+
+    @pytest.mark.parametrize("bad, message", [
+        ("s s", "self-loop on 's'"), ("x y z", "expected 1 or 2 labels, got 3")])
+    @pytest.mark.parametrize("block", ["clean", "flagged"])
+    def test_bad_record_reports_its_line(self, bad, message, block):
+        head, tail = _clean_head(), ["a,b", "b c # note", "c d"]
+        if block == "clean":
+            head.insert(100, bad)
+            at = 101
+        else:
+            tail.insert(2, bad)
+            at = len(head) + 3
+        text = _two_blocks(head, tail)
+        with pytest.raises(EdgeListError, match=f"^line {at}: {re.escape(message)}$"):
+            parse_edge_list(text)
+        assert _outcome(parse_edge_list, text) == _outcome(oracle_parse_edge_list, text)
+
+
 # bodies built from labels that include non-ASCII letters and a byte-order
 # mark, and separators that include every kind the parser treats differently
 _LABEL = st.sampled_from(["a", "b", "c", "d", "é", "\ufeffa", "10", "1"])
@@ -666,6 +733,7 @@ class TestCliEmitIp:
     @pytest.mark.parametrize("argv, option", [
         (["--all-i", "--out", "x.lp", "--out-dir", "lpA"], "--out"),
         (["--linearize-i", "1", "--out-dir", "lpB"], "--out-dir"),
+        (["--linearize-i", "1", "--prefix", "zz", "--out", "m.lp"], "--prefix"),
     ])
     def test_output_option_its_mode_ignores_is_exit_1(self, graph_file, tmp_path,
                                                       monkeypatch, argv, option,
@@ -758,7 +826,7 @@ OPTION_SURFACE = {
     "decision": {"--k": None, "--x": None, "--work-limit": 10_000_000},
     "emit-ip": {"--k": None, "--linearize-i": None, "--all-i": False,
                 "--relax": False, "--out": None, "--out-dir": None,
-                "--prefix": "model"},
+                "--prefix": None},
     "baseline": {"--strategy": None, "--m": None},
     "curve": {"--strategies": _ALL, "--max-fraction": 0.12, "--step": 1,
               "--out": None},

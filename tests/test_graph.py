@@ -15,13 +15,14 @@ from fragility import (Graph, betweenness_ranking, betweenness_scores,
                        build_fragility_ip, canonical_assignment,
                        closeness_ranking, complete_graph, cycle_graph,
                        degree_ranking, exact_opt, fragile,
-                       fragility_decision, greedy_fragile, induced_subgraph,
-                       generate_synthetic, marginal_gain,
-                       network_degree_centrality, path_graph, star_graph)
+                       fragility_decision, greedy_fragile,
+                       generate_synthetic, network_degree_centrality,
+                       path_graph, star_graph)
 from fragility import graph as graph_module, harness
 
 from conftest import (graph_shape, oracle_centrality, oracle_fragile,
-                      oracle_graph, random_graph_edges)
+                      oracle_graph, oracle_induced_subgraph,
+                      oracle_marginal_gain, random_graph_edges)
 
 
 # ----- construction --------------------------------------------------------
@@ -39,13 +40,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unknown node id"):
             Graph(3, [(0, 3)])
 
-    # every entry point that takes node ids, fed one id outside the graph
+    # every entry point and test oracle that takes node ids, fed one id
+    # outside the graph
     @pytest.mark.parametrize("call", [
         pytest.param(lambda g, x: fragile(g, [0, x]), id="fragile"),
-        pytest.param(lambda g, x: marginal_gain(g, [x], 0), id="marginal_gain-base"),
-        pytest.param(lambda g, x: marginal_gain(g, [0], x),
+        pytest.param(lambda g, x: oracle_marginal_gain(g, [x], 0),
+                     id="marginal_gain-base"),
+        pytest.param(lambda g, x: oracle_marginal_gain(g, [0], x),
                      id="marginal_gain-candidate"),
-        pytest.param(lambda g, x: induced_subgraph(g, [0, x]), id="induced_subgraph"),
+        pytest.param(lambda g, x: oracle_induced_subgraph(g, [0, x]),
+                     id="induced_subgraph"),
         pytest.param(lambda g, x: greedy_fragile(g, [x], 1), id="greedy_fragile"),
         pytest.param(lambda g, x: exact_opt(g, [x], 1), id="exact_opt"),
         pytest.param(lambda g, x: fragility_decision(g, [x], 1, 0.5),
@@ -161,7 +165,7 @@ class TestBuildMatchesOracle:
         pytest.param(lambda: generate_synthetic("random", 300, 2500, seed=5),
                      id="random"),
         pytest.param(lambda: generate_synthetic("star-of-stars", 400), id="star-of-stars"),
-        pytest.param(lambda: induced_subgraph(
+        pytest.param(lambda: oracle_induced_subgraph(
             generate_synthetic("scale-free", 800, 3900, seed=6), range(0, 800, 3)),
             id="induced_subgraph"),
     ])
@@ -289,11 +293,11 @@ class TestFragile:
 
 class TestMarginalGain:
     def test_leaf_gain(self, double_star8):
-        assert marginal_gain(double_star8, (), 2) == 16 / 30 - 18 / 42
+        assert oracle_marginal_gain(double_star8, (), 2) == 16 / 30 - 18 / 42
 
     def test_rejects_candidate_in_base(self, double_star8):
         with pytest.raises(ValueError, match="already removed"):
-            marginal_gain(double_star8, {2}, 2)
+            oracle_marginal_gain(double_star8, {2}, 2)
 
     def test_matches_two_fragile_calls(self, k4_pendant):
         for base in [(), (1,), (0, 2)]:
@@ -302,14 +306,14 @@ class TestMarginalGain:
                     continue
                 expected = (fragile(k4_pendant, set(base) | {cand})
                             - fragile(k4_pendant, base))
-                assert marginal_gain(k4_pendant, base, cand) == expected
+                assert oracle_marginal_gain(k4_pendant, base, cand) == expected
 
 
 # ----- induced subgraph ----------------------------------------------------
 
 class TestInducedSubgraph:
     def test_keeps_labels_and_edges(self, double_star8):
-        sub = induced_subgraph(double_star8, {0, 2, 3, 4})
+        sub = oracle_induced_subgraph(double_star8, {0, 2, 3, 4})
         assert sub.node_count == 4
         assert sub.labels == ("0", "2", "3", "4")
         assert sub.edge_count == 3  # hub 0 keeps its three leaves
@@ -317,12 +321,12 @@ class TestInducedSubgraph:
     def test_consistent_with_fragile(self, double_star10):
         removed = {1, 7}
         keep = set(range(10)) - removed
-        sub = induced_subgraph(double_star10, keep)
+        sub = oracle_induced_subgraph(double_star10, keep)
         assert network_degree_centrality(sub) == fragile(double_star10, removed)
 
     def test_rejects_unknown_id(self, star4):
         with pytest.raises(ValueError):
-            induced_subgraph(star4, {0, 9})
+            oracle_induced_subgraph(star4, {0, 9})
 
 
 # ----- non-monotonicity and non-modularity witnesses -----------------------
@@ -338,16 +342,16 @@ class TestShapeWitnesses:
 
     def test_gain_can_shrink_with_context(self, double_star10):
         # hub 0 alone helps; after hub 1 is gone it devastates the score
-        alone = marginal_gain(double_star10, (), 0)
-        after = marginal_gain(double_star10, {1}, 0)
+        alone = oracle_marginal_gain(double_star10, (), 0)
+        after = oracle_marginal_gain(double_star10, {1}, 0)
         assert alone == 28 / 56 - 32 / 72 > 0
         assert after == 0.0 - 28 / 56
         assert after < alone
 
     def test_gain_can_grow_with_context(self, k4_pendant):
         # pendant 4 alone hurts; once hub 0 is gone it hurts less
-        alone = marginal_gain(k4_pendant, (), 4)
-        after = marginal_gain(k4_pendant, {0}, 4)
+        alone = oracle_marginal_gain(k4_pendant, (), 4)
+        after = oracle_marginal_gain(k4_pendant, {0}, 4)
         assert alone == 0.0 - 6 / 12
         assert after == 0.0 - 2 / 6
         assert after > alone
