@@ -26,8 +26,8 @@ _EXPORTS = {
            "parse_edge_list", "parse_no_strike", "run_manifest", "write_manifest"),
     "ip_model": ("FeasibilityReport", "InfeasibleAssignmentError", "IpAssignment",
                  "IpModel", "build_fragility_ip", "canonical_assignment",
-                 "check_feasible", "emit_lp", "emit_lp_family",
-                 "evaluate_objective", "linearize", "relax_bounds"),
+                 "check_feasible", "emit_lp", "evaluate_objective",
+                 "linearize", "relax_bounds", "write_lp_family"),
     "solvers": ("DegreeTracker", "RemovalSolution", "WorkLimitExceeded",
                 "exact_opt", "fragility_decision", "greedy_fragile",
                 "iter_greedy_steps"),

@@ -15,25 +15,27 @@ Costs, for N nodes, M edges and eccentricity ecc(v):
   exact: nodes are ordered by the rational key r**2 / s, the score without
   its common 1 / (N - 1) factor.
 - betweenness: Brandes, one level-synchronous BFS and one backward pass per
-  source, O(N * M) spread over the usable CPUs: the sources run in forked
-  workers, one per CPU in ``os.sched_getaffinity(0)``, and their dependency
-  vectors are added in source order, so the floats do not depend on the
+  source, O(N * M) spread over the usable CPUs: the sources run in
+  ``os.fork`` workers, one per CPU in ``os.sched_getaffinity(0)``, each
+  writing its results into its own pipe, and their dependency vectors are
+  read back and added in source order, so the floats do not depend on the
   number of workers.  The sweep runs in-process when N * M is below 250,000,
-  when one CPU is usable, or when the process cannot fork safely (no
-  ``fork`` start method, other threads running, or itself a pool worker).
-  Ranking ties are exact: runs of floats within 1e-9 of each other are
-  ranked again by exact rational scores from an integer Brandes pass, so
-  equal scores rank by ascending id; that pass is a second sweep, made only
-  when such a run exists.  Timings of this ranking are wall-clock
-  time, not CPU time.
+  when one CPU is usable or its CPUs are unknown, or when other threads
+  run, since a fork copies only the calling thread.  Ranking ties are
+  exact: runs of floats within 1e-9 of each other are ranked again by exact
+  rational scores from an integer Brandes pass, so equal scores rank by
+  ascending id; that pass is a second sweep, made only when such a run
+  exists, and sends each source's integer numerators over its lcm ``L``.
+  Timings of this ranking are wall-clock time, not CPU time.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
+import sys
 import threading
-from array import array
 from collections.abc import Callable, Collection, Iterator, Sequence
 from fractions import Fraction
 from functools import partial
@@ -111,12 +113,12 @@ def closeness_ranking(graph: Graph, no_strike: Collection[int] | None = None
     return _rank(graph, keys, ns)
 
 
-# Below this N * M a pool's start-up costs more than its workers save.  On
-# a 2-CPU host (medians of 7), N * M = 196,000 took 0.076 s in-process and
-# 0.110 s over two workers; 306,250 took 0.124 s and 0.099 s.
+# Below this N * M forking workers costs more than they save.  On a 2-CPU
+# host (medians of 7), N * M = 196,000 took 0.076 s in-process and 0.110 s
+# over two workers; 306,250 took 0.124 s and 0.099 s.
 _POOL_MIN_WORK = 250_000
 
-_worker_task: tuple = ()  # (per_source, adj), set only in pool workers
+_PIPE_BYTES = 1 << 20  # per worker; 64 KiB pipes stall the workers in turn
 
 
 def _pool_size(work: int) -> int:
@@ -125,33 +127,53 @@ def _pool_size(work: int) -> int:
     if work < _POOL_MIN_WORK or not hasattr(os, "sched_getaffinity"):
         return 1
     cpus = len(os.sched_getaffinity(0))
-    if cpus < 2:
-        return 1
-    import multiprocessing
-    # fork copies only the calling thread, and a pool worker may not fork
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or threading.active_count() > 1
-            or multiprocessing.current_process().daemon):
+    # fork copies only the calling thread
+    if cpus < 2 or threading.active_count() > 1:
         return 1
     return cpus
 
 
-def _init_worker(per_source: Callable, adj: Sequence) -> None:
-    global _worker_task
-    _worker_task = (per_source, adj)
+def _work(per_source: Callable, adj: Sequence, first: int, step: int,
+          fd: int, readers: list[int]) -> None:
+    """A forked worker: writes ``per_source(adj, s)`` for ``s = first,
+    first + step, ...`` into ``fd``, each as an 8-byte length and its
+    ``marshal`` bytes, then leaves through ``os._exit``, so no ``atexit``
+    handler or buffered stream of the parent runs here."""
+    status = 1
+    try:
+        for r in readers:  # a worker holding a read end keeps its pipe open
+            os.close(r)
+        with open(fd, "wb") as out:
+            for s in range(first, len(adj), step):
+                data = marshal.dumps(per_source(adj, s))
+                out.write(len(data).to_bytes(8, "little") + data)
+                out.flush()
+        status = 0
+    except BrokenPipeError:
+        pass  # the parent stopped reading
+    except Exception:
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
 
 
-def _run_source(s: int):
-    per_source, adj = _worker_task
-    return per_source(adj, s)
+def _receive(pipe) -> object:
+    size = int.from_bytes(pipe.read(8), "little")
+    data = pipe.read(size)
+    if not size or len(data) < size:
+        raise RuntimeError("a betweenness worker stopped before its last source")
+    return marshal.loads(data)
 
 
 def _sweep(per_source: Callable, graph: Graph) -> Iterator:
     """``per_source(adj, s)`` for every source ``s``, yielded in order 0..N-1.
 
-    The sources run in forked workers, one per usable CPU, which receive
-    the adjacency once, at fork.  The sweep runs in-process instead when
-    :func:`_pool_size` allows one worker.
+    Worker w of W, forked with the adjacency, runs sources w, w + W, ... and
+    writes each result into its own pipe; the results are read back in
+    source order.  Closing the generator early closes the pipes, so each
+    worker stops at its next write, and reaps every worker.  The sweep runs
+    in-process instead when :func:`_pool_size` allows one worker.
     """
     n, adj = graph.node_count, graph.adjacency
     workers = _pool_size(n * graph.edge_count)
@@ -159,15 +181,35 @@ def _sweep(per_source: Callable, graph: Graph) -> Iterator:
         for s in range(n):
             yield per_source(adj, s)
         return
-    import multiprocessing
-    # about eight chunks per worker keep the workers evenly loaded; a chunk
-    # carries at most 2**21 result floats (16 MB)
-    chunk = max(1, min(n // (8 * workers), (1 << 21) // n))
-    with multiprocessing.get_context("fork").Pool(
-            workers, _init_worker, (per_source, adj)) as pool:
-        yield from pool.imap(_run_source, range(n), chunk)
-        pool.close()
-        pool.join()
+    import fcntl  # POSIX, like os.fork
+    grow = getattr(fcntl, "F_SETPIPE_SZ", None)  # Linux only
+    pipes: list = []
+    pids = []
+    try:
+        for w in range(workers):
+            r, fd = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                if grow is not None:
+                    try:
+                        fcntl.fcntl(fd, grow, _PIPE_BYTES)
+                    except OSError:
+                        pass  # above the system's limit: keep the default
+                readers = [pipe.fileno() for pipe in pipes]
+                pid = os.fork()
+                if pid == 0:
+                    _work(per_source, adj, w, workers, fd, readers)
+                pids.append(pid)
+            finally:
+                os.close(fd)  # the worker's end, in the parent
+        for s in range(n):
+            yield _receive(pipes[s % workers])
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        failed = [pid for pid in pids if os.waitpid(pid, 0)[1]]
+    if failed:
+        raise RuntimeError(f"{len(failed)} betweenness workers failed")
 
 
 def _paths(adj: Sequence, s: int) -> tuple[list[int], list[int], list]:
@@ -206,7 +248,7 @@ def _paths(adj: Sequence, s: int) -> tuple[list[int], list[int], list]:
     return found, sigma, pred
 
 
-def _dependencies(adj: Sequence, s: int) -> array:
+def _dependencies(adj: Sequence, s: int) -> list[float]:
     """Source ``s``'s dependency on every node, 0.0 on itself."""
     found, sigma, pred = _paths(adj, s)
     delta = [0.0] * len(adj)
@@ -216,7 +258,7 @@ def _dependencies(adj: Sequence, s: int) -> array:
         for v in pred[w]:
             delta[v] += sigma[v] / sw * dw1
     delta[s] = 0.0
-    return array("d", delta)
+    return delta
 
 
 def betweenness_scores(graph: Graph) -> list[float]:
@@ -235,12 +277,14 @@ def betweenness_scores(graph: Graph) -> list[float]:
 
 
 def _exact_dependencies(want: Sequence[int], adj: Sequence,
-                        s: int) -> list[Fraction]:
-    """Source ``s``'s dependency on each node of ``want``, exactly.
+                        s: int) -> tuple[int, list[int]]:
+    """Source ``s``'s dependency on each node of ``want``, exactly, as
+    ``(L, numerators)``: the dependency of ``want[j]`` is
+    ``numerators[j] / L``.
 
     With ``L`` the lcm of the path counts, ``H[w]`` sums ``L / sigma[c] +
-    H[c]`` over the children ``c`` of ``w`` in the DAG; the dependency is
-    ``sigma[w] * H[w] / L``, integers until that one division.
+    H[c]`` over the children ``c`` of ``w`` in the DAG; the numerator is
+    ``sigma[w] * H[w]``, so no step divides.
     """
     found, sigma, pred = _paths(adj, s)
     big_l = math.lcm(*(sigma[w] for w in found))
@@ -250,7 +294,7 @@ def _exact_dependencies(want: Sequence[int], adj: Sequence,
         for v in pred[w]:
             h[v] += hw
     h[s] = 0
-    return [Fraction(sigma[w] * h[w], big_l) for w in want]
+    return big_l, [sigma[w] * h[w] for w in want]
 
 
 def _near_ties(order: Sequence[int], scores: list[float]) -> list[int]:
@@ -272,7 +316,8 @@ def betweenness_ranking(graph: Graph, no_strike: Collection[int] | None = None
     """Rank targetable nodes by betweenness, exact ties by ascending id.
 
     Near-equal float scores are ranked again by their exact values, summed
-    over the same sweep of sources.
+    over the same sweep of sources: the numerators are added per distinct
+    denominator ``L``, and each node's ``Fraction`` is built at the end.
     """
     ns = _node_set(graph.node_count, no_strike)
     scores = betweenness_scores(graph)
@@ -280,12 +325,14 @@ def betweenness_ranking(graph: Graph, no_strike: Collection[int] | None = None
     tied = _near_ties(order, scores)
     if not tied:
         return order
+    sums: dict[int, list[int]] = {}
+    for big_l, part in _sweep(partial(_exact_dependencies, tied), graph):
+        total = sums.get(big_l)
+        sums[big_l] = part if total is None else list(map(add, total, part))
     keys: list = list(scores)
-    exact = [Fraction(0)] * len(tied)
-    for part in _sweep(partial(_exact_dependencies, tied), graph):
-        exact = list(map(add, exact, part))
-    for v, x in zip(tied, exact):
-        keys[v] = x / 2
+    for j, v in enumerate(tied):
+        keys[v] = sum(Fraction(total[j], big_l)
+                      for big_l, total in sums.items()) / 2
     return _rank(graph, keys, ns)
 
 

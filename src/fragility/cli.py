@@ -229,8 +229,8 @@ def _cmd_emit_ip(args, graph, ns):
     if not args.all_i and args.prefix is not None:
         raise ValueError("--prefix names the files of --all-i; pass --out for "
                          "one model")
-    from .ip_model import (build_fragility_ip, emit_lp, emit_lp_family,
-                           linearize, relax_bounds)
+    from .ip_model import (build_fragility_ip, emit_lp, linearize,
+                           relax_bounds, write_lp_family)
     model = build_fragility_ip(graph, ns, args.k)
     if args.relax:
         model = relax_bounds(model)
@@ -241,13 +241,8 @@ def _cmd_emit_ip(args, graph, ns):
         out_dir = Path(args.out_dir or ".")
         prefix = "model" if args.prefix is None else args.prefix
         out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = []
-        for i, parts in emit_lp_family(model):
-            path = out_dir / f"{prefix}_i{i}.lp"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.writelines(parts)
-            del parts  # free this model's head before the next is rendered
-            outputs.append(str(path))
+        outputs = [str(out_dir / f"{prefix}_i{i}.lp") for i in range(1, args.k + 1)]
+        write_lp_family(model, outputs)
         return ({**parameters, "all_i": True}, [f"wrote {p}" for p in outputs],
                 {"models": outputs}, outputs)
     if args.linearize_i is None:

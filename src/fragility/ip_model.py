@@ -39,15 +39,17 @@ objective ``((N - i) * sum Q - 2 * sum Y) / ((N - 1 - i) * (N - 2 - i))``
 with the constant denominator folded into the coefficients, and tightens the
 budget row to ``sum X <= i``.  Only linearized models can be exported.
 
-:func:`emit_lp` writes one linearized model; :func:`emit_lp_family` yields
-the whole family ``i = 1..k``, each model as a tuple of text parts to be
-written one after another.  Only the header comments, the objective and
-the c3 row change with ``i``, so the family renders the rest (rows c4..c11,
-Bounds, Binary) once, in sections, and shares those strings among its
-models.  Both use the same renderers, which build every variable name once
-per family.  The per-edge rows c5..c9 come from ``_EDGE_ROWS``, the table
-``IpModel._iter_rows`` also reads; the renderer fills one line template per
-family and wraps only rows longer than a line.
+:func:`emit_lp` returns one linearized model's text; :func:`write_lp_family`
+writes the whole family ``i = 1..k``, one file per model.  Only the header
+comments, the objective and the c3 row change with ``i``, so the writer
+renders the rest (rows c4..c11, Bounds, Binary) once, section by section,
+into the first file, and gives every later file its own head and a byte
+copy of that region; each head is written one batch of wrapped lines at a
+time, so no model, head or body is held whole.  Both use the same
+renderers over variable names built once per model.  The per-edge rows
+c5..c9 come from ``_EDGE_ROWS``, the table ``IpModel._iter_rows`` also
+reads; the renderer fills one line template per family and wraps only rows
+longer than a line.
 
 The model and its records are named tuples, so loading this module does
 not load ``dataclasses``; the transforms return ``model._replace(...)``.
@@ -55,11 +57,11 @@ not load ``dataclasses``; the transforms return ``model._replace(...)``.
 
 from __future__ import annotations
 
-import functools
 import re
+import shutil
 from collections import namedtuple
-from collections.abc import Collection, Iterable, Iterator
-from itertools import chain
+from collections.abc import Collection, Iterable, Iterator, Sequence
+from itertools import chain, islice
 
 from .graph import Graph, _centralization, _node_set
 
@@ -127,12 +129,6 @@ class _Names:
         self.z = ["Z_" + a for a in labels]
         self.edges = [(f"{labels[u]}_{labels[v]}", labels[u], labels[v])
                       for u, v in model.edges]
-
-    @functools.cached_property
-    def objective(self) -> tuple[list[str], list[str]]:
-        """The objective's two term groups: Qf then Qb per edge, and Y."""
-        return ([f"{q}_{ab}" for ab, _, _ in self.edges for q in ("Qf", "Qb")],
-                ["Y_" + ab for ab, _, _ in self.edges])
 
 
 class IpModel(namedtuple("IpModel", ("n_nodes", "var_labels", "edges", "k",
@@ -375,33 +371,37 @@ def _tokens(terms: Iterable[tuple[float, str]], sense: str, rhs: float) -> list[
     return tokens
 
 
-def _wrap(prefix: str, tokens: Iterable[str]) -> str:
-    """``prefix`` and ``tokens`` in lines of at most ``_WIDTH`` columns.  A
-    line takes its first token whatever its length, then every next token
-    that fits; later lines start with three spaces.  Each line is joined
-    as soon as it is full, so no list of all tokens is built."""
-    lines = []
+def _lines(prefix: str, tokens: Iterable[str]) -> Iterator[str]:
+    """``prefix`` and ``tokens`` in lines of at most ``_WIDTH`` columns,
+    each yielded, without its newline, as soon as it is full.  A line takes
+    its first token whatever its length, then every next token that fits;
+    later lines start with three spaces.  No list of all tokens is built."""
     line = [prefix]
     size = len(prefix)
     for tok in tokens:
         size += len(tok) + 1
         if size > _WIDTH and len(line) > 1:
-            lines.append(" ".join(line))
+            yield " ".join(line)
             line = ["  ", tok]  # joined, a three-space indent
             size = len(tok) + 3
         else:
             line.append(tok)
-    lines.append(" ".join(line))
-    return "\n".join(lines)
+    yield " ".join(line)
+
+
+def _wrap(prefix: str, tokens: Iterable[str]) -> str:
+    return "\n".join(_lines(prefix, tokens))
 
 
 def _row_text(row: Row) -> str:
     return _wrap(f" {row.rid}:", _tokens(row.terms, row.sense, row.rhs))
 
 
-def _render_head(model: IpModel, names: _Names) -> str:
+def _render_head(model: IpModel, names: _Names) -> Iterator[str]:
     """Header comments, objective and budget row (c3) of a linearized model:
-    the part of its LP text that depends on the removal count."""
+    the part of its LP text that depends on the removal count.  The
+    objective comes in batches of wrapped lines, its terms named as they
+    are wrapped."""
     n = model.n_nodes
     i = model.objective.removal_count
     scale = model.objective.scale
@@ -414,85 +414,98 @@ def _render_head(model: IpModel, names: _Names) -> str:
     if scale is None:
         lines.append("\\ degenerate instance (fewer than 3 survivors): "
                      "objective left unscaled")
+    lines.append("Maximize\n")
+    yield "\n".join(lines)
     q_coef = (n - i) * scale if scale is not None else float(n - i)
     y_coef = -2.0 * scale if scale is not None else -2.0
-    tokens = chain.from_iterable(
-        map(_sign(coef).__add__, group)
-        for coef, group in zip((q_coef, y_coef), names.objective) if coef)
+    ab = [e[0] for e in names.edges]
+    groups = []  # Qf then Qb per edge, then Y per edge
+    if q_coef:
+        qf, qb = ((_sign(q_coef) + q).__add__ for q in ("Qf_", "Qb_"))
+        groups.append(chain.from_iterable(zip(map(qf, ab), map(qb, ab))))
+    if y_coef:
+        groups.append(map((_sign(y_coef) + "Y_").__add__, ab))
+    tokens = chain.from_iterable(groups)
     first = next(tokens, None)
-    lines.append("Maximize")
-    lines.append(_wrap(" obj:", ["0"] if first is None else
-                       chain([first.removeprefix("+ ")], tokens)))
-    lines.append("Subject To")
+    wrapped = _lines(" obj:", ["0"] if first is None else
+                     chain([first.removeprefix("+ ")], tokens))
+    while batch := list(islice(wrapped, 1024)):  # about 74 kB of text
+        yield "\n".join(batch) + "\n"
     (c3, _), _ = model._node_rows(names)
-    lines.append(_row_text(c3))
-    return "\n".join(lines) + "\n"
+    yield f"Subject To\n{_row_text(c3)}\n"
 
 
-def _render_body(model: IpModel, names: _Names) -> tuple[str, ...]:
+def _render_body(model: IpModel, names: _Names) -> Iterator[str]:
     """Every row after c3, then Bounds, Binary and End: the same text at
-    every removal count.  It comes in sections, each joined from its own
-    lines: c4, one per family c5..c9, the c11 rows with the node domains,
-    the per-edge binaries, and End.  Each per-edge family is one line
-    template; only a row longer than a line is wrapped, token by token."""
+    every removal count.  It is made and yielded row by row, in order: c4,
+    the rows of each family c5..c9, the c11 rows, the node domains, the
+    per-edge binaries, and End.  Each per-edge family is one line template;
+    only a row longer than a line is wrapped, token by token."""
     (_, c4), c11 = model._node_rows(names)
-    sections = [_row_text(c4) + "\n"]
+    yield _row_text(c4) + "\n"
     for fam, terms, sense, rhs in _EDGE_ROWS:
         tokens = _tokens([(c, f"{p}{{{k}}}") for c, p, k in terms], sense, rhs)
         line = f" {fam}_{{0}}: {' '.join(tokens)}\n".format
-        lines = []
         for args in names.edges:
             text = line(*args)
             if len(text) > _WIDTH + 1:
                 text = _wrap(f" {fam}_{args[0]}:",
                              [t.format(*args) for t in tokens]) + "\n"
-            lines.append(text)
-        sections.append("".join(lines))
-    lines = list(map(_row_text, c11))
-    domains = model.domains()
-    unit_vars = [d.var for d in domains if d.kind == "unit"]
-    if unit_vars:
-        lines.append("Bounds")
-        lines.extend(f" 0 <= {name} <= 1" for name in unit_vars)
-    rank = {name: pos for pos, name in enumerate(names.x + names.z)}
-    binary = sorted((d.var for d in domains if d.kind == "binary"),
-                    key=rank.__getitem__)
-    if binary or names.edges:
-        lines.append("Binary")
-        lines.extend(f" {name}" for name in binary)
-    lines.append("")
-    sections.append("\n".join(lines))
-    sections.append("".join(f" Y_{ab}\n Qf_{ab}\n Qb_{ab}\n"
-                            for ab, _, _ in names.edges))
-    sections.append("End\n")
-    return tuple(sections)
+            yield text
+    for row in c11:
+        yield _row_text(row) + "\n"
+    # the domains of IpModel.domains(): Z per node and X per targetable node,
+    # unit when relaxed; the Binary section lists X before Z
+    free_x = [x for i, x in enumerate(names.x) if i not in model.no_strike]
+    if model.relaxed:
+        yield "Bounds\n"
+        for name in chain(names.z, free_x):
+            yield f" 0 <= {name} <= 1\n"
+    if not model.relaxed or names.edges:
+        yield "Binary\n"
+    if not model.relaxed:
+        for name in chain(free_x, names.z):
+            yield f" {name}\n"
+    for ab, _, _ in names.edges:
+        yield f" Y_{ab}\n Qf_{ab}\n Qb_{ab}\n"
+    yield "End\n"
 
 
 def emit_lp(model: IpModel) -> str:
     """Serialize a linearized model in LP format, byte-deterministically.
 
     Fractional models are rejected: call :func:`linearize` first (one model
-    per candidate removal count), or :func:`emit_lp_family` for all of them.
+    per candidate removal count), or :func:`write_lp_family` for all of them.
     """
     if model.objective.removal_count is None:
         raise ValueError(
             "model objective is fractional; call linearize(model, i) for each "
             "removal count i in 1..k and emit those models instead")
     names = _Names(model)
-    return "".join((_render_head(model, names), *_render_body(model, names)))
+    return "".join(chain(_render_head(model, names), _render_body(model, names)))
 
 
-def emit_lp_family(model: IpModel) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """Yield ``(i, parts)`` for ``i = 1..model.k``, where ``"".join(parts)``
-    is ``emit_lp(linearize(model, i))``.
+def write_lp_family(model: IpModel, paths: Sequence) -> None:
+    """Write ``emit_lp(linearize(model, i))`` to ``paths[i - 1]`` for
+    ``i = 1..model.k``, in UTF-8.
 
-    ``parts`` is the model's head followed by the shared body's sections.
-    The body is rendered once, when the first model is requested, and every
-    model's parts hold those same strings; each model then costs only its
-    head, and is yielded before the next one is rendered.  Writing the parts
-    one by one (``fh.writelines(parts)``) never builds a model-sized string.
+    Each head is written a batch of wrapped lines at a time.  The body, the
+    same at every ``i``, is rendered once, section by section, into the
+    first file; every later file gets its own head and then a byte copy of
+    that region of the first file.  No model, head or body is held whole in
+    memory.
     """
+    if len(paths) != model.k:
+        raise ValueError(f"{len(paths)} paths for the {model.k} models i = 1..k")
     names = _Names(model)
-    body = _render_body(model, names)
-    for i in range(1, model.k + 1):
-        yield i, (_render_head(linearize(model, i), names), *body)
+    for i, path in enumerate(paths, 1):
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(_render_head(linearize(model, i), names))
+            if i == 1:
+                start = out.tell()  # a byte offset: no decoder state
+                out.writelines(_render_body(model, names))
+                continue
+            out.flush()
+            with open(paths[0], "rb") as first:
+                first.seek(start)
+                shutil.copyfileobj(first, out.buffer)

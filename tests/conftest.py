@@ -15,7 +15,7 @@ kept as the reference for the branch and bound of ``exact_opt``; its scan,
 library-free ``oracle_fragile``.  ``oracle_emit_lp``
 renders one linearized model from ``IpModel.rows()`` in a single pass, term
 by term, the reference for the name-table writer behind ``emit_lp`` and
-``emit_lp_family``; it has its own term, coefficient and wrap helpers, so
+``write_lp_family``; it has its own term, coefficient and wrap helpers, so
 it shares no rendering code with ``ip_model``.
 ``oracle_closeness_scores`` and ``oracle_brandes_scores`` are the per-source
 queue BFS passes that ``closeness_scores`` and ``betweenness_scores`` used to

@@ -6,7 +6,11 @@ import math
 import multiprocessing
 import os
 import random
+import signal
+import subprocess
+import sys
 import threading
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -193,10 +197,71 @@ class TestProperties:
 
 # ----- fast passes against the per-source BFS oracles ---------------------
 
+def _assert_no_children():
+    # every forked worker has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _assert_equals_oracles(g):
     assert closeness_scores(g) == oracle_closeness_scores(g)
     assert betweenness_scores(g) == oracle_brandes_scores(g)
-    assert not multiprocessing.active_children()
+    _assert_no_children()
+
+
+def _pooled(monkeypatch):
+    """Make every sweep ask for two workers, whatever its size and the host."""
+    monkeypatch.setattr(baselines, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+def _spy_forks(monkeypatch) -> list[int]:
+    """The pids ``os.fork`` returns in this process, from now on."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _rational_ranking(g, no_strike=()):
+    """Targetable nodes by descending exact betweenness, ties by id: for
+    every pair s < t, node v carries sigma(s, v) * sigma(v, t) / sigma(s, t)
+    when it lies on a shortest s-t path."""
+    n = g.node_count
+    dist, sigma = [], []
+    for s in range(n):
+        d, c = {s: 0}, {s: 1}
+        level = [s]
+        while level:
+            nxt = []
+            for v in level:
+                for w in g.adjacency[v]:
+                    if w not in d:
+                        d[w] = d[v] + 1
+                        c[w] = 0
+                        nxt.append(w)
+                    if d[w] == d[v] + 1:
+                        c[w] += c[v]
+            level = nxt
+        dist.append(d)
+        sigma.append(c)
+    score = [Fraction(0)] * n
+    for s, t in combinations(range(n), 2):
+        if t in dist[s]:
+            for v in range(n):
+                if (v not in (s, t) and v in dist[s]
+                        and dist[s][v] + dist[v][t] == dist[s][t]):
+                    score[v] += Fraction(sigma[s][v] * sigma[v][t], sigma[s][t])
+    return tuple(sorted((v for v in range(n) if v not in no_strike),
+                        key=lambda v: (-score[v], v)))
 
 
 class TestBitIdenticalToOracles:
@@ -225,25 +290,29 @@ class TestBitIdenticalToOracles:
         _assert_equals_oracles(
             generate_synthetic("scale-free", 1133, 5541, seed=1))
 
+    def test_ranking_equals_rational_oracle(self):
+        # cycles tie every node; the random graphs tie some
+        rng = random.Random(0xE4AC7)
+        graphs = [cycle_graph(n) for n in (3, 4, 7, 12, 40)]
+        graphs += [Graph(6, _TIED_EDGES), complete_graph(9)]
+        for _ in range(60):
+            n = rng.randint(2, 12)
+            graphs.append(Graph(n, random_graph_edges(rng, n, rng.uniform(0.15, 0.6))))
+        for g in graphs:
+            assert betweenness_ranking(g) == _rational_ranking(g)
+            assert betweenness_ranking(g, {0}) == _rational_ranking(g, {0})
+        _assert_no_children()
+
 
 class TestBitIdenticalPooled(TestBitIdenticalToOracles):
     """Every sweep over two forked workers, whatever its size and the host."""
 
     @pytest.fixture(autouse=True)
     def sweep(self, monkeypatch):
-        monkeypatch.setattr(baselines, "_POOL_MIN_WORK", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
-        methods = []
-        get_context = multiprocessing.get_context
-
-        def counted(method=None):
-            methods.append(method)
-            return get_context(method)
-
-        monkeypatch.setattr(multiprocessing, "get_context", counted)
-        yield methods
-        assert methods and set(methods) == {"fork"}
+        _pooled(monkeypatch)
+        forks = _spy_forks(monkeypatch)
+        yield forks
+        assert forks
 
     # hypothesis runs each test function from one class only
     @settings(max_examples=200, deadline=None,
@@ -253,31 +322,25 @@ class TestBitIdenticalPooled(TestBitIdenticalToOracles):
         _assert_equals_oracles(Graph(*ne))
 
     def test_exact_ties_rank_by_id(self, sweep):
-        # the float pass, then the exact pass, each through the workers
+        # the float pass, then the exact pass, each through two workers
         assert betweenness_ranking(Graph(6, _TIED_EDGES)) == (
             1, 3, 4, 0, 5, 2)
-        assert sweep == ["fork", "fork"]
-        assert not multiprocessing.active_children()
+        assert len(sweep) == 4
+        _assert_no_children()
 
 
-def _forbid_pool(monkeypatch):
-    """Make every sweep ask for two workers, and fail if a pool starts."""
-    monkeypatch.setattr(baselines, "_POOL_MIN_WORK", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    get_context = multiprocessing.get_context
+def _forbid_fork(monkeypatch):
+    """Make every sweep ask for two workers, and fail if one forks."""
+    _pooled(monkeypatch)
 
-    def no_pool(method=None):
-        if method == "fork":
-            raise AssertionError("the sweep started a pool")
-        return get_context(method)
+    def no_fork():
+        raise AssertionError("the sweep forked")
 
-    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
-    return get_context
+    monkeypatch.setattr(os, "fork", no_fork)
 
 
 def test_one_cpu_sweeps_in_process(monkeypatch):
-    _forbid_pool(monkeypatch)
+    _forbid_fork(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
     g = generate_synthetic("scale-free", 300, 1470, seed=1)
@@ -286,7 +349,7 @@ def test_one_cpu_sweeps_in_process(monkeypatch):
 
 def test_other_threads_sweep_in_process(monkeypatch):
     # fork would copy only this thread
-    _forbid_pool(monkeypatch)
+    _forbid_fork(monkeypatch)
     done = threading.Event()
     waiter = threading.Thread(target=done.wait)
     waiter.start()
@@ -299,13 +362,93 @@ def test_other_threads_sweep_in_process(monkeypatch):
     assert not waiter.is_alive()
 
 
-def _cycle_scores(n):
-    return betweenness_scores(cycle_graph(n))
+def _cycle_scores_and_forks(n):
+    # the pool worker that runs this is discarded, patch and all
+    forks = _spy_forks(pytest.MonkeyPatch())
+    return betweenness_scores(cycle_graph(n)), len(forks)
 
 
-def test_pool_worker_sweeps_in_process(monkeypatch):
-    # a daemonic pool worker may not start processes of its own
-    get_context = _forbid_pool(monkeypatch)
-    with get_context("fork").Pool(1) as pool:
-        got = pool.apply_async(_cycle_scores, (40,)).get(timeout=60)
+def test_pool_worker_sweeps_in_workers(monkeypatch):
+    # a daemonic multiprocessing worker forks the sweep's workers like any
+    # other process, and reaps them
+    _pooled(monkeypatch)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got, forks = pool.apply_async(_cycle_scores_and_forks, (40,)).get(
+            timeout=60)
     assert got == oracle_brandes_scores(cycle_graph(40))
+    assert forks == 2
+
+
+def _fail_in_worker(parent: int, bad: int):
+    """A per-source function that raises on source ``bad`` in a worker."""
+    def per_source(adj, s):
+        if s == bad and os.getpid() != parent:
+            raise ValueError(f"source {s}")
+        return s
+    return per_source
+
+
+@pytest.fixture
+def deadline():
+    """Fail, instead of waiting, a test whose sweep hangs for 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("the sweep hung")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("bad", [0, 3, 39])
+def test_worker_failure_raises_in_parent(monkeypatch, capfd, deadline, bad):
+    # the sources before the failed one arrive in order, then the sweep
+    # raises instead of waiting for the lost result or stopping short
+    _pooled(monkeypatch)
+    got = []
+    with pytest.raises(RuntimeError, match="worker stopped"):
+        for s in baselines._sweep(_fail_in_worker(os.getpid(), bad),
+                                  cycle_graph(40)):
+            got.append(s)
+    assert got == list(range(bad))
+    _assert_no_children()
+    assert f"ValueError: source {bad}" in capfd.readouterr().err
+
+
+def test_closing_the_sweep_early_reaps_every_worker(monkeypatch, deadline):
+    _pooled(monkeypatch)
+    forks = _spy_forks(monkeypatch)
+    g = generate_synthetic("scale-free", 300, 1470, seed=1)
+    sweep = baselines._sweep(baselines._dependencies, g)
+    assert next(sweep) == baselines._dependencies(g.adjacency, 0)
+    sweep.close()
+    assert len(forks) == 2
+    _assert_no_children()
+
+
+_ATEXIT_SCRIPT = """\
+import atexit, os, sys
+from fragility import baselines, cycle_graph
+
+def record():
+    with open(sys.argv[1], "a") as out:
+        out.write(f"{os.getpid()}\\n")
+
+atexit.register(record)
+baselines._POOL_MIN_WORK = 0
+os.sched_getaffinity = lambda pid: {0, 1}
+baselines.betweenness_ranking(cycle_graph(40))  # both passes, in workers
+print(os.getpid())
+"""
+
+
+def test_workers_skip_the_parents_atexit_handlers(tmp_path):
+    # a worker that ran them would, in the benchmark's launcher, overwrite
+    # the parent's peak-memory record
+    record = tmp_path / "atexit.txt"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", _ATEXIT_SCRIPT, str(record)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert record.read_text().split() == [out.stdout.strip()]

@@ -20,7 +20,8 @@ from conftest import (ORACLE_SPLIT, graph_shape, oracle_graph,
 from fragility import (DuplicateEdgeWarning, EdgeListError, Graph,
                        emit_edge_list, generate_synthetic, parse_edge_list,
                        parse_no_strike, run_manifest, write_manifest)
-from fragility import harness
+from fragility import (build_fragility_ip, emit_lp, harness, linearize,
+                       relax_bounds)
 from fragility.cli import main
 from fragility.io import _BLOCK, _records
 
@@ -723,6 +724,25 @@ class TestCliEmitIp:
         sidecar = out_dir / "ds8_i1.lp.manifest.json"
         payload = json.loads(sidecar.read_text())
         assert len(payload["outputs"]) == 3
+
+    @pytest.mark.parametrize("relax", [[], ["--relax"]], ids=["binary", "relaxed"])
+    def test_all_i_files_equal_emit_lp(self, tmp_path, capsys, relax):
+        # non-ASCII labels and protected nodes; every file after the first
+        # copies its body from the first by byte offset
+        text = ("zentrale émile\nzentrale jörg\nzentrale 李\nzentrale ana\n"
+                "émile jörg\n李 ana\nana bo\nbo ćiro\n")
+        (tmp_path / "g.txt").write_text(text, encoding="utf-8")
+        (tmp_path / "ns.txt").write_text("jörg\nbo\n", encoding="utf-8")
+        assert main(["emit-ip", "--graph", str(tmp_path / "g.txt"), "--no-strike",
+                     str(tmp_path / "ns.txt"), "--k", "4", "--all-i", *relax,
+                     "--out-dir", str(tmp_path / "lp")]) == 0
+        graph = parse_edge_list(text)
+        model = build_fragility_ip(graph, parse_no_strike("jörg\nbo\n", graph), 4)
+        if relax:
+            model = relax_bounds(model)
+        for i in range(1, 5):
+            assert ((tmp_path / "lp" / f"model_i{i}.lp").read_bytes()
+                    == emit_lp(linearize(model, i)).encode())
 
     def test_relaxed_flag(self, graph_file, tmp_path, capsys):
         dest = tmp_path / "relaxed.lp"

@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import random
+import tempfile
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fragility import (Graph, InfeasibleAssignmentError, IpAssignment,
                        build_fragility_ip, canonical_assignment, check_feasible,
-                       complete_graph, emit_lp, emit_lp_family,
-                       evaluate_objective, exact_opt, fragile,
-                       generate_synthetic, linearize, parse_edge_list,
-                       path_graph, relax_bounds, star_graph)
+                       complete_graph, emit_lp, evaluate_objective, exact_opt,
+                       fragile, generate_synthetic, linearize, parse_edge_list,
+                       path_graph, relax_bounds, star_graph, write_lp_family)
 from fragility import ip_model
 
 from conftest import _oracle_wrap, oracle_emit_lp, random_graph_edges
@@ -504,18 +505,17 @@ class TestWrap:
 # ----- the LP family ------------------------------------------------------
 
 def _assert_family_matches(model):
-    """Each model of the family, its parts joined, against ``emit_lp`` and
-    the oracle; returns the ``(i, text)`` pairs."""
-    family = list(emit_lp_family(model))
-    texts = [(i, "".join(parts)) for i, parts in family]
-    per_i = [(i, emit_lp(linearize(model, i))) for i in range(1, model.k + 1)]
-    assert texts == per_i
-    assert [text for _, text in texts] == [
-        oracle_emit_lp(linearize(model, i)) for i in range(1, model.k + 1)]
-    # the body is rendered once: every model holds the first model's strings
-    for _, parts in family:
-        assert all(p is q for p, q in zip(parts[1:], family[0][1][1:], strict=True))
-    return texts
+    """Each file ``write_lp_family`` writes, byte for byte, against
+    ``emit_lp`` and the oracle; returns the ``(i, text)`` pairs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, f"m_i{i}.lp") for i in range(1, model.k + 1)]
+        write_lp_family(model, paths)
+        written = [p.read_bytes() for p in paths]
+    texts = [emit_lp(linearize(model, i)) for i in range(1, model.k + 1)]
+    assert written == [text.encode() for text in texts]
+    assert texts == [oracle_emit_lp(linearize(model, i))
+                     for i in range(1, model.k + 1)]
+    return list(enumerate(texts, 1))
 
 
 # label stems: empty, short, or long enough that per-edge and c11 rows wrap;
@@ -596,8 +596,8 @@ class TestEmitLpFamily:
         assert (g.node_count, g.edge_count) == (1133, 5541)
         _assert_family_matches(build_fragility_ip(g, k=3))
 
-    def test_yields_each_model_before_rendering_the_next(self, monkeypatch,
-                                                         double_star8):
+    def test_renders_the_body_once_and_each_head_once(self, monkeypatch,
+                                                      double_star8, tmp_path):
         heads, bodies = [], []
         render_head, render_body = ip_model._render_head, ip_model._render_body
 
@@ -611,11 +611,16 @@ class TestEmitLpFamily:
 
         monkeypatch.setattr(ip_model, "_render_head", head)
         monkeypatch.setattr(ip_model, "_render_body", body)
-        family = emit_lp_family(build_fragility_ip(double_star8, k=3))
-        assert heads == [] and bodies == []
-        assert next(family)[0] == 1
-        assert heads == [1] and len(bodies) == 1
-        assert next(family)[0] == 2
-        assert heads == [1, 2]
-        assert [i for i, _ in family] == [3]
+        model = build_fragility_ip(double_star8, k=3)
+        paths = [tmp_path / f"m{i}.lp" for i in range(1, 4)]
+        write_lp_family(model, paths)
         assert heads == [1, 2, 3] and len(bodies) == 1
+        assert [p.read_text() for p in paths] == [
+            emit_lp(linearize(model, i)) for i in range(1, 4)]
+
+    def test_needs_one_path_per_model(self, double_star8, tmp_path):
+        model = build_fragility_ip(double_star8, k=3)
+        with pytest.raises(ValueError, match="2 paths for the 3 models"):
+            write_lp_family(model, [tmp_path / "a.lp", tmp_path / "b.lp"])
+        assert not list(tmp_path.iterdir())
+        write_lp_family(build_fragility_ip(double_star8, k=0), [])

@@ -1,32 +1,47 @@
-"""Peak traced memory of the greedy and of the edge-list parser.
+"""Peak traced memory of the greedy, the edge-list parser, the LP-family
+writer and the parent of a pooled betweenness sweep.
 
-Both run on the benchmark's greedy_large size, a 20,000-node/97,800-edge
-scale-free graph.  ``tracemalloc`` counts every block the call allocates, so
-the peaks are deterministic for one Python version.  Each bound sits between
-the peak with per-degree sets of ids, tuple heap entries and a label graph
-of empty lists, and the peak without them (Python 3.11): greedy 5.36 MB
-then 1.48 MB, parser 6.80 MB then 5.71 MB.  Run as a script, this file
-prints both peaks without checking them.
+The greedy and the parser run on the benchmark's greedy_large size, a
+20,000-node/97,800-edge scale-free graph; the LP family (k = 10) and the
+sweep on paper_mid's 1,133-node/5,541-edge one.  ``tracemalloc`` counts
+every block the call allocates, so the peaks are deterministic for one
+Python version.  Each bound sits between the peak of the older code and the
+peak now (Python 3.11): the greedy with per-degree sets of ids and tuple
+heap entries 5.36 MB, now 1.48 MB; the parser with a label graph of empty
+lists 6.80 MB, now 5.71 MB; the LP family holding its 1.63 MB body and each
+joined objective 5.34 MB, now 1.30 MB; the sweep's parent with a
+``multiprocessing.Pool`` 4.25 MB, now 0.11 MB.  Run as a script, this file
+prints every peak without checking them.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from fragility import (emit_edge_list, generate_synthetic, greedy_fragile,
-                       parse_edge_list)
+from fragility import (betweenness_scores, build_fragility_ip, emit_edge_list,
+                       generate_synthetic, greedy_fragile, parse_edge_list,
+                       write_lp_family)
 
 MB = 1e6
 LARGE = ("scale-free", 20000, 97800, 1)  # the benchmark's greedy_large graph
+MID = ("scale-free", 1133, 5541, 1)  # the size of paper_mid's graph
 
 
 @pytest.fixture(scope="module")
 def large():
     return generate_synthetic(*LARGE)
+
+
+@pytest.fixture(scope="module")
+def mid():
+    return generate_synthetic(*MID)
 
 
 def traced_peak(call) -> int:
@@ -56,6 +71,23 @@ def parse_peak(graph) -> int:
     return traced_peak(lambda: parse_edge_list(text))
 
 
+def lp_family_peak(graph, out_dir) -> int:
+    model = build_fragility_ip(graph, k=10)
+    paths = [Path(out_dir, f"model_i{i}.lp") for i in range(1, 11)]
+    return traced_peak(lambda: write_lp_family(model, paths))
+
+
+def sweep_peak(graph) -> int:
+    """The parent's peak while two forked workers run the betweenness sweep
+    (the workers are other processes, which ``tracemalloc`` does not see)."""
+    affinity = os.sched_getaffinity
+    os.sched_getaffinity = lambda pid: {0, 1}
+    try:
+        return traced_peak(lambda: betweenness_scores(graph))
+    finally:
+        os.sched_getaffinity = affinity
+
+
 def test_greedy_peak(large):
     # per-degree counts, not sets of ids, and one int per heap entry
     assert greedy_peak(large) < 3.0 * MB
@@ -67,8 +99,39 @@ def test_parse_peak(large):
     assert parse_peak(large) < 6.25 * MB
 
 
+def test_lp_family_peak(mid, tmp_path):
+    # each head is written as it is wrapped and the body is copied from the
+    # first file, so the peak stays below the 1.63 MB body itself
+    assert lp_family_peak(mid, tmp_path) < 1.5 * MB
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="the sweep forks only where CPU affinity is known")
+def test_sweep_parent_peak(mid, monkeypatch):
+    # each result is read from its worker's pipe when it is added
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    assert sweep_peak(mid) < 0.5 * MB
+    assert len(forks) == 2
+
+
 if __name__ == "__main__":
-    # both peaks on one line, for a report; the tests above hold the bounds
+    # every peak on one line, for a report; the tests above hold the bounds
     g = generate_synthetic(*LARGE)
-    print(f"traced peaks, Python {sys.version.split()[0]}: "
-          f"parser {parse_peak(g) / MB:.2f} MB, greedy {greedy_peak(g) / MB:.2f} MB")
+    line = (f"traced peaks, Python {sys.version.split()[0]}: "
+            f"parser {parse_peak(g) / MB:.2f} MB, greedy {greedy_peak(g) / MB:.2f} MB")
+    del g
+    g = generate_synthetic(*MID)
+    with tempfile.TemporaryDirectory() as tmp:
+        line += f", LP family {lp_family_peak(g, tmp) / MB:.2f} MB"
+    if hasattr(os, "sched_getaffinity"):
+        line += f", sweep parent {sweep_peak(g) / MB:.2f} MB"
+    print(line)

@@ -114,3 +114,23 @@ def test_unexpected_errors_propagate(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_cmd_centrality", broken)
     with pytest.raises(KeyError):
         cli.main(["centrality", "--graph", str(tmp_path / "g.txt")])
+
+
+def test_pooled_betweenness_loads_no_multiprocessing(tmp_path):
+    # the sweep's workers are plain forks, each with its own pipe
+    wheel = "".join(f"v{i} v{(i + 1) % 40}\nhub v{i}\n" for i in range(40))
+    (tmp_path / "g.txt").write_text(wheel, encoding="utf-8")
+    code = ("import os, sys\nfrom fragility import baselines\n"
+            "from fragility.cli import main\n"
+            "baselines._POOL_MIN_WORK = 0\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks, fork = [], os.fork\n"
+            "def counted():\n"
+            "    pid = fork()\n"
+            "    forks.append(pid)\n"
+            "    return pid\n"
+            "os.fork = counted\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(bool(forks), 'multiprocessing' in sys.modules)")
+    argv = ["curve", *G, "--strategies", "betweenness"]
+    assert _fresh(code, *argv, cwd=tmp_path)[-1] == "True False"
