@@ -139,25 +139,32 @@ def _build_parser() -> _Parser:
 
 # ----- shared helpers ------------------------------------------------------
 
+def _parse_file(path, kind, parse, *args):
+    """``parse(file, *args)`` on the file at ``path``, opened as UTF-8 text; a
+    file that cannot be opened, read or decoded is bad input of ``kind``."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return parse(fh, *args)
+    except OSError as exc:
+        raise ValueError(f"cannot read {kind} file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # the decoder counts positions from the start of a read, not the file
+        raise ValueError(
+            f"cannot read {kind} file: {path!r} is not UTF-8 "
+            f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+
+
 def _load_graph(args):
     if not args.graph:
         raise ValueError("this command requires --graph")
-    try:
-        text = Path(args.graph).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise ValueError(f"cannot read graph file: {exc}") from None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        graph = parse_edge_list(text)
+        graph = _parse_file(args.graph, "graph", parse_edge_list)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     no_strike = frozenset()
     if args.no_strike:
-        try:
-            ns_text = Path(args.no_strike).read_text(encoding="utf-8-sig")
-        except OSError as exc:
-            raise ValueError(f"cannot read no-strike file: {exc}") from None
-        no_strike = parse_no_strike(ns_text, graph)
+        no_strike = _parse_file(args.no_strike, "no-strike", parse_no_strike, graph)
     return graph, no_strike
 
 

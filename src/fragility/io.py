@@ -11,8 +11,9 @@ Node ids are assigned densely in first-appearance order.  Duplicate edges
 collapse to one with a warning; self-loops are an error.  The no-strike
 format is one label per line with the same comment and split rules.
 
-The parser reads the text in blocks of about 64 KiB, each cut just past a
-newline, so it never holds the list of all lines.  Each block is searched
+Both parsers take the text as a ``str`` or as an open text file, which they
+read in blocks of about 64 KiB, each cut just past a newline, so neither
+holds the whole file or the list of all its lines.  Each block is searched
 once for ``#`` and ``,``: the lines of a block with neither are only split
 on whitespace, and only those of a block with either are cut at ``#``,
 stripped and have their commas replaced.  Each label costs one dict probe;
@@ -21,7 +22,9 @@ edge record appends each endpoint's id to the other's neighbour list, so the
 edges are walked once; the lists then go through the same finishing step
 as ``Graph``'s own, which sorts them and collapses the repeats.  The
 label-to-id dict is freed before that step, and the ``Graph`` the step fills
-is built over the labels with no edges, so it holds no per-node lists.
+is built over the labels with no edges, so it holds no per-node lists.  The
+no-strike parser keeps only the list's own labels and finds them in one pass
+over the graph's labels.
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ import json
 import re
 import warnings
 from collections.abc import Iterable
+from typing import TextIO
 
 from .graph import Graph, _finish
 
-_LABEL_SAFE = re.compile(r"^[^,\s#]+$")
+_LABEL_SAFE = re.compile(r"[^,\s#]+")
 _BLOCK = 1 << 16  # characters of text split into lines at a time
 
 
@@ -49,34 +53,56 @@ class DuplicateEdgeWarning(UserWarning):
     pass
 
 
-def _records(text: str):
+def _blocks(source: str | TextIO):
+    """The text of ``source``, a ``str`` or an open text file, in blocks of
+    about ``_BLOCK`` characters, each ending just past a ``"\\n"`` but the
+    last, so no line or ``"\\r\\n"`` is cut.  A ``str`` is sliced where it
+    lies; a file is read ``_BLOCK`` characters at a time, and what follows a
+    read's last ``"\\n"`` is carried into the next block."""
+    if isinstance(source, str):
+        start = 0
+        while start < len(source):
+            end = source.find("\n", start + _BLOCK) + 1 or len(source)
+            yield source[start:end]
+            start = end
+        return
+    head: list[str] = []  # text read since the last "\n"
+    while chunk := source.read(_BLOCK):
+        if cut := chunk.rfind("\n") + 1:
+            head.append(chunk[:cut])
+            yield "".join(head)
+            head = [chunk[cut:]]
+        else:
+            head.append(chunk)
+    if tail := "".join(head):
+        yield tail
+
+
+def _records(source: str | TextIO):
     """Line number and labels of each record: the body before any ``#``,
     split on runs of commas and whitespace.
 
-    The text is split into lines one block at a time, each block ending
-    just past a ``"\\n"``, so no line or ``"\\r\\n"`` is cut and the lines of
-    the whole text are never held at once.  Each block is searched once for
-    ``#`` and ``,``: in a block with neither, a line's labels are just its
-    whitespace split, and only the lines of a block with either are cut at
-    ``#``, stripped and have their commas replaced.
+    The text is split into lines one block at a time (see :func:`_blocks`),
+    so the lines of the whole text are never held at once.  Each block is
+    searched once for ``#`` and ``,``: in a block with neither, a line's
+    labels are just its whitespace split, and only the lines of a block with
+    either are cut at ``#``, stripped and have their commas replaced.
     """
-    lineno = start = 0
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK) + 1 or len(text)
-        if text.find("#", start, end) < 0 and text.find(",", start, end) < 0:
-            for lineno, raw in enumerate(text[start:end].splitlines(), lineno + 1):
+    lineno = 0
+    for block in _blocks(source):
+        if "#" not in block and "," not in block:
+            for lineno, raw in enumerate(block.splitlines(), lineno + 1):
                 if parts := raw.split():
                     yield lineno, parts
         else:
-            for lineno, raw in enumerate(text[start:end].splitlines(), lineno + 1):
+            for lineno, raw in enumerate(block.splitlines(), lineno + 1):
                 # a body of commas alone is a record of no labels
                 if body := raw.split("#", 1)[0].strip():
                     yield lineno, body.replace(",", " ").split()
-        start = end
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse edge-list text into a Graph.
+def parse_edge_list(source: str | TextIO) -> Graph:
+    """Parse edge-list text, a ``str`` or an open text file, into a Graph.
 
     Emits a single :class:`DuplicateEdgeWarning` naming how many duplicate
     edge records were collapsed, if any.
@@ -84,7 +110,7 @@ def parse_edge_list(text: str) -> Graph:
     index: dict[str, int] = {}  # label -> id, in first-appearance order
     probe = index.get
     adjacency: list[list[int]] = []  # each id's neighbour ids, repeats kept
-    for lineno, parts in _records(text):
+    for lineno, parts in _records(source):
         if len(parts) == 2:
             u, v = parts
             if u == v:
@@ -118,7 +144,7 @@ def emit_edge_list(graph: Graph) -> str:
     """Serialize a graph so that parsing it back reproduces the same labeled
     edges (node ids may be renumbered in reading order)."""
     for lab in graph.labels:
-        if not _LABEL_SAFE.match(lab):
+        if not _LABEL_SAFE.fullmatch(lab):
             raise ValueError(
                 f"label {lab!r} cannot be written to the edge-list format")
     lines = [f"{graph.labels[u]} {graph.labels[v]}" for u, v in graph.edges()]
@@ -127,18 +153,25 @@ def emit_edge_list(graph: Graph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_no_strike(text: str, graph: Graph) -> frozenset[int]:
-    """Parse a no-strike list against an already-loaded graph."""
-    ids = {lab: i for i, lab in enumerate(graph.labels)}
-    members: set[int] = set()
-    for lineno, parts in _records(text):
+def parse_no_strike(source: str | TextIO, graph: Graph) -> frozenset[int]:
+    """Parse a no-strike list, a ``str`` or an open text file, against an
+    already-loaded graph: its labels are kept with the first line naming
+    each, then found in one pass over ``graph.labels``.  The first bad line,
+    with an unknown label or more than one, is the one reported."""
+    first: dict[str, int] = {}  # label -> the first line naming it
+    bad = None  # the error of the first line that is not one label
+    for lineno, parts in _records(source):
         if len(parts) != 1:
-            raise EdgeListError(lineno, "expected exactly one label per line")
-        label = parts[0]
+            bad = EdgeListError(lineno, "expected exactly one label per line")
+            break
+        first.setdefault(parts[0], lineno)
+    ids = {lab: i for i, lab in enumerate(graph.labels) if lab in first}
+    for label, lineno in first.items():  # in the order of their first lines
         if label not in ids:
             raise EdgeListError(lineno, f"unknown node label {label!r}")
-        members.add(ids[label])
-    return frozenset(members)
+    if bad:
+        raise bad
+    return frozenset(ids.values())
 
 
 def run_manifest(command: str, parameters: dict, graph_path: str | None = None,

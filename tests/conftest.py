@@ -23,6 +23,10 @@ run; they read ``Graph.adjacency`` in the library's order, so the fast passes
 must equal them float for float.  ``oracle_parse_edge_list`` is the parser
 that split every record with a regex and deduplicated through a set of
 tuples, the reference for the one-pass ``parse_edge_list``.
+``oracle_parse_no_strike`` is the no-strike resolver that mapped each line's
+label through a dict over every graph label as it read, so its first bad
+line, unknown label or not, is the reference for the error order of
+``parse_no_strike``, which resolves its labels only after reading them.
 ``oracle_graph`` checks every edge and adds it to two growing sets, which
 it sorts at the end, the reference for the list-then-sort build of
 ``Graph`` and its ascending neighbour tuples.  ``oracle_marginal_gain`` and
@@ -395,6 +399,23 @@ def oracle_parse_edge_list(text: str) -> Graph:
         warnings.warn(DuplicateEdgeWarning(
             f"collapsed {duplicates} duplicate edge record(s)"), stacklevel=2)
     return Graph(len(labels), sorted(edges), labels=tuple(labels))
+
+
+def oracle_parse_no_strike(text: str, graph: Graph) -> frozenset[int]:
+    """No-strike text as node ids, each line resolved as it is read."""
+    ids = {lab: i for i, lab in enumerate(graph.labels)}
+    members: set[int] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = [p for p in ORACLE_SPLIT.split(body) if p]
+        if len(parts) != 1:
+            raise EdgeListError(lineno, "expected exactly one label per line")
+        if parts[0] not in ids:
+            raise EdgeListError(lineno, f"unknown node label {parts[0]!r}")
+        members.add(ids[parts[0]])
+    return frozenset(members)
 
 
 def oracle_marginal_gain(graph: Graph, base, candidate: int) -> float:

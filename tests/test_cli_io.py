@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import re
@@ -11,17 +12,20 @@ import sys
 import tracemalloc
 import warnings
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (ORACLE_SPLIT, graph_shape, oracle_graph,
-                      oracle_parse_edge_list, random_graph_edges)
+                      oracle_parse_edge_list, oracle_parse_no_strike,
+                      random_graph_edges)
 from fragility import (DuplicateEdgeWarning, EdgeListError, Graph,
                        emit_edge_list, generate_synthetic, parse_edge_list,
                        parse_no_strike, run_manifest, write_manifest)
 from fragility import (build_fragility_ip, emit_lp, harness, linearize,
                        relax_bounds)
+from fragility import io as fragility_io
 from fragility.cli import main
 from fragility.io import _BLOCK, _records
 
@@ -365,6 +369,15 @@ class TestEmitEdgeList:
         with pytest.raises(ValueError, match="cannot be written"):
             emit_edge_list(g)
 
+    @pytest.mark.parametrize("label", ["a\n", "a\r\n", "\na", "a\r", "a\x85",
+                                       "a\u2028", "a#", "a,"])
+    def test_rejects_label_with_a_line_break_or_separator(self, label):
+        # a label ending in "\n" would be written as its own line, and the
+        # edge it is an endpoint of would read back as two isolated nodes
+        g = Graph(2, [(0, 1)], labels=[label, "b"])
+        with pytest.raises(ValueError, match="cannot be written"):
+            emit_edge_list(g)
+
     def test_empty_graph(self):
         assert emit_edge_list(Graph(0, [])) == ""
 
@@ -402,6 +415,189 @@ class TestNoStrike:
         assert parse_no_strike("w\n# x\ny\n", g) == {3, 1}
         with pytest.raises(EdgeListError, match="line 3: unknown node label 'a'"):
             parse_no_strike("x\n\na\n", g)
+
+
+# ----- streamed loads ------------------------------------------------------
+
+def _file_outcomes(path, data: bytes):
+    """What the streamed parse makes of ``data`` written to ``path`` and
+    opened as the command-line interface opens it, and what the oracle makes
+    of the same file's whole text."""
+    path.write_bytes(data)
+    with open(path, encoding="utf-8-sig") as fh:
+        new = _outcome(parse_edge_list, fh)
+    return new, _outcome(oracle_parse_edge_list, path.read_text(encoding="utf-8-sig"))
+
+
+def _break_at(at: int, brk: str, prefix: str = "n") -> str:
+    """Over 150,000 characters of edge records, each ending in ``"\\n"`` but
+    one, which ends in ``brk``, starting at character ``at``."""
+    head = "".join(f"{prefix}{i} {prefix}{i + 1}\n" for i in range(at // 16))
+    text = head + "x y" + " " * (at - len(head) - 3) + brk
+    text += "".join(f"m{i},m{i + 1}\n" for i in range(9000))
+    assert text.startswith(brk, at)
+    return text
+
+
+class _CountedReads(io.StringIO):
+    """A text file that records the size of each read."""
+
+    def __init__(self, text: str) -> None:
+        super().__init__(text)
+        self.sizes: list[int] = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+class TestStreamedLoad:
+    """A file is read a block at a time; the result, warnings and errors
+    with their line numbers equal the oracle's on the file's whole text,
+    read as ``Path.read_text(encoding="utf-8-sig")`` reads it."""
+
+    @pytest.mark.parametrize("at", [_BLOCK - 2, _BLOCK - 1, _BLOCK])
+    @pytest.mark.parametrize("brk", ["\r\n", "\r", "\n", "\x0c", "\x85", "\u2028",
+                                     "\x1c"])
+    @pytest.mark.parametrize("prefix", ["n", "é", "€", "\U0001f600"])
+    def test_line_break_across_a_read(self, tmp_path, at, brk, prefix):
+        text = _break_at(at, brk, prefix)
+        new, old = _file_outcomes(tmp_path / "g.txt", text.encode("utf-8"))
+        assert new == old
+        assert ("x", "y", "m0") == new[0][at // 16 + 1:at // 16 + 4]
+
+    def test_multibyte_character_across_a_read(self, tmp_path):
+        # a 4-byte character starts 2 bytes before byte 65,536
+        pad = "p q" + " " * (_BLOCK - 2 - 4) + "\n"
+        data = (pad + "\U0001f600 é€\n" * 5000).encode("utf-8")
+        assert data[_BLOCK - 2:_BLOCK + 2] == "\U0001f600".encode("utf-8")
+        new, old = _file_outcomes(tmp_path / "g.txt", data)
+        assert new == old
+        assert new[0] == ("p", "q", "\U0001f600", "é€")
+
+    @pytest.mark.parametrize("body", [
+        pytest.param("a b\n\ufeffc a\n", id="bom-then-label-with-bom"),
+        pytest.param(_break_at(_BLOCK - 1, "\r\n"), id="bom-then-two-blocks"),
+    ])
+    def test_byte_order_mark(self, tmp_path, body):
+        new, old = _file_outcomes(tmp_path / "g.txt", ("\ufeff" + body).encode("utf-8"))
+        assert new == old
+        assert not new[0][0].startswith("\ufeff")
+
+    @pytest.mark.parametrize("data, nodes", [
+        pytest.param(b"", 0, id="empty"),
+        pytest.param(b"# a\r\n  # b\n#", 0, id="comments-only"),
+        pytest.param(b"# x\n" * 30000, 0, id="comments-only-many-blocks"),
+        pytest.param(b"a b\nb c", 3, id="no-final-newline"),
+        pytest.param(_break_at(_BLOCK, "\n").rstrip("\n").encode(), _BLOCK // 16 + 9004,
+                     id="no-final-newline-many-blocks"),
+        pytest.param("\x1c".join(f"s{i} s{i + 1}" for i in range(20000)).encode(),
+                     20001, id="no-newline-at-all-many-blocks"),
+    ])
+    def test_file_shapes(self, tmp_path, data, nodes):
+        new, old = _file_outcomes(tmp_path / "g.txt", data)
+        assert new == old
+        assert len(new[0]) == nodes
+
+    @pytest.mark.parametrize("bad, message", [
+        ("s s", "self-loop on 's'"), ("x y z", "expected 1 or 2 labels, got 3")])
+    @pytest.mark.parametrize("at", [3, 30001])
+    def test_errors_keep_their_line_numbers(self, tmp_path, bad, message, at):
+        lines = [f"c{i}\tc{i + 1}" for i in range(30000)]
+        lines.insert(at - 1, bad)
+        data = "\r\n".join(lines).encode("utf-8")
+        new, old = _file_outcomes(tmp_path / "g.txt", data)
+        assert new == old == (EdgeListError, f"line {at}: {message}", at)
+
+    def test_messy_corpus_from_a_file(self, tmp_path):
+        text = _messy_scale_free_text(3).replace("\n", "\r\n")
+        new, old = _file_outcomes(tmp_path / "g.txt", text.encode("utf-8"))
+        assert new == old
+        assert "collapsed 1000 duplicate" in new[-1][0][1]
+
+    def test_file_is_read_in_blocks(self):
+        text = _break_at(_BLOCK - 1, "\n")
+        fh = _CountedReads(text)
+        assert list(_records(fh)) == list(_records(text))
+        assert len(fh.sizes) == len(text) // _BLOCK + 2
+        assert set(fh.sizes) == {_BLOCK}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="ab ,#\t\n\r\x0c\x85\u2028é\ufeff", max_size=40),
+           st.sampled_from([1, 2, 3, 7]))
+    def test_generated_files_in_tiny_blocks(self, text, block):
+        data = text.encode("utf-8")
+        with mock.patch.object(fragility_io, "_BLOCK", block):
+            new = _outcome(parse_edge_list,
+                           io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig"))
+        whole = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read()
+        assert new == _outcome(oracle_parse_edge_list, whole)
+
+
+def _no_strike_outcome(parse, source, graph):
+    """The ids ``parse`` makes of a no-strike list, or the error it raises."""
+    try:
+        return parse(source, graph)
+    except EdgeListError as exc:
+        return type(exc), str(exc), exc.lineno
+
+
+_NS_LINES = ["a", "b", "c", "d", "é", "q", "zz", "a b", "a,b", "q a", ",", " , # x",
+             "", "# note", "b # note", " c ,", "\ta"]
+
+
+class TestNoStrikeMatchesOracle:
+    """The labels are resolved after the list is read, in one pass over the
+    graph's labels; the first bad line still decides the error, as it did
+    for the resolver that looked up each line as it read it."""
+
+    graph = parse_edge_list("a b\nb c\nc d\né\n")
+
+    @pytest.mark.parametrize("text, expected", [
+        pytest.param("a\nq\nb\n\nb c\n", "line 2: unknown node label 'q'",
+                     id="unknown-before-two-labels"),
+        pytest.param("a\nb c\nq\n", "line 2: expected exactly one label per line",
+                     id="two-labels-before-unknown"),
+        pytest.param("q\na\nzz\nq\n", "line 1: unknown node label 'q'",
+                     id="first-of-two-unknowns"),
+        pytest.param("a\nzz\nq\nzz\n", "line 2: unknown node label 'zz'",
+                     id="unknown-repeated-later"),
+        pytest.param("a\n,\nq\n", "line 2: expected exactly one label per line",
+                     id="comma-only-line"),
+    ])
+    def test_first_bad_line_decides(self, text, expected):
+        new = _no_strike_outcome(parse_no_strike, text, self.graph)
+        assert new == _no_strike_outcome(oracle_parse_no_strike, text, self.graph)
+        assert new[1] == expected
+
+    def test_generated_lists(self):
+        rng = random.Random(0x5A)
+        for _ in range(2000):
+            lines = [rng.choice(_NS_LINES) for _ in range(rng.randint(0, 8))]
+            text = rng.choice(["\n", "\r\n", "\x1c"]).join(lines)
+            old = _no_strike_outcome(oracle_parse_no_strike, text, self.graph)
+            assert _no_strike_outcome(parse_no_strike, text, self.graph) == old
+            assert _no_strike_outcome(parse_no_strike, io.StringIO(text), self.graph) == old
+
+    @pytest.mark.parametrize("bad, at", [
+        ({9000: "n1 n2", 9500: "nope"}, 9000), ({9500: "nope"}, 9500), ({}, None)])
+    def test_file_past_a_block(self, tmp_path, bad, at):
+        # 10,000 labels, over 64 KiB, with any bad lines past the first block
+        g = parse_edge_list("".join(f"n{i}\n" for i in range(20000)))
+        lines = [f"n{i}" for i in range(0, 20000, 2)]
+        for lineno, line in sorted(bad.items()):
+            lines.insert(lineno - 1, line)
+        path = tmp_path / "ns.txt"
+        path.write_text("\r\n".join(lines), encoding="utf-8")
+        with open(path, encoding="utf-8-sig") as fh:
+            new = _no_strike_outcome(parse_no_strike, fh, g)
+        old = _no_strike_outcome(oracle_parse_no_strike,
+                                 path.read_text(encoding="utf-8-sig"), g)
+        assert new == old
+        if at is None:
+            assert new == frozenset(range(0, 20000, 2))
+        else:
+            assert new[2] == at
 
 
 class TestManifest:
@@ -524,6 +720,25 @@ class TestCliErrors:
         # an OSError other than a closed stdout stays bad input
         assert main(["centrality", "--graph", str(tmp_path)]) == 1
         assert "cannot read graph" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("at", [4, _BLOCK + 5000], ids=["first-block", "past-64KiB"])
+    @pytest.mark.parametrize("kind", ["graph", "no-strike"])
+    def test_undecodable_file_is_named(self, tmp_path, capsys, kind, at):
+        # the decoder's byte position counts from the start of a read, so
+        # the message names the file and the byte, not a position
+        records = "".join(f"n{i} n{i + 1}\n" for i in range(12000)).encode()
+        labels = b"n0\n" * 30000
+        data = bytearray(records if kind == "graph" else labels)
+        data[at] = 0xFF
+        graph, ns = tmp_path / "g.txt", tmp_path / "ns.txt"
+        graph.write_bytes(data if kind == "graph" else records)
+        ns.write_bytes(data if kind == "no-strike" else labels)
+        path = graph if kind == "graph" else ns
+        assert main(["centrality", "--graph", str(graph), "--no-strike", str(ns)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: cannot read {kind} file: {str(path)!r} is not UTF-8 "
+                       "(byte 0xff: invalid start byte)\n")
 
     def test_closed_stdout_pipe_exits_0_silently(self):
         # the reader takes one line and closes the pipe, as `| head -1` does;
