@@ -24,9 +24,8 @@ _EXPORTS = {
                 "emit_csv", "generate_synthetic", "parse_csv", "run_curves"),
     "io": ("DuplicateEdgeWarning", "EdgeListError", "emit_edge_list",
            "parse_edge_list", "parse_no_strike", "run_manifest", "write_manifest"),
-    "ip_model": ("FeasibilityReport", "InfeasibleAssignmentError", "IpAssignment",
-                 "IpModel", "build_fragility_ip", "canonical_assignment",
-                 "check_feasible", "emit_lp", "evaluate_objective",
+    "ip_model": ("FeasibilityReport", "IpModel", "build_fragility_ip",
+                 "canonical_assignment", "check_feasible", "emit_lp",
                  "linearize", "relax_bounds", "write_lp_family"),
     "solvers": ("DegreeTracker", "RemovalSolution", "WorkLimitExceeded",
                 "exact_opt", "fragility_decision", "greedy_fragile",

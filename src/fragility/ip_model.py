@@ -10,7 +10,7 @@ maximal.  Encoding, per graph with N nodes and M edges:
 * ``Qf_uv``/``Qb_uv`` -- edge {u, v} is counted toward the designated
   survivor's degree, one variable per direction
 
-Row families, with per-edge rows instantiated for every edge:
+The constraint families, with per-edge rows instantiated for every edge:
 
 3. sum X_i <= k (removal budget)
 4. sum Z_i  = 1 (one designated survivor)
@@ -46,13 +46,15 @@ renders the rest (rows c4..c11, Bounds, Binary) once, section by section,
 into the first file, and gives every later file its own head and a byte
 copy of that region; each head is written one batch of wrapped lines at a
 time, so no model, head or body is held whole.  Both use the same
-renderers over variable names built once per model.  The per-edge rows
-c5..c9 come from ``_EDGE_ROWS``, the table ``IpModel._iter_rows`` also
-reads; the renderer fills one line template per family and wraps only rows
-longer than a line.
+renderers over variable names built once per model (``_Names``).  The
+per-edge rows c5..c9 come from one table, ``_EDGE_ROWS``, which
+:func:`check_feasible` reads too; the renderer fills one line template per
+family and wraps only rows longer than a line.
 
-The model and its records are named tuples, so loading this module does
-not load ``dataclasses``; the transforms return ``model._replace(...)``.
+The model and the feasibility report are named tuples, so loading this
+module does not load ``dataclasses``; the transforms return
+``model._replace(...)``.  Rows are plain ``(rid, terms, sense, rhs)``
+tuples and an assignment is a dict keyed by variable name.
 """
 
 from __future__ import annotations
@@ -63,39 +65,11 @@ from collections import namedtuple
 from collections.abc import Collection, Iterable, Iterator, Sequence
 from itertools import chain, islice
 
-from .graph import Graph, _centralization, _node_set
+from .graph import Graph, _node_set
 
 _EPS = 1e-9
 
-
-class InfeasibleAssignmentError(ValueError):
-    """Raised when an assignment offered for evaluation violates the model."""
-
-
-class Objective(namedtuple("Objective", ("removal_count", "scale"),
-                           defaults=(None, None))):
-    """Objective description: fractional while ``removal_count`` is None,
-    otherwise linear at that fixed removal count i.
-
-    For linear objectives ``scale`` is ``1 / ((N-1-i) * (N-2-i))`` when that
-    denominator is positive and the model keeps at least three survivors;
-    otherwise ``scale`` is None and coefficients are emitted unscaled.
-    """
-
-    __slots__ = ()
-
-
-# ``terms`` is a tuple of (coefficient, variable name); ``sense`` is "<=",
-# ">=" or "="; a domain's ``kind`` is "binary" or "unit"
-Row = namedtuple("Row", ("rid", "terms", "sense", "rhs"))
-DomainRecord = namedtuple("DomainRecord", ("rid", "var", "kind"))
 FeasibilityReport = namedtuple("FeasibilityReport", ("ok", "violations"))
-
-
-class IpAssignment(namedtuple("IpAssignment", ("values",))):
-    """Variable values keyed by LP variable name (0/1 for binary domains)."""
-
-    __slots__ = ()
 
 
 def _sanitize_label(label: str) -> str:
@@ -106,8 +80,8 @@ def _sanitize_label(label: str) -> str:
 # Per-edge row families c5..c9: id, terms, sense, right-hand side.  A term
 # (c, p, k) is coefficient c on the variable named p followed by the edge's
 # name ``a_b`` (k = 0) or its endpoint label ``a`` (k = 1) or ``b`` (k = 2).
-# ``IpModel._iter_rows`` and the LP writer both read this table, so solved
-# and written rows cannot differ.
+# ``check_feasible`` and the LP writer both read this table, so checked and
+# written rows cannot differ.
 _EDGE_ROWS = (
     ("c5", ((1.0, "Y_", 0), (1.0, "X_", 1)), "<=", 1.0),
     ("c6", ((1.0, "Y_", 0), (1.0, "X_", 2)), "<=", 1.0),
@@ -132,32 +106,13 @@ class _Names:
 
 
 class IpModel(namedtuple("IpModel", ("n_nodes", "var_labels", "edges", "k",
-                                     "no_strike", "objective", "relaxed"),
-                         defaults=(False,))):
-    """Immutable model instance; transforms return new instances."""
+                                     "no_strike", "removal_count", "relaxed"),
+                         defaults=(None, False))):
+    """Immutable model instance; transforms return new instances.  The
+    objective is fractional while ``removal_count`` is None, otherwise
+    linear at that fixed removal count i."""
 
     __slots__ = ()
-
-    # ----- variable naming ------------------------------------------------
-    def x_name(self, i: int) -> str:
-        return f"X_{self.var_labels[i]}"
-
-    def z_name(self, i: int) -> str:
-        return f"Z_{self.var_labels[i]}"
-
-    def y_name(self, e: tuple[int, int]) -> str:
-        return f"Y_{self.var_labels[e[0]]}_{self.var_labels[e[1]]}"
-
-    def qf_name(self, e: tuple[int, int]) -> str:
-        return f"Qf_{self.var_labels[e[0]]}_{self.var_labels[e[1]]}"
-
-    def qb_name(self, e: tuple[int, int]) -> str:
-        return f"Qb_{self.var_labels[e[0]]}_{self.var_labels[e[1]]}"
-
-    def variable_names(self) -> tuple[str, ...]:
-        names = _Names(self)
-        return (*names.x, *names.z, *(f"{v}_{ab}" for ab, _, _ in names.edges
-                                      for v in ("Y", "Qf", "Qb")))
 
     @property
     def variable_count(self) -> int:
@@ -167,41 +122,15 @@ class IpModel(namedtuple("IpModel", ("n_nodes", "var_labels", "edges", "k",
     def constraint_count(self) -> int:
         return 2 + 2 * self.n_nodes + 5 * len(self.edges)
 
-    # ----- rows and domains ----------------------------------------------
-    def rows(self) -> tuple[Row, ...]:
-        return tuple(self._iter_rows())
-
-    def _iter_rows(self) -> Iterator[Row]:
-        """Rows c3..c9 and c11 in model order, built one at a time."""
-        names = _Names(self)
-        first, last = self._node_rows(names)
-        yield from first
-        for fam, terms, sense, rhs in _EDGE_ROWS:
-            for args in names.edges:
-                yield Row(f"{fam}_{args[0]}",
-                          tuple([(c, p + args[k]) for c, p, k in terms]), sense, rhs)
-        yield from last
-
-    def _node_rows(self, names: _Names) -> tuple[tuple[Row, Row], list[Row]]:
-        """The rows over node variables: c3 and c4, which come before the
+    def _node_rows(self, names: _Names) -> tuple[tuple[tuple, tuple], list[tuple]]:
+        """The rows over node variables as ``(rid, terms, sense, rhs)``, each
+        term a ``(coefficient, name)`` pair: c3 and c4, which come before the
         per-edge rows, and the c11 rows, which come after them."""
-        budget = self.objective.removal_count
-        if budget is None:
-            budget = self.k
-        c3 = Row("c3", tuple((1.0, x) for x in names.x), "<=", float(budget))
-        c4 = Row("c4", tuple((1.0, z) for z in names.z), "=", 1.0)
-        return (c3, c4), [Row(f"c11_{self.var_labels[i]}", ((1.0, names.x[i]),), "=", 0.0)
+        budget = self.k if self.removal_count is None else self.removal_count
+        c3 = ("c3", [(1.0, x) for x in names.x], "<=", float(budget))
+        c4 = ("c4", [(1.0, z) for z in names.z], "=", 1.0)
+        return (c3, c4), [(f"c11_{self.var_labels[i]}", ((1.0, names.x[i]),), "=", 0.0)
                           for i in sorted(self.no_strike)]
-
-    def domains(self) -> tuple[DomainRecord, ...]:
-        kind = "unit" if self.relaxed else "binary"
-        out: list[DomainRecord] = []
-        for i in range(self.n_nodes):
-            out.append(DomainRecord(f"c10_{self.var_labels[i]}", self.z_name(i), kind))
-        for i in range(self.n_nodes):
-            if i not in self.no_strike:
-                out.append(DomainRecord(f"c12_{self.var_labels[i]}", self.x_name(i), kind))
-        return tuple(out)
 
 
 def build_fragility_ip(graph: Graph, no_strike: Collection[int] | None = None,
@@ -232,7 +161,6 @@ def build_fragility_ip(graph: Graph, no_strike: Collection[int] | None = None,
         edges=edges,
         k=k,
         no_strike=ns,
-        objective=Objective(),
     )
 
 
@@ -240,10 +168,15 @@ def linearize(model: IpModel, i: int) -> IpModel:
     """Fix the removal count at ``i``: linear objective, budget row sum X <= i."""
     if not (1 <= i <= model.k):
         raise ValueError(f"linearization index {i} outside 1..{model.k}")
-    n = model.n_nodes
-    den = (n - 1 - i) * (n - 2 - i)
-    scale = 1.0 / den if (n - i >= 3 and den > 0) else None
-    return model._replace(objective=Objective(i, scale))
+    return model._replace(removal_count=i)
+
+
+def _scale(model: IpModel) -> float | None:
+    """The linearized objective's folded constant ``1 / ((N-1-i) * (N-2-i))``,
+    or None when fewer than three nodes survive i removals: coefficients are
+    then emitted unscaled."""
+    n, i = model.n_nodes, model.removal_count
+    return 1.0 / ((n - 1 - i) * (n - 2 - i)) if n - i >= 3 else None
 
 
 def relax_bounds(model: IpModel) -> IpModel:
@@ -254,10 +187,11 @@ def relax_bounds(model: IpModel) -> IpModel:
 # ----- assignments ---------------------------------------------------------
 
 def canonical_assignment(model: IpModel, removed: Collection[int],
-                         selected: int | None = None) -> IpAssignment:
-    """Feasible assignment encoding ``removed``: Y tracks edge survival, Z
-    sits on ``selected`` (default: the max-degree survivor, lowest id on
-    ties) and Q routes one unit along each of its surviving edges."""
+                         selected: int | None = None) -> dict[str, int]:
+    """Feasible assignment encoding ``removed``, as 0/1 values keyed by
+    variable name: Y tracks edge survival, Z sits on ``selected`` (default:
+    the max-degree survivor, lowest id on ties) and Q routes one unit along
+    each of its surviving edges."""
     removed = _node_set(model.n_nodes, removed)
     for i in removed:
         if i in model.no_strike:
@@ -272,76 +206,56 @@ def canonical_assignment(model: IpModel, removed: Collection[int],
     survivors = [i for i in range(model.n_nodes) if i not in removed]
     if selected is None:
         selected = max(survivors, key=lambda i: (deg[i], -i)) if survivors else 0
-    values: dict[str, float] = {}
-    for i in range(model.n_nodes):
-        values[model.x_name(i)] = 1 if i in removed else 0
-        values[model.z_name(i)] = 1 if i == selected else 0
-    for e in model.edges:
-        u, v = e
+    names = _Names(model)
+    values: dict[str, int] = {}
+    for i, (x, z) in enumerate(zip(names.x, names.z)):
+        values[x] = 1 if i in removed else 0
+        values[z] = 1 if i == selected else 0
+    for (u, v), (ab, _, _) in zip(model.edges, names.edges):
         alive = u not in removed and v not in removed
-        values[model.y_name(e)] = 1 if alive else 0
-        values[model.qf_name(e)] = 1 if alive and selected == u else 0
-        values[model.qb_name(e)] = 1 if alive and selected == v else 0
-    return IpAssignment(values)
+        values["Y_" + ab] = 1 if alive else 0
+        values["Qf_" + ab] = 1 if alive and selected == u else 0
+        values["Qb_" + ab] = 1 if alive and selected == v else 0
+    return values
 
 
-def check_feasible(model: IpModel, assignment: IpAssignment) -> FeasibilityReport:
-    """Verify every row and domain; report all violations by row id."""
-    values = assignment.values
-    names = model.variable_names()
-    expected = set(names)
-    missing = [n for n in names if n not in values]
-    extra = sorted(set(values) - expected)
-    if missing or extra:
+def check_feasible(model: IpModel, values: dict[str, float]) -> FeasibilityReport:
+    """Verify every row and domain at ``values``, keyed by variable name;
+    report all violations by row id: the rows in model order, then the Z
+    and X domains, then each edge's Y, Qf and Qb binaries."""
+    names = _Names(model)
+    per_edge = [p + ab for ab, _, _ in names.edges for p in ("Y_", "Qf_", "Qb_")]
+    expected = [*names.x, *names.z, *per_edge]
+    missing = [n for n in expected if n not in values]
+    if missing or len(values) != len(expected):
+        extra = sorted(set(values).difference(expected))
         raise ValueError(
             f"assignment dimension mismatch: missing={missing[:5]} extra={extra[:5]}")
     violations: list[str] = []
-    for row in model._iter_rows():
-        lhs = sum(c * values[v] for c, v in row.terms)
-        ok = (lhs <= row.rhs + _EPS if row.sense == "<="
-              else lhs >= row.rhs - _EPS if row.sense == ">="
-              else abs(lhs - row.rhs) <= _EPS)
+    first, last = model._node_rows(names)
+    edge_rows = ((f"{fam}_{args[0]}", [(c, p + args[k]) for c, p, k in terms],
+                  sense, rhs)
+                 for fam, terms, sense, rhs in _EDGE_ROWS for args in names.edges)
+    for rid, terms, sense, rhs in chain(first, edge_rows, last):
+        lhs = sum(c * values[v] for c, v in terms)
+        ok = (lhs <= rhs + _EPS if sense == "<="
+              else lhs >= rhs - _EPS if sense == ">="
+              else abs(lhs - rhs) <= _EPS)
         if not ok:
-            violations.append(f"{row.rid}: {lhs:g} {row.sense} {row.rhs:g} fails")
-    for dom in model.domains():
-        v = values[dom.var]
-        if dom.kind == "binary":
+            violations.append(f"{rid}: {lhs:g} {sense} {rhs:g} fails")
+    labels, binary = model.var_labels, not model.relaxed
+    domains = chain(((f"c10_{a}", z, binary) for a, z in zip(labels, names.z)),
+                    ((f"c12_{labels[i]}", x, binary) for i, x in enumerate(names.x)
+                     if i not in model.no_strike),
+                    ((f"dom_{v}", v, True) for v in per_edge))
+    for rid, var, is_binary in domains:
+        v = values[var]
+        if is_binary:
             if not (abs(v) <= _EPS or abs(v - 1) <= _EPS):
-                violations.append(f"{dom.rid}: {dom.var}={v:g} not binary")
+                violations.append(f"{rid}: {var}={v:g} not binary")
         elif not (-_EPS <= v <= 1 + _EPS):
-            violations.append(f"{dom.rid}: {dom.var}={v:g} outside [0, 1]")
-    for name in names[2 * model.n_nodes:]:  # each edge's Y, Qf and Qb
-        v = values[name]
-        if not (abs(v) <= _EPS or abs(v - 1) <= _EPS):
-            violations.append(f"dom_{name}: {name}={v:g} not binary")
+            violations.append(f"{rid}: {var}={v:g} outside [0, 1]")
     return FeasibilityReport(not violations, tuple(violations))
-
-
-def evaluate_objective(model: IpModel, assignment: IpAssignment) -> float:
-    """Objective value of a feasible assignment.
-
-    For the fractional model this equals ``fragile(graph, R)`` whenever the
-    assignment canonically encodes removal set R (degenerate 0.0 when fewer
-    than three nodes survive).  For linearized models the folded linear
-    objective is evaluated as an external solver would report it.
-    """
-    report = check_feasible(model, assignment)
-    if not report.ok:
-        raise InfeasibleAssignmentError(report.violations[0])
-    values = assignment.values
-    sx = sum(values[model.x_name(i)] for i in range(model.n_nodes))
-    sy = sum(values[model.y_name(e)] for e in model.edges)
-    sq = sum(values[model.qf_name(e)] + values[model.qb_name(e)] for e in model.edges)
-    if all(float(x).is_integer() for x in (sx, sy, sq)):
-        sx, sy, sq = int(sx), int(sy), int(sq)
-    n = model.n_nodes
-    i = model.objective.removal_count
-    if i is not None:
-        numerator = (n - i) * sq - 2 * sy
-        if model.objective.scale is None:
-            return float(numerator)
-        return numerator / ((n - 1 - i) * (n - 2 - i))
-    return _centralization(n - sx, sq, sy)
 
 
 # ----- LP-format export ----------------------------------------------------
@@ -393,8 +307,9 @@ def _wrap(prefix: str, tokens: Iterable[str]) -> str:
     return "\n".join(_lines(prefix, tokens))
 
 
-def _row_text(row: Row) -> str:
-    return _wrap(f" {row.rid}:", _tokens(row.terms, row.sense, row.rhs))
+def _row_text(rid: str, terms: Iterable[tuple[float, str]], sense: str,
+              rhs: float) -> str:
+    return _wrap(f" {rid}:", _tokens(terms, sense, rhs))
 
 
 def _render_head(model: IpModel, names: _Names) -> Iterator[str]:
@@ -403,8 +318,8 @@ def _render_head(model: IpModel, names: _Names) -> Iterator[str]:
     objective comes in batches of wrapped lines, its terms named as they
     are wrapped."""
     n = model.n_nodes
-    i = model.objective.removal_count
-    scale = model.objective.scale
+    i = model.removal_count
+    scale = _scale(model)
     lines: list[str] = []
     lines.append("\\ fragility centralization removal model")
     lines.append(f"\\ nodes={n} edges={len(model.edges)} budget={model.k}")
@@ -432,7 +347,7 @@ def _render_head(model: IpModel, names: _Names) -> Iterator[str]:
     while batch := list(islice(wrapped, 1024)):  # about 74 kB of text
         yield "\n".join(batch) + "\n"
     (c3, _), _ = model._node_rows(names)
-    yield f"Subject To\n{_row_text(c3)}\n"
+    yield f"Subject To\n{_row_text(*c3)}\n"
 
 
 def _render_body(model: IpModel, names: _Names) -> Iterator[str]:
@@ -442,7 +357,7 @@ def _render_body(model: IpModel, names: _Names) -> Iterator[str]:
     per-edge binaries, and End.  Each per-edge family is one line template;
     only a row longer than a line is wrapped, token by token."""
     (_, c4), c11 = model._node_rows(names)
-    yield _row_text(c4) + "\n"
+    yield _row_text(*c4) + "\n"
     for fam, terms, sense, rhs in _EDGE_ROWS:
         tokens = _tokens([(c, f"{p}{{{k}}}") for c, p, k in terms], sense, rhs)
         line = f" {fam}_{{0}}: {' '.join(tokens)}\n".format
@@ -453,9 +368,9 @@ def _render_body(model: IpModel, names: _Names) -> Iterator[str]:
                              [t.format(*args) for t in tokens]) + "\n"
             yield text
     for row in c11:
-        yield _row_text(row) + "\n"
-    # the domains of IpModel.domains(): Z per node and X per targetable node,
-    # unit when relaxed; the Binary section lists X before Z
+        yield _row_text(*row) + "\n"
+    # the domains: Z per node and X per targetable node, unit when relaxed;
+    # the Binary section lists X before Z
     free_x = [x for i, x in enumerate(names.x) if i not in model.no_strike]
     if model.relaxed:
         yield "Bounds\n"
@@ -477,7 +392,7 @@ def emit_lp(model: IpModel) -> str:
     Fractional models are rejected: call :func:`linearize` first (one model
     per candidate removal count), or :func:`write_lp_family` for all of them.
     """
-    if model.objective.removal_count is None:
+    if model.removal_count is None:
         raise ValueError(
             "model objective is fractional; call linearize(model, i) for each "
             "removal count i in 1..k and emit those models instead")

@@ -12,11 +12,20 @@ for them, and is the reference for ``count`` too.  So is
 ``oracle_exact_opt``, the scan that scores every subset with ``fragile``,
 kept as the reference for the branch and bound of ``exact_opt``; its scan,
 ``oracle_best_removal``, takes any score, so it also runs on the
-library-free ``oracle_fragile``.  ``oracle_emit_lp``
-renders one linearized model from ``IpModel.rows()`` in a single pass, term
-by term, the reference for the name-table writer behind ``emit_lp`` and
-``write_lp_family``; it has its own term, coefficient and wrap helpers, so
-it shares no rendering code with ``ip_model``.
+library-free ``oracle_fragile``.  ``oracle_rows`` and ``oracle_domains``
+spell out the binary program's row families 3-12 from the ``ip_model``
+docstring, naming each variable through ``var_name`` without reading the
+module's row table or name layer.  ``oracle_emit_lp`` renders one
+linearized model from them in a single pass, term by term, the reference
+for the name-table writer behind ``emit_lp`` and ``write_lp_family``; it
+has its own term, coefficient and wrap helpers, so it shares no rendering
+code with ``ip_model``, and only its objective scale comes from
+``ip_model._scale``.  As ``emit_lp`` must equal it byte for byte, the
+HiGHS tests, which solve these rows, solve what ``emit-ip`` writes.
+``oracle_check_feasible`` walks the same rows and domains, the reference
+for ``check_feasible``.  ``oracle_evaluate_objective`` and
+``InfeasibleAssignmentError`` evaluate a checked assignment's objective,
+which only tests need.
 ``oracle_closeness_scores`` and ``oracle_brandes_scores`` are the per-source
 queue BFS passes that ``closeness_scores`` and ``betweenness_scores`` used to
 run; they read ``Graph.adjacency`` in the library's order, so the fast passes
@@ -45,8 +54,9 @@ from itertools import combinations
 
 import pytest
 
-from fragility import DegreeTracker, Graph, RemovalSolution, fragile
-from fragility import graph as graph_module
+from fragility import (DegreeTracker, Graph, RemovalSolution, check_feasible,
+                       fragile)
+from fragility import graph as graph_module, ip_model
 from fragility.io import DuplicateEdgeWarning, EdgeListError
 
 # Populated by tests/test_acceptance.py; echoed after the run so the
@@ -317,11 +327,120 @@ def _oracle_wrap(prefix: str, tokens: list[str], width: int = 72) -> list[str]:
     return lines
 
 
+def var_name(model, prefix: str, item) -> str:
+    """The variable ``prefix`` names for node ``item``, or for edge ``item``
+    given as its pair of node ids: ``X_a``, ``Z_a``, ``Y_a_b``, ``Qf_a_b``
+    and ``Qb_a_b`` over the sanitized labels."""
+    labels = model.var_labels
+    if isinstance(item, tuple):
+        return f"{prefix}_{labels[item[0]]}_{labels[item[1]]}"
+    return f"{prefix}_{labels[item]}"
+
+
+def oracle_variable_names(model) -> list[str]:
+    """Every variable in model order: X per node, Z per node, then each
+    edge's Y, Qf and Qb."""
+    nodes = range(model.n_nodes)
+    return ([var_name(model, "X", i) for i in nodes]
+            + [var_name(model, "Z", i) for i in nodes]
+            + [var_name(model, p, e) for e in model.edges for p in ("Y", "Qf", "Qb")])
+
+
+def oracle_rows(model) -> list[tuple]:
+    """Rows of families 3-9 and 11 of the ``ip_model`` docstring, in model
+    order, as ``(rid, terms, sense, rhs)`` with ``(coefficient, name)``
+    terms."""
+    xs = [var_name(model, "X", i) for i in range(model.n_nodes)]
+    zs = [var_name(model, "Z", i) for i in range(model.n_nodes)]
+    budget = model.k if model.removal_count is None else model.removal_count
+    per_family: dict[int, list[tuple]] = {f: [] for f in range(5, 10)}
+    for u, v in model.edges:
+        ab = f"{model.var_labels[u]}_{model.var_labels[v]}"
+        y, qf, qb = f"Y_{ab}", f"Qf_{ab}", f"Qb_{ab}"
+        per_family[5].append((f"c5_{ab}", ((1.0, y), (1.0, xs[u])), "<=", 1.0))
+        per_family[6].append((f"c6_{ab}", ((1.0, y), (1.0, xs[v])), "<=", 1.0))
+        per_family[7].append((f"c7_{ab}", ((1.0, y), (1.0, xs[u]), (1.0, xs[v])),
+                              ">=", 1.0))
+        per_family[8].append((f"c8_{ab}", ((1.0, qf), (1.0, qb), (-1.0, y)), "<=", 0.0))
+        per_family[9].append((f"c9_{ab}", ((1.0, qf), (1.0, qb), (-1.0, zs[u]),
+                                           (-1.0, zs[v])), "<=", 0.0))
+    return [("c3", tuple((1.0, x) for x in xs), "<=", float(budget)),
+            ("c4", tuple((1.0, z) for z in zs), "=", 1.0),
+            *(row for f in range(5, 10) for row in per_family[f]),
+            *((f"c11_{model.var_labels[i]}", ((1.0, xs[i]),), "=", 0.0)
+              for i in sorted(model.no_strike))]
+
+
+def oracle_domains(model) -> list[tuple[str, str, str]]:
+    """Families 10 and 12 as ``(rid, name, kind)``: Z per node, then X per
+    unprotected node, ``"unit"`` when relaxed and ``"binary"`` otherwise.
+    Each edge's Y, Qf and Qb stay binary and are not counted here."""
+    kind = "unit" if model.relaxed else "binary"
+    labels = model.var_labels
+    return ([(f"c10_{labels[i]}", var_name(model, "Z", i), kind)
+             for i in range(model.n_nodes)]
+            + [(f"c12_{labels[i]}", var_name(model, "X", i), kind)
+               for i in range(model.n_nodes) if i not in model.no_strike])
+
+
+def oracle_check_feasible(model, values) -> tuple[bool, tuple[str, ...]]:
+    """``(ok, violations)`` of ``values`` over ``oracle_rows``, then
+    ``oracle_domains``, then each edge's binaries, the reference for
+    ``check_feasible``."""
+    eps = 1e-9
+    violations = []
+    for rid, terms, sense, rhs in oracle_rows(model):
+        lhs = sum(c * values[name] for c, name in terms)
+        holds = {"<=": lhs <= rhs + eps, ">=": lhs >= rhs - eps,
+                 "=": abs(lhs - rhs) <= eps}[sense]
+        if not holds:
+            violations.append(f"{rid}: {lhs:g} {sense} {rhs:g} fails")
+    edge_binaries = [(f"dom_{name}", name, "binary")
+                     for name in oracle_variable_names(model)[2 * model.n_nodes:]]
+    for rid, name, kind in oracle_domains(model) + edge_binaries:
+        x = values[name]
+        if kind == "binary" and min(abs(x), abs(x - 1)) > eps:
+            violations.append(f"{rid}: {name}={x:g} not binary")
+        elif kind == "unit" and not -eps <= x <= 1 + eps:
+            violations.append(f"{rid}: {name}={x:g} outside [0, 1]")
+    return not violations, tuple(violations)
+
+
+class InfeasibleAssignmentError(ValueError):
+    """Raised when an assignment offered for evaluation violates the model."""
+
+
+def oracle_evaluate_objective(model, values) -> float:
+    """Objective value of a feasible assignment.
+
+    For the fractional model this equals ``fragile(graph, R)`` whenever the
+    assignment canonically encodes removal set R (degenerate 0.0 when fewer
+    than three nodes survive).  For linearized models the folded linear
+    objective is evaluated as an external solver would report it.
+    """
+    report = check_feasible(model, values)
+    if not report.ok:
+        raise InfeasibleAssignmentError(report.violations[0])
+    sx = sum(values[var_name(model, "X", i)] for i in range(model.n_nodes))
+    sy = sum(values[var_name(model, "Y", e)] for e in model.edges)
+    sq = sum(values[var_name(model, "Qf", e)] + values[var_name(model, "Qb", e)]
+             for e in model.edges)
+    if all(float(x).is_integer() for x in (sx, sy, sq)):
+        sx, sy, sq = int(sx), int(sy), int(sq)
+    n, i = model.n_nodes, model.removal_count
+    if i is not None:
+        numerator = (n - i) * sq - 2 * sy
+        if ip_model._scale(model) is None:
+            return float(numerator)
+        return numerator / ((n - 1 - i) * (n - 2 - i))
+    return graph_module._centralization(n - sx, sq, sy)
+
+
 def oracle_emit_lp(model) -> str:
-    """LP text of a linearized model, every row taken from ``model.rows()``."""
+    """LP text of a linearized model, every row taken from ``oracle_rows``."""
     n = model.n_nodes
-    i = model.objective.removal_count
-    scale = model.objective.scale
+    i = model.removal_count
+    scale = ip_model._scale(model)
     lines = [
         "\\ fragility centralization removal model",
         f"\\ nodes={n} edges={len(model.edges)} budget={model.k}",
@@ -334,26 +453,26 @@ def oracle_emit_lp(model) -> str:
                      "objective left unscaled")
     q_coef = (n - i) * scale if scale is not None else float(n - i)
     y_coef = -2.0 * scale if scale is not None else -2.0
-    obj_terms = [(q_coef, name) for e in model.edges
-                 for name in (model.qf_name(e), model.qb_name(e))]
-    obj_terms += [(y_coef, model.y_name(e)) for e in model.edges]
+    obj_terms = [(q_coef, var_name(model, p, e)) for e in model.edges
+                 for p in ("Qf", "Qb")]
+    obj_terms += [(y_coef, var_name(model, "Y", e)) for e in model.edges]
     lines.append("Maximize")
     lines.extend(_oracle_wrap(" obj:", _oracle_join_terms(obj_terms)))
     lines.append("Subject To")
-    for row in model.rows():
-        tokens = _oracle_join_terms(list(row.terms))
-        tokens.append(f"{row.sense} {_oracle_fmt_coef(row.rhs)}")
-        lines.extend(_oracle_wrap(f" {row.rid}:", tokens))
-    unit_vars = [d.var for d in model.domains() if d.kind == "unit"]
+    for rid, terms, sense, rhs in oracle_rows(model):
+        tokens = _oracle_join_terms(list(terms))
+        tokens.append(f"{sense} {_oracle_fmt_coef(rhs)}")
+        lines.extend(_oracle_wrap(f" {rid}:", tokens))
+    unit_vars = [name for _, name, kind in oracle_domains(model) if kind == "unit"]
     if unit_vars:
         lines.append("Bounds")
         lines.extend(f" 0 <= {name} <= 1" for name in unit_vars)
-    binary_vars = [d.var for d in model.domains() if d.kind == "binary"]
-    for e in model.edges:
-        binary_vars.extend((model.y_name(e), model.qf_name(e), model.qb_name(e)))
+    binary_vars = [name for _, name, kind in oracle_domains(model) if kind == "binary"]
+    names = oracle_variable_names(model)
+    binary_vars += names[2 * n:]
     if binary_vars:
         lines.append("Binary")
-        order = {name: pos for pos, name in enumerate(model.variable_names())}
+        order = {name: pos for pos, name in enumerate(names)}
         lines.extend(f" {name}" for name in sorted(binary_vars, key=order.__getitem__))
     lines.append("End")
     return "\n".join(lines) + "\n"

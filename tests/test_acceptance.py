@@ -13,17 +13,18 @@ from itertools import combinations, product
 from time import perf_counter
 
 import conftest
-from conftest import (oracle_betweenness, oracle_fragile,
-                      oracle_marginal_gain, random_graph_edges)
+from conftest import (oracle_betweenness, oracle_domains,
+                      oracle_evaluate_objective, oracle_fragile,
+                      oracle_marginal_gain, oracle_rows, random_graph_edges,
+                      var_name)
 from test_ip_model import feasible_binary_maximum
 
-from fragility import (ExperimentConfig, Graph, IpAssignment,
-                       benchmark_runtime, betweenness_scores,
-                       build_fragility_ip, canonical_assignment, check_feasible,
-                       complete_graph, cycle_graph, emit_csv, emit_edge_list,
-                       emit_lp, evaluate_objective, exact_opt, fragile,
-                       generate_synthetic, greedy_fragile, linearize,
-                       network_degree_centrality, parse_csv,
+from fragility import (ExperimentConfig, Graph, benchmark_runtime,
+                       betweenness_scores, build_fragility_ip,
+                       canonical_assignment, check_feasible, complete_graph,
+                       cycle_graph, emit_csv, emit_edge_list, emit_lp,
+                       exact_opt, fragile, generate_synthetic, greedy_fragile,
+                       linearize, network_degree_centrality, parse_csv,
                        parse_edge_list, run_curves, star_graph)
 from fragility.cli import main as cli_main
 
@@ -103,18 +104,17 @@ def _pruned_binary_maximum(model) -> float:
                 for pattern in product((0, 1, 2), repeat=len(free)):
                     values = {}
                     for i in range(n):
-                        values[model.x_name(i)] = 1 if i in rem else 0
-                        values[model.z_name(i)] = 1 if i == z_hot else 0
+                        values[var_name(model, "X", i)] = 1 if i in rem else 0
+                        values[var_name(model, "Z", i)] = 1 if i == z_hot else 0
                     for e in edges:
-                        values[model.y_name(e)] = ys[e]
-                        values[model.qf_name(e)] = 0
-                        values[model.qb_name(e)] = 0
+                        values[var_name(model, "Y", e)] = ys[e]
+                        values[var_name(model, "Qf", e)] = 0
+                        values[var_name(model, "Qb", e)] = 0
                     for e, pat in zip(free, pattern):
-                        values[model.qf_name(e)] = 1 if pat == 1 else 0
-                        values[model.qb_name(e)] = 1 if pat == 2 else 0
-                    asg = IpAssignment(values)
-                    if check_feasible(model, asg).ok:
-                        val = evaluate_objective(model, asg)
+                        values[var_name(model, "Qf", e)] = 1 if pat == 1 else 0
+                        values[var_name(model, "Qb", e)] = 1 if pat == 2 else 0
+                    if check_feasible(model, values).ok:
+                        val = oracle_evaluate_objective(model, values)
                         if best is None or val > best:
                             best = val
     return best
@@ -132,13 +132,13 @@ def test_criterion_3_ip_faithfulness():
             model = build_fragility_ip(g, k=k)
             assert model.variable_count == 2 * n + 3 * g.edge_count
             assert model.constraint_count == 2 + 2 * n + 5 * g.edge_count
-            assert (len(model.rows()) + len(model.domains())
+            assert (len(oracle_rows(model)) + len(oracle_domains(model))
                     == model.constraint_count)
             for _ in range(3):
                 removed = rng.sample(range(n), rng.randint(0, k))
                 asg = canonical_assignment(model, removed)
                 assert check_feasible(model, asg).ok
-                assert abs(evaluate_objective(model, asg)
+                assert abs(oracle_evaluate_objective(model, asg)
                            - fragile(g, removed)) <= 1e-12
         # the pruned sweep agrees with the unpruned product sweep once
         from fragility import path_graph

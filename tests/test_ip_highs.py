@@ -2,9 +2,12 @@
 
 Each linearized model ``linearize(build_fragility_ip(g, ns, k), i)`` is
 turned row by row into a ``scipy.optimize.milp`` problem (HiGHS), with one
-extra row ``sum X >= i`` so that exactly ``i`` nodes are removed.  The best
-over ``i`` (with the untouched graph for ``i = 0``) must equal the optimum
-of ``exact_opt``.  scipy is not a dependency of the package, so the module
+extra row ``sum X >= i`` so that exactly ``i`` nodes are removed.  The rows
+and domains are ``oracle_rows`` and ``oracle_domains`` from
+``tests/conftest.py``; ``emit_lp`` must render exactly them
+(``oracle_emit_lp``), so what HiGHS solves is what ``emit-ip`` writes.
+The best over ``i`` (with the untouched graph for ``i = 0``) must equal the
+optimum of ``exact_opt``.  scipy is not a dependency of the package, so the module
 is skipped without it.  Two of the scale-free "desk" graphs at the 12%
 budget, far past what the score-every-subset oracle can scan, check the
 branch and bound and the greedy's gap to the optimum; a third, 105/590,
@@ -26,9 +29,9 @@ from fragility import (DEFAULT_WORK_LIMIT, Graph, build_fragility_ip,
                        complete_graph, cycle_graph, exact_opt, fragile,
                        generate_synthetic, greedy_fragile, linearize,
                        path_graph, star_graph)
-from fragility.ip_model import Row
 
-from conftest import random_graph_edges
+from conftest import (oracle_domains, oracle_rows, oracle_variable_names,
+                      random_graph_edges, var_name)
 
 optimize = pytest.importorskip("scipy.optimize")
 sparse = pytest.importorskip("scipy.sparse")
@@ -39,38 +42,37 @@ def _solve_at(model, i: int) -> tuple[tuple[int, ...], float] | None:
     """Removal set and objective value of the model at removal count ``i``,
     or None when no set of exactly ``i`` targetable nodes exists."""
     model = linearize(model, i)
-    names = model.variable_names()
+    names = oracle_variable_names(model)
     col = {name: pos for pos, name in enumerate(names)}
-    rows = list(model.rows())
-    rows.append(Row("at_least_i",
-                    tuple((1.0, model.x_name(j)) for j in range(model.n_nodes)),
-                    ">=", float(i)))
+    rows = oracle_rows(model)
+    rows.append(("at_least_i",
+                 tuple((1.0, var_name(model, "X", j)) for j in range(model.n_nodes)),
+                 ">=", float(i)))
     # the matrix in coordinate form; repeated (row, column) pairs are summed
     coefs, row_ids, col_ids = [], [], []
     lower = np.full(len(rows), -np.inf)
     upper = np.full(len(rows), np.inf)
-    for r, row in enumerate(rows):
-        for coef, var in row.terms:
+    for r, (_, terms, sense, rhs) in enumerate(rows):
+        for coef, var in terms:
             coefs.append(coef)
             row_ids.append(r)
             col_ids.append(col[var])
-        if row.sense in ("<=", "="):
-            upper[r] = row.rhs
-        if row.sense in (">=", "="):
-            lower[r] = row.rhs
+        if sense in ("<=", "="):
+            upper[r] = rhs
+        if sense in (">=", "="):
+            lower[r] = rhs
     # LP-format semantics: binaries in [0, 1], every other variable in [0, inf)
-    binary = {d.var for d in model.domains() if d.kind == "binary"}
-    for e in model.edges:
-        binary.update((model.y_name(e), model.qf_name(e), model.qb_name(e)))
+    binary = {var for _, var, kind in oracle_domains(model) if kind == "binary"}
+    binary.update(names[2 * model.n_nodes:])  # each edge's Y, Qf and Qb
     integrality = np.array([1 if name in binary else 0 for name in names])
     ub = np.array([1.0 if name in binary else np.inf for name in names])
     # maximize (N - i) * sum Q - 2 * sum Y; the positive scale does not move
     # the optimum
     c = np.zeros(len(names))
     for e in model.edges:
-        c[col[model.qf_name(e)]] -= model.n_nodes - i
-        c[col[model.qb_name(e)]] -= model.n_nodes - i
-        c[col[model.y_name(e)]] += 2
+        c[col[var_name(model, "Qf", e)]] -= model.n_nodes - i
+        c[col[var_name(model, "Qb", e)]] -= model.n_nodes - i
+        c[col[var_name(model, "Y", e)]] += 2
     a = sparse.csr_array((coefs, (row_ids, col_ids)),
                          shape=(len(rows), len(names)))
     res = optimize.milp(c, integrality=integrality,
@@ -81,7 +83,7 @@ def _solve_at(model, i: int) -> tuple[tuple[int, ...], float] | None:
         return None
     assert res.status == 0, res.message
     removed = tuple(j for j in range(model.n_nodes)
-                    if res.x[col[model.x_name(j)]] > 0.5)
+                    if res.x[col[var_name(model, "X", j)]] > 0.5)
     return removed, -res.fun
 
 

@@ -10,14 +10,16 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fragility import (Graph, InfeasibleAssignmentError, IpAssignment,
-                       build_fragility_ip, canonical_assignment, check_feasible,
-                       complete_graph, emit_lp, evaluate_objective, exact_opt,
+from fragility import (Graph, build_fragility_ip, canonical_assignment,
+                       check_feasible, complete_graph, emit_lp, exact_opt,
                        fragile, generate_synthetic, linearize, parse_edge_list,
                        path_graph, relax_bounds, star_graph, write_lp_family)
 from fragility import ip_model
 
-from conftest import _oracle_wrap, oracle_emit_lp, random_graph_edges
+from conftest import (InfeasibleAssignmentError, _oracle_wrap,
+                      oracle_check_feasible, oracle_domains, oracle_emit_lp,
+                      oracle_evaluate_objective, oracle_rows,
+                      oracle_variable_names, random_graph_edges, var_name)
 
 
 GOLDEN_SINGLE_EDGE_LP = """\
@@ -64,15 +66,14 @@ def feasible_binary_maximum(model):
                     # per-edge Q pattern: 0 none, 1 forward, 2 backward
                     values = {}
                     for i in range(n):
-                        values[model.x_name(i)] = xs[i]
-                        values[model.z_name(i)] = 1 if i == z_hot else 0
+                        values[var_name(model, "X", i)] = xs[i]
+                        values[var_name(model, "Z", i)] = 1 if i == z_hot else 0
                     for e, y, q in zip(edges, ys, qs):
-                        values[model.y_name(e)] = y
-                        values[model.qf_name(e)] = 1 if q == 1 else 0
-                        values[model.qb_name(e)] = 1 if q == 2 else 0
-                    asg = IpAssignment(values)
-                    if check_feasible(model, asg).ok:
-                        val = evaluate_objective(model, asg)
+                        values[var_name(model, "Y", e)] = y
+                        values[var_name(model, "Qf", e)] = 1 if q == 1 else 0
+                        values[var_name(model, "Qb", e)] = 1 if q == 2 else 0
+                    if check_feasible(model, values).ok:
+                        val = oracle_evaluate_objective(model, values)
                         if best is None or val > best:
                             best = val
     return best
@@ -97,16 +98,16 @@ class TestCounts:
         model = build_fragility_ip(g, k=1)
         assert model.variable_count == expect_vars
         assert model.constraint_count == expect_cons
-        assert len(model.variable_names()) == expect_vars
+        assert len(oracle_variable_names(model)) == expect_vars
 
     def test_rows_plus_domains_cover_count(self, double_star8):
         for ns in (frozenset(), frozenset({0}), frozenset({2, 5, 7})):
             model = build_fragility_ip(double_star8, no_strike=ns, k=2)
-            assert (len(model.rows()) + len(model.domains())
+            assert (len(oracle_rows(model)) + len(oracle_domains(model))
                     == model.constraint_count)
 
     def test_variable_names_unique(self, double_star10):
-        names = build_fragility_ip(double_star10, k=1).variable_names()
+        names = oracle_variable_names(build_fragility_ip(double_star10, k=1))
         assert len(names) == len(set(names))
 
 
@@ -115,21 +116,21 @@ class TestCounts:
 class TestRows:
     def test_single_edge_rows(self):
         model = build_fragility_ip(Graph(2, [(0, 1)]), k=1)
-        rows = {r.rid: r for r in model.rows()}
-        assert rows["c3"].sense == "<=" and rows["c3"].rhs == 1.0
-        assert rows["c4"].sense == "=" and rows["c4"].rhs == 1.0
-        assert rows["c5_0_1"].terms == ((1.0, "Y_0_1"), (1.0, "X_0"))
-        assert rows["c6_0_1"].terms == ((1.0, "Y_0_1"), (1.0, "X_1"))
-        assert rows["c7_0_1"].sense == ">=" and rows["c7_0_1"].rhs == 1.0
-        assert (-1.0, "Y_0_1") in rows["c8_0_1"].terms
-        assert rows["c9_0_1"].terms[-2:] == ((-1.0, "Z_0"), (-1.0, "Z_1"))
+        rows = {row[0]: row[1:] for row in oracle_rows(model)}
+        assert rows["c3"][1:] == ("<=", 1.0)
+        assert rows["c4"][1:] == ("=", 1.0)
+        assert rows["c5_0_1"][0] == ((1.0, "Y_0_1"), (1.0, "X_0"))
+        assert rows["c6_0_1"][0] == ((1.0, "Y_0_1"), (1.0, "X_1"))
+        assert rows["c7_0_1"][1:] == (">=", 1.0)
+        assert (-1.0, "Y_0_1") in rows["c8_0_1"][0]
+        assert rows["c9_0_1"][0][-2:] == ((-1.0, "Z_0"), (-1.0, "Z_1"))
 
     def test_no_strike_pins_x_to_zero(self, double_star8):
         model = build_fragility_ip(double_star8, no_strike={5, 1}, k=2)
-        pins = [r for r in model.rows() if r.rid.startswith("c11")]
-        assert [r.rid for r in pins] == ["c11_1", "c11_5"]
-        assert all(r.sense == "=" and r.rhs == 0.0 for r in pins)
-        x_domains = [d.var for d in model.domains() if d.var.startswith("X_")]
+        pins = [r for r in oracle_rows(model) if r[0].startswith("c11")]
+        assert [r[0] for r in pins] == ["c11_1", "c11_5"]
+        assert all(r[2:] == ("=", 0.0) for r in pins)
+        x_domains = [var for _, var, _ in oracle_domains(model) if var.startswith("X_")]
         assert "X_1" not in x_domains and "X_5" not in x_domains
 
     def test_budget_validation(self, star4):
@@ -150,8 +151,8 @@ class TestRows:
     def test_label_sanitization_applied(self):
         g = Graph(2, [(0, 1)], labels=("alpha-1", "beta:2"))
         model = build_fragility_ip(g, k=1)
-        assert model.x_name(0) == "X_alpha_1"
-        assert model.y_name((0, 1)) == "Y_alpha_1_beta_2"
+        assert var_name(model, "X", 0) == "X_alpha_1"
+        assert var_name(model, "Y", (0, 1)) == "Y_alpha_1_beta_2"
 
     def test_edge_name_collision(self):
         # (a_b, c) and (a, b_c) would share Y_a_b_c, Qf_a_b_c, Qb_a_b_c and
@@ -168,9 +169,9 @@ class TestRows:
 
     def test_underscored_labels_without_collision(self):
         model = build_fragility_ip(parse_edge_list("a_b c\na c\nb_c d\n"), k=1)
-        names = model.variable_names()
+        names = oracle_variable_names(model)
         assert len(names) == len(set(names)) == model.variable_count
-        rids = [r.rid for r in model.rows()]
+        rids = [r[0] for r in oracle_rows(model)]
         assert len(rids) == len(set(rids))
 
 
@@ -184,7 +185,7 @@ class TestCanonicalAssignment:
             for removed in ((), (0,), (0, 1), (g.node_count - 1,)):
                 asg = canonical_assignment(model, removed)
                 assert check_feasible(model, asg).ok
-                assert evaluate_objective(model, asg) == fragile(g, removed)
+                assert oracle_evaluate_objective(model, asg) == fragile(g, removed)
 
     def test_matches_fragile_randomized(self):
         rng = random.Random(0x1B)
@@ -196,7 +197,7 @@ class TestCanonicalAssignment:
             removed = rng.sample(range(n), rng.randint(0, k))
             asg = canonical_assignment(model, removed)
             assert check_feasible(model, asg).ok
-            assert evaluate_objective(model, asg) == fragile(g, removed)
+            assert oracle_evaluate_objective(model, asg) == fragile(g, removed)
 
     def test_non_maximal_selection_never_beats_fragile(self, double_star8):
         model = build_fragility_ip(double_star8, k=0)
@@ -204,9 +205,10 @@ class TestCanonicalAssignment:
         for s in range(8):
             asg = canonical_assignment(model, (), selected=s)
             assert check_feasible(model, asg).ok
-            assert evaluate_objective(model, asg) <= true_value
+            assert oracle_evaluate_objective(model, asg) <= true_value
         # leaf selection concretely: degree 1 of 8 nodes, 7 edges
-        leaf = evaluate_objective(model, canonical_assignment(model, (), selected=2))
+        leaf = oracle_evaluate_objective(
+            model, canonical_assignment(model, (), selected=2))
         assert leaf == (8 * 1 - 2 * 7) / (7 * 6)
 
     def test_rejects_protected_removal(self, double_star8):
@@ -229,9 +231,9 @@ class TestCheckFeasible:
         asg = canonical_assignment(model, ())
         # claiming the edge died while both endpoints live violates the
         # survival lower bound
-        asg.values["Y_0_1"] = 0
-        asg.values["Qf_0_1"] = 0
-        asg.values["Qb_0_1"] = 0
+        asg["Y_0_1"] = 0
+        asg["Qf_0_1"] = 0
+        asg["Qb_0_1"] = 0
         report = check_feasible(model, asg)
         assert not report.ok
         assert any(v.startswith("c7_0_1") for v in report.violations)
@@ -240,7 +242,7 @@ class TestCheckFeasible:
         g = path_graph(3)
         model = build_fragility_ip(g, k=1)
         asg = canonical_assignment(model, {0})
-        asg.values["Y_0_1"] = 1  # node 0 is removed; edge cannot survive
+        asg["Y_0_1"] = 1  # node 0 is removed; edge cannot survive
         report = check_feasible(model, asg)
         assert not report.ok
         assert any(v.startswith("c5_0_1") for v in report.violations)
@@ -249,7 +251,7 @@ class TestCheckFeasible:
         g = path_graph(3)
         model = build_fragility_ip(g, k=1)
         asg = canonical_assignment(model, ())  # Z on node 1
-        asg.values["Qf_0_1"] = 1  # counts edge toward node 0, not designated
+        asg["Qf_0_1"] = 1  # counts edge toward node 0, not designated
         report = check_feasible(model, asg)
         assert not report.ok
         assert any(v.startswith("c8_0_1") or v.startswith("c9_0_1")
@@ -259,30 +261,30 @@ class TestCheckFeasible:
         g = path_graph(3)
         model = build_fragility_ip(g, k=1)
         asg = canonical_assignment(model, ())
-        asg.values["Z_0"] = 1  # two designated survivors
+        asg["Z_0"] = 1  # two designated survivors
         with pytest.raises(InfeasibleAssignmentError):
-            evaluate_objective(model, asg)
+            oracle_evaluate_objective(model, asg)
 
     def test_dimension_mismatch(self):
         model = build_fragility_ip(path_graph(3), k=1)
         good = canonical_assignment(model, ())
-        del good.values["X_0"]
+        del good["X_0"]
         with pytest.raises(ValueError, match="dimension mismatch"):
             check_feasible(model, good)
 
     def test_fractional_edge_variable_flagged(self):
         model = relax_bounds(build_fragility_ip(path_graph(3), k=1))
         asg = canonical_assignment(model, ())
-        asg.values["X_0"] = 0.5  # allowed: X is relaxed to [0, 1]
-        asg.values["Y_0_1"] = 0.5  # never allowed: edge vars stay binary
+        asg["X_0"] = 0.5  # allowed: X is relaxed to [0, 1]
+        asg["Y_0_1"] = 0.5  # never allowed: edge vars stay binary
         report = check_feasible(model, asg)
         assert any("Y_0_1" in v and "not binary" in v for v in report.violations)
 
     def test_relaxed_variable_outside_unit_interval_flagged(self):
         model = relax_bounds(build_fragility_ip(path_graph(3), k=1))
         asg = canonical_assignment(model, ())
-        asg.values["Z_0"] = -0.5
-        asg.values["X_2"] = 1.5
+        asg["Z_0"] = -0.5
+        asg["X_2"] = 1.5
         report = check_feasible(model, asg)
         assert "c10_0: Z_0=-0.5 outside [0, 1]" in report.violations
         assert "c12_2: X_2=1.5 outside [0, 1]" in report.violations
@@ -304,11 +306,11 @@ def _infeasible_cases():
     }
     for name, (model, removed, changes) in edits.items():
         asg = canonical_assignment(model, removed)
-        asg.values.update(changes)
+        asg.update(changes)
         yield name, model, asg
 
 
-# recorded from the check that walked the materialized IpModel.rows()
+# recorded from the check that walked materialized row objects
 _VIOLATIONS = {
     "dead-edge": ("c7_0_1: 0 >= 1 fails",),
     "ghost-edge": ("c5_0_1: 2 <= 1 fails",),
@@ -330,6 +332,62 @@ def test_violations_identical_and_in_row_order(model, asg, expected):
     report = check_feasible(model, asg)
     assert not report.ok
     assert report.violations == expected
+
+
+def _perturbed_assignments(rng: random.Random, count: int):
+    """Canonical assignments of random binary and relaxed, fractional and
+    linearized models with protected nodes, some with Z on a node other
+    than the max-degree survivor, each with up to four values replaced."""
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        g = Graph(n, random_graph_edges(rng, n, rng.uniform(0.1, 0.9)))
+        protected = set(rng.sample(range(n), rng.randint(0, min(2, n))))
+        k = rng.randint(0, n)
+        model = build_fragility_ip(g, protected, k)
+        if k and rng.random() < 0.6:
+            model = linearize(model, rng.randint(1, k))
+        if rng.random() < 0.5:
+            model = relax_bounds(model)
+        pool = [i for i in range(n) if i not in protected]
+        removed = rng.sample(pool, rng.randint(0, min(k, len(pool))))
+        values = canonical_assignment(model, removed,
+                                      rng.choice([None, rng.randrange(n)]))
+        names = list(values)
+        for _ in range(rng.randint(0, 4)):
+            values[rng.choice(names)] = rng.choice(
+                [0, 1, 0.25, 0.5, -0.5, 1.5, 2, 1e-10, 1 - 1e-10, 1.5e-9, 1 + 1.5e-9])
+        yield model, values
+
+
+def test_check_feasible_equals_the_oracle_row_walk():
+    reports = []
+    for model, values in _perturbed_assignments(random.Random(0xCF), 2000):
+        report = check_feasible(model, values)
+        assert report == oracle_check_feasible(model, values)
+        reports.append(report)
+    # the corpus reaches both verdicts and every kind of violation
+    assert 0 < sum(r.ok for r in reports) < len(reports)
+    found = " ".join(v for r in reports for v in r.violations)
+    for kind in ("c3:", "c4:", "c5_", "c6_", "c7_", "c8_", "c9_", "c11_",
+                 "not binary", "outside [0, 1]", "dom_"):
+        assert kind in found
+
+
+def test_benchmark_feasibility_probe_calls():
+    # the call sequence of the benchmark's traced feasibility probe, every
+    # name read from the package
+    import fragility
+    g = fragility.parse_edge_list("a b\nb c\nc d\nb d\nd e\ne f\nb f\na g\n")
+    protected = {g.labels.index("b")}
+    model = fragility.build_fragility_ip(g, protected, 3)
+    prefix = fragility.greedy_fragile(g, protected, 3).removed
+    assert prefix
+    for i in range(1, 4):
+        lin = fragility.linearize(model, i)
+        values = fragility.canonical_assignment(lin, prefix[:i])
+        report = fragility.check_feasible(lin, values)
+        assert report.ok
+        assert report.violations == ()
 
 
 # ----- binary optimum equals the enumeration solver ------------------------
@@ -357,7 +415,7 @@ class TestBinaryOptimum:
         model = build_fragility_ip(double_star8, k=2)
         from itertools import combinations
         best = max(
-            evaluate_objective(model, canonical_assignment(model, combo))
+            oracle_evaluate_objective(model, canonical_assignment(model, combo))
             for size in range(3) for combo in combinations(range(8), size))
         assert best == exact_opt(double_star8, k=2).final_fragility == 0.7
 
@@ -374,28 +432,28 @@ class TestLinearize:
 
     def test_scale_value(self, double_star8):
         model = linearize(build_fragility_ip(double_star8, k=2), 2)
-        assert model.objective.scale == 1.0 / (5 * 4)
-        assert model.objective.removal_count == 2
+        assert ip_model._scale(model) == 1.0 / (5 * 4)
+        assert model.removal_count == 2
 
     def test_budget_row_tightened(self, double_star8):
         model = linearize(build_fragility_ip(double_star8, k=2), 1)
-        c3 = next(r for r in model.rows() if r.rid == "c3")
-        assert c3.rhs == 1.0
+        c3 = next(r for r in oracle_rows(model) if r[0] == "c3")
+        assert c3[3] == 1.0
 
     def test_degenerate_scale_is_none(self):
         model = linearize(build_fragility_ip(star_graph(3), k=2), 2)
-        assert model.objective.scale is None  # only 2 survivors
+        assert ip_model._scale(model) is None  # only 2 survivors
         model5 = linearize(build_fragility_ip(star_graph(4), k=3), 3)
-        assert model5.objective.scale is None
+        assert ip_model._scale(model5) is None
         ok5 = linearize(build_fragility_ip(star_graph(4), k=2), 2)
-        assert ok5.objective.scale == 1.0 / (2 * 1)
+        assert ip_model._scale(ok5) == 1.0 / (2 * 1)
 
     def test_unscaled_objective_is_the_numerator(self):
         # path 0-1-2-3 at i = 2: (N-1-i)(N-2-i) = 0, so no scale; nothing
         # removed, Z on node 1: sq = 2, sy = 3, (N - i) * sq - 2 * sy = -2
         model = linearize(build_fragility_ip(path_graph(4), k=2), 2)
-        assert model.objective.scale is None
-        value = evaluate_objective(model, canonical_assignment(model, ()))
+        assert ip_model._scale(model) is None
+        value = oracle_evaluate_objective(model, canonical_assignment(model, ()))
         assert value == -2.0 and type(value) is float
 
     def test_exact_on_full_budget_removals(self):
@@ -407,10 +465,10 @@ class TestLinearize:
             g = Graph(n, random_graph_edges(rng, n, 0.5))
             i = rng.randint(1, max(1, n - 4))
             model = linearize(build_fragility_ip(g, k=i), i)
-            if model.objective.scale is None:
+            if ip_model._scale(model) is None:
                 continue
             removed = rng.sample(range(n), i)
-            val = evaluate_objective(model, canonical_assignment(model, removed))
+            val = oracle_evaluate_objective(model, canonical_assignment(model, removed))
             assert val == fragile(g, removed)
 
     def test_known_inflation_below_full_budget(self):
@@ -418,7 +476,7 @@ class TestLinearize:
         # objective: the 10-node star scores 54/42 > 1
         g = star_graph(9)
         model = linearize(build_fragility_ip(g, k=2), 2)
-        val = evaluate_objective(model, canonical_assignment(model, ()))
+        val = oracle_evaluate_objective(model, canonical_assignment(model, ()))
         assert val == 54 / 42
         assert val > fragile(g, ())
 
@@ -574,7 +632,7 @@ class TestEmitLpFamily:
         family = _assert_family_matches(model)
         degenerate = [i for i, text in family if "degenerate instance" in text]
         assert degenerate == [3, 4, 5]
-        assert [linearize(model, i).objective.scale is None
+        assert [ip_model._scale(linearize(model, i)) is None
                 for i in range(1, 6)] == [False, False, True, True, True]
 
     def test_edgeless_objective_token(self):
@@ -602,7 +660,7 @@ class TestEmitLpFamily:
         render_head, render_body = ip_model._render_head, ip_model._render_body
 
         def head(model, names):
-            heads.append(model.objective.removal_count)
+            heads.append(model.removal_count)
             return render_head(model, names)
 
         def body(model, names):
