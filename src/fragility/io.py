@@ -12,7 +12,7 @@ collapse to one with a warning; self-loops are an error.  The no-strike
 format is one label per line with the same comment and split rules.
 
 Both parsers take the text as a ``str`` or as an open text file, which they
-read in blocks of about 64 KiB, each cut just past a newline, so neither
+read in blocks of about 16 KiB, each cut just past a newline, so neither
 holds the whole file or the list of all its lines.  Each block is searched
 once for ``#`` and ``,``: the lines of a block with neither are only split
 on whitespace, and only those of a block with either are cut at ``#``,
@@ -38,7 +38,10 @@ from typing import TextIO
 from .graph import Graph, _finish
 
 _LABEL_SAFE = re.compile(r"[^,\s#]+")
-_BLOCK = 1 << 16  # characters of text split into lines at a time
+# characters of text split into lines at a time: a block and its lines are
+# the load's transient peak beside the graph; 16 KiB loaded the benchmark's
+# 20,000-node graph with a lower peak resident size than 64, 8 or 4 KiB
+_BLOCK = 1 << 14
 
 
 class EdgeListError(ValueError):

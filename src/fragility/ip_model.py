@@ -191,7 +191,8 @@ def canonical_assignment(model: IpModel, removed: Collection[int],
     """Feasible assignment encoding ``removed``, as 0/1 values keyed by
     variable name: Y tracks edge survival, Z sits on ``selected`` (default:
     the max-degree survivor, lowest id on ties) and Q routes one unit along
-    each of its surviving edges."""
+    each of its surviving edges.  Raises ``ValueError`` when ``selected``
+    is not the id of a surviving node."""
     removed = _node_set(model.n_nodes, removed)
     for i in removed:
         if i in model.no_strike:
@@ -206,6 +207,8 @@ def canonical_assignment(model: IpModel, removed: Collection[int],
     survivors = [i for i in range(model.n_nodes) if i not in removed]
     if selected is None:
         selected = max(survivors, key=lambda i: (deg[i], -i)) if survivors else 0
+    elif not 0 <= selected < model.n_nodes or selected in removed:
+        raise ValueError(f"selected node {selected} is not a surviving node")
     names = _Names(model)
     values: dict[str, int] = {}
     for i, (x, z) in enumerate(zip(names.x, names.z)):

@@ -7,9 +7,10 @@ protected (no-strike) set and never exceeding the removal budget ``k``.
 
 from __future__ import annotations
 
+from array import array
 from collections import namedtuple
 from collections.abc import Collection, Iterator
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import comb, inf, isnan, nextafter
 
 from .defaults import DEFAULT_WORK_LIMIT
@@ -38,14 +39,15 @@ class RemovalSolution(namedtuple("RemovalSolution",
 class DegreeTracker:
     """Degree bookkeeping for a graph under progressive node removal.
 
-    Maintains surviving node/edge counts, per-node surviving degrees and
-    ``count[d]``, the number of alive nodes at degree d, so pricing one more
-    removal costs O(deg) instead of a full recount.  ``removed`` lists the
-    removed nodes in removal order, and ``deg`` keeps each one at its
-    (stale) degree when it was removed, so :meth:`undo` reverts removals,
-    last in first out, for the exact search.  Values match
-    :func:`fragility.graph.fragile` bit for bit because both pass the same
-    integer counts to the same scoring function.
+    Maintains surviving node/edge counts, per-node surviving degrees,
+    ``alive`` flags (a ``bytearray``, one byte a node) and ``count[d]``, the
+    number of alive nodes at degree d, so pricing one more removal costs
+    O(deg) instead of a full recount.  ``removed`` lists the removed nodes
+    in removal order, and ``deg`` keeps each one at its (stale) degree when
+    it was removed, so :meth:`undo` reverts removals, last in first out,
+    for the exact search.  Values match :func:`fragility.graph.fragile` bit
+    for bit because both pass the same integer counts to the same scoring
+    function.
     """
 
     __slots__ = ("graph", "alive", "deg", "count", "removed", "n_alive",
@@ -54,7 +56,7 @@ class DegreeTracker:
     def __init__(self, graph: Graph) -> None:
         n = graph.node_count
         self.graph = graph
-        self.alive = [True] * n
+        self.alive = bytearray(b"\x01") * n
         self.deg = list(graph.degree)
         self.removed: list[int] = []
         self.n_alive = n
@@ -110,7 +112,8 @@ class DegreeTracker:
         self.max_deg = top
 
 
-def _best_removal(tracker: DegreeTracker, heap: list[int]) -> tuple[int, int]:
+def _best_removal(tracker: DegreeTracker, heap: list[int],
+                  held: list) -> tuple[int, int]:
     """Best alive candidate as ``(numerator, node)``; needs ``n_alive >= 4``.
 
     With D the max degree and T the alive nodes at D, let L be D for a
@@ -125,9 +128,17 @@ def _best_removal(tracker: DegreeTracker, heap: list[int]) -> tuple[int, int]:
     numerator is ``n2*D' - 2*(m - d_i)``.  Below about 4e7 nodes distinct
     numerators give distinct float gains, so the largest key ``(numerator,
     -i)`` is the node that comparing float gains in id order would pick.
-    ``heap`` holds ``i - d*N`` for every alive candidate i of degree d (N
-    the node count), which sorts as ``(-d, i)`` since ``0 <= i < N``, plus
-    stale entries that are dropped here.
+    ``heap`` holds ``i - d*N`` for every released alive candidate i of
+    degree d (N the node count), which sorts as ``(-d, i)`` since ``0 <= i
+    < N``, plus stale entries that are dropped here.  ``held[e]`` lists the
+    candidates of initial degree e in ascending id (``()`` for none), and
+    the levels from ``len(held)`` up are released.  Before the top entry
+    is read, every held level at or above its degree is popped off the end
+    and its ids pushed, or the next level when the heap is empty, and then
+    the empty levels below it.  A held node's degree is at most its level,
+    so held nodes sort below every entry read, and the scan reads the
+    entries a heap of every candidate would; a stale top can only release
+    a level early.
 
     No new max exceeds ``cap``: D, or D-1 when T's nodes are adjacent to
     every alive node.  So a key is at most its bound ``(n2*cap - 2*(m -
@@ -144,9 +155,17 @@ def _best_removal(tracker: DegreeTracker, heap: list[int]) -> tuple[int, int]:
     cap = top_d - (top_d == n2)
     best = (-1, 0)  # below every key: no numerator is negative
     popped = []
-    while heap:
-        neg_d, i = divmod(heap[0], n)
+    while heap or held:
+        neg_d, i = divmod(heap[0], n) if heap else (0, 0)
         d = -neg_d
+        if d < len(held):  # a held level at or above the top entry
+            # held nodes are alive: one is removed only on fewer than four
+            # alive nodes, and no level is released after that
+            for j in held.pop():
+                heappush(heap, j - deg[j] * n)
+            while held and not held[-1]:  # levels that hold no candidate
+                held.pop()
+            continue
         if not alive[i] or deg[i] != d:
             heappop(heap)
             continue
@@ -192,7 +211,10 @@ def iter_greedy_steps(graph: Graph, no_strike: Collection[int] | None,
     best (see :func:`_best_removal`), which only reads the tracker.  It
     costs O(log N + d) for each priced entry of degree d, plus one walk
     down the empty degree levels and O(d log N) to remove a degree-d node,
-    instead of pricing every node in O(N + M).
+    instead of pricing every node in O(N + M).  The heap starts empty: the
+    candidates wait in an ``array`` per initial degree and are released a
+    level at a time, top down, as the scan reaches them, so a level no round
+    reaches never gets an int key.
     """
     if k < 0:
         raise ValueError("budget k must be non-negative")
@@ -200,9 +222,15 @@ def iter_greedy_steps(graph: Graph, no_strike: Collection[int] | None,
     tracker = DegreeTracker(graph)
     alive, deg = tracker.alive, tracker.deg
     n = graph.node_count
-    heap = [i - d * n for i, d in enumerate(deg) if i not in ns]
-    heapify(heap)
-    for _ in range(min(k, len(heap))):
+    # held[d]: the candidates of initial degree d in an array, or () for none
+    held: list = [()] * (graph.max_degree + 1)
+    for i, d in enumerate(graph.degree):
+        if i not in ns:
+            if not held[d]:
+                held[d] = array("i")
+            held[d].append(i)
+    heap: list[int] = []
+    for _ in range(min(k, n - len(ns))):
         base = tracker.centrality()
         n2 = tracker.n_alive - 1
         if n2 < 3:
@@ -211,13 +239,14 @@ def iter_greedy_steps(graph: Graph, no_strike: Collection[int] | None,
                 break
             best = min(i for i in range(n) if alive[i] and i not in ns)
         else:
-            num, best = _best_removal(tracker, heap)
+            num, best = _best_removal(tracker, heap, held)
             # the float fragile gives this removal, so a zero gain is accepted exactly
             if num / ((n2 - 1) * (n2 - 2)) - base < 0.0:
                 break
         tracker.remove(best)
         for j in graph.adjacency[best]:
-            if alive[j] and j not in ns:
+            # a held node is pushed at its current degree when released
+            if alive[j] and graph.degree[j] >= len(held) and j not in ns:
                 heappush(heap, j - deg[j] * n)
         yield best, tracker.centrality()
 

@@ -279,7 +279,7 @@ class TestParserMatchesOracle:
 
 
 def _straddling_text() -> str:
-    """A padded first record, then ``a b`` ending the first 64 KiB block and
+    """A padded first record, then ``a b`` ending the first block and
     ``b a`` and ``a b`` opening the second, then a 9000-record chain given
     again, reversed, further on, so its repeats fall in later blocks."""
     head = "x y" + " " * (_BLOCK - 5) + "\n"
@@ -456,7 +456,8 @@ class TestStreamedLoad:
     with their line numbers equal the oracle's on the file's whole text,
     read as ``Path.read_text(encoding="utf-8-sig")`` reads it."""
 
-    @pytest.mark.parametrize("at", [_BLOCK - 2, _BLOCK - 1, _BLOCK])
+    # at the end of the fourth read, so three reads were carried over first
+    @pytest.mark.parametrize("at", [4 * _BLOCK - 2, 4 * _BLOCK - 1, 4 * _BLOCK])
     @pytest.mark.parametrize("brk", ["\r\n", "\r", "\n", "\x0c", "\x85", "\u2028",
                                      "\x1c"])
     @pytest.mark.parametrize("prefix", ["n", "é", "€", "\U0001f600"])
@@ -721,7 +722,7 @@ class TestCliErrors:
         assert main(["centrality", "--graph", str(tmp_path)]) == 1
         assert "cannot read graph" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("at", [4, _BLOCK + 5000], ids=["first-block", "past-64KiB"])
+    @pytest.mark.parametrize("at", [4, (1 << 16) + 5000], ids=["first-block", "past-64KiB"])
     @pytest.mark.parametrize("kind", ["graph", "no-strike"])
     def test_undecodable_file_is_named(self, tmp_path, capsys, kind, at):
         # the decoder's byte position counts from the start of a read, so

@@ -211,6 +211,13 @@ class TestCanonicalAssignment:
             model, canonical_assignment(model, (), selected=2))
         assert leaf == (8 * 1 - 2 * 7) / (7 * 6)
 
+    @pytest.mark.parametrize("selected", [99, -1, 3])
+    def test_rejects_a_selection_that_is_not_a_survivor(self, selected):
+        # 99 and -1 are no node ids, and node 3 is removed
+        model = build_fragility_ip(path_graph(5), k=1)
+        with pytest.raises(ValueError, match=f"selected node {selected} is not"):
+            canonical_assignment(model, {3}, selected=selected)
+
     def test_rejects_protected_removal(self, double_star8):
         model = build_fragility_ip(double_star8, no_strike={0}, k=2)
         with pytest.raises(ValueError, match="protected"):
@@ -350,8 +357,10 @@ def _perturbed_assignments(rng: random.Random, count: int):
             model = relax_bounds(model)
         pool = [i for i in range(n) if i not in protected]
         removed = rng.sample(pool, rng.randint(0, min(k, len(pool))))
-        values = canonical_assignment(model, removed,
-                                      rng.choice([None, rng.randrange(n)]))
+        selected = rng.choice([None, rng.randrange(n)])
+        # only a survivor can be selected; a removed draw takes the default
+        values = canonical_assignment(
+            model, removed, None if selected in removed else selected)
         names = list(values)
         for _ in range(rng.randint(0, 4)):
             values[rng.choice(names)] = rng.choice(

@@ -9,13 +9,15 @@ protected; the LP family (k = 10) and the sweep on paper_mid's
 allocates, so the peaks are deterministic for one Python version.  Each
 bound sits between the peak of the older code and the peak now (Python
 3.11): the greedy with per-degree sets of ids and tuple heap entries
-5.36 MB, now 1.48 MB; the parser with a label graph of empty lists 6.80 MB,
-now 5.73 MB; the graph file read whole into one string and then parsed
-6.73 MB, now read in blocks 5.90 MB; the no-strike labels looked up in a
-dict over every graph label 0.97 MB, now 0.005 MB; the LP family holding
-its 1.63 MB body and each joined objective 5.34 MB, now 1.30 MB; the
-sweep's parent with a ``multiprocessing.Pool`` 4.25 MB, now 0.11 MB.  Run
-as a script, this file prints every peak without checking them.
+5.36 MB, with an int heap entry for every candidate 1.48 MB, now releasing
+the candidates one degree level at a time 0.29 MB; the parser with a label
+graph of empty lists 6.80 MB, now 5.71 MB; the graph file read whole into
+one string and then parsed 6.73 MB, in 64 KiB blocks 5.90 MB, now in
+16 KiB blocks 5.74 MB; the no-strike labels looked up in a dict over every
+graph label 0.97 MB, now 0.005 MB; the LP family holding its 1.63 MB body
+and each joined objective 5.34 MB, now 1.30 MB; the sweep's parent with a
+``multiprocessing.Pool`` 4.25 MB, now 0.11 MB.  Run as a script, this file
+prints every peak without checking them.
 """
 
 from __future__ import annotations
@@ -113,8 +115,9 @@ def sweep_peak(graph) -> int:
 
 
 def test_greedy_peak(large):
-    # per-degree counts, not sets of ids, and one int per heap entry
-    assert greedy_peak(large) < 3.0 * MB
+    # per-degree counts, not sets of ids, one int per heap entry, and heap
+    # entries only for the degree levels the rounds reach
+    assert greedy_peak(large) < 0.75 * MB
 
 
 def test_parse_peak(large):
@@ -124,7 +127,7 @@ def test_parse_peak(large):
 
 
 def test_file_load_peak(large, tmp_path):
-    # the file is read in 64 KiB blocks, not into one string of 1.3 MB
+    # the file is read in 16 KiB blocks, not into one string of 1.3 MB
     assert file_load_peak(large, tmp_path / "g.txt") < 6.5 * MB
 
 

@@ -424,6 +424,15 @@ _HARD_CASES = [
     ("two-stars", _disjoint(star_graph(5), star_graph(5)), (0,), 12),
     # budget beyond the candidate pool
     ("k-beyond-pool", _disjoint(star_graph(3), path_graph(4)), (0, 5), 50),
+    # candidate levels released top down: after node 0 goes, node 3 sits
+    # at degree 0 in the heap while isolated node 1 is still held, and node
+    # 1 wins the second round on its lower id
+    ("isolated-below-a-released-drop", Graph(5, [(0, 3), (2, 4)]), (), 5),
+    # an isolated winner below the hub's and the leaves' released levels
+    ("star-isolated-winner", _disjoint(star_graph(5), Graph(2, [])), (), 8),
+    # one level holds every candidate, below the protected hubs' levels,
+    # and the one round, which stops, prices all of them
+    ("k2n-hubs-protected-one-level", _k2n(8, False), (0, 1), 10),
 ]
 
 # greedy only: too large for the exhaustive oracle of the branch and bound
@@ -466,6 +475,18 @@ class TestClosedFormRounds:
         steps = list(iter_greedy_steps(star_graph(2000), (0,), k))
         assert [node for node, _ in steps] == list(range(1, k + 1))
         assert len(pops) <= 2 * k + 2
+
+    def test_removal_pushes_no_held_neighbour(self, monkeypatch):
+        # the hub of the second star wins at once, and the first round
+        # prices only the top level: its leaves stay held, so the only key
+        # built is the hub's own
+        pushed = []
+        heappush = solvers.heappush
+        monkeypatch.setattr(solvers, "heappush",
+                            lambda heap, e: pushed.append(e) or heappush(heap, e))
+        two_stars = _disjoint(star_graph(5), star_graph(5))
+        assert [node for node, _ in iter_greedy_steps(two_stars, (0,), 1)] == [6]
+        assert pushed == [6 - 5 * 12]
 
     def test_pricing_removes_nothing(self, monkeypatch):
         # the unprotected hub is all of T in every round: pricing it reads
