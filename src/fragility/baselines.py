@@ -15,22 +15,31 @@ Costs, for N nodes, M edges and eccentricity ecc(v):
   exact: nodes are ordered by the rational key r**2 / s, the score without
   its common 1 / (N - 1) factor.
 - betweenness: Brandes, one level-synchronous BFS and one backward pass per
-  source, O(N * M) spread over the usable CPUs: the sources run in
-  ``os.fork`` workers, one per CPU in ``os.sched_getaffinity(0)``, each
-  writing its results into its own pipe, and their dependency vectors are
-  read back and added in source order, so the floats do not depend on the
-  number of workers.  The sweep runs in-process when N * M is below 250,000,
-  when one CPU is usable or its CPUs are unknown, or when other threads
-  run, since a fork copies only the calling thread.  Ranking ties are
-  exact: runs of floats within 1e-9 of each other are ranked again by exact
-  rational scores from an integer Brandes pass, so equal scores rank by
-  ascending id; that pass is a second sweep, made only when such a run
-  exists, and sends each source's integer numerators over its lcm ``L``.
-  Timings of this ranking are wall-clock time, not CPU time.
+  source.  The BFS finds a level top-down while its frontier holds no more
+  nodes than remain unfound, and bottom-up after that (the direction switch
+  of Beamer, Asanovic and Patterson, SC 2012): each unfound node reads its
+  own neighbours for parents, and the level is sorted by the frontier
+  position of each node's first parent, then by id, which is the order a
+  FIFO queue finds it in.  The BFS stops once every node is found.  On the
+  scale-free 1133/5541 graph a source reads 4,173 adjacency entries, not
+  all 11,082.  O(N * M) in all, spread over the usable CPUs: the sources
+  run in ``os.fork`` workers, one per CPU in ``os.sched_getaffinity(0)``
+  and each without the cyclic garbage collector, each writing its results
+  into its own pipe, and their dependency vectors are read back and added
+  in source order, so the floats do not depend on the number of workers.
+  The sweep runs in-process when N * M is below 100,000, when one CPU is
+  usable or its CPUs are unknown, or when other threads run, since a fork
+  copies only the calling thread.  Ranking ties are exact: runs of floats
+  within 1e-9 of each other are ranked again by exact rational scores from
+  an integer Brandes pass, so equal scores rank by ascending id; that pass
+  is a second sweep, made only when such a run exists, and sends each
+  source's integer numerators over its lcm ``L``.  Timings of this ranking
+  are wall-clock time, not CPU time.
 """
 
 from __future__ import annotations
 
+import gc
 import marshal
 import math
 import os
@@ -114,9 +123,10 @@ def closeness_ranking(graph: Graph, no_strike: Collection[int] | None = None
 
 
 # Below this N * M forking workers costs more than they save.  On a 2-CPU
-# host (medians of 7), N * M = 196,000 took 0.076 s in-process and 0.110 s
-# over two workers; 306,250 took 0.124 s and 0.099 s.
-_POOL_MIN_WORK = 250_000
+# host, timing the first sweep of a fresh process on scale-free graphs with
+# M = 2.5 N (medians of 11), N * M = 64,000 took 0.018 s in-process and
+# 0.020 s over two workers; 100,000 took 0.041 s and 0.031 s.
+_POOL_MIN_WORK = 100_000
 
 _PIPE_BYTES = 1 << 20  # per worker; 64 KiB pipes stall the workers in turn
 
@@ -139,6 +149,7 @@ def _work(per_source: Callable, adj: Sequence, first: int, step: int,
     first + step, ...`` into ``fd``, each as an 8-byte length and its
     ``marshal`` bytes, then leaves through ``os._exit``, so no ``atexit``
     handler or buffered stream of the parent runs here."""
+    gc.disable()  # the per-source lists form no cycles, and os._exit frees all
     status = 1
     try:
         for r in readers:  # a worker holding a read end keeps its pipe open
@@ -213,11 +224,17 @@ def _sweep(per_source: Callable, graph: Graph) -> Iterator:
 
 
 def _paths(adj: Sequence, s: int) -> tuple[list[int], list[int], list]:
-    """Shortest-path DAG from ``s``: the other reached nodes in BFS order,
-    path counts ``sigma`` and predecessor lists.
+    """Shortest-path DAG from ``s``: the other reached nodes in the order a
+    FIFO-queue BFS finds them, path counts ``sigma`` and predecessor lists.
 
-    The BFS runs level by level, so nodes are found in the order of a FIFO
-    queue.
+    The BFS runs level by level and stops once every node is found.  While
+    the frontier holds no more nodes than remain unfound, each frontier node
+    scans its neighbours (top-down).  Later, each unfound node scans its own
+    neighbours for its parents, those on the frontier (bottom-up), and the
+    new level is sorted by the frontier position of the node's first
+    parent, then by id: a FIFO queue finds each parent's children in
+    ascending id, as ``adj`` lists them.  Such a node's ``pred`` list is
+    ascending by id rather than in frontier order.
     """
     n = len(adj)
     sigma = [0] * n
@@ -227,23 +244,61 @@ def _paths(adj: Sequence, s: int) -> tuple[list[int], list[int], list]:
     dist[s] = 0
     found: list[int] = []
     level = [s]
+    left = n - 1  # nodes not yet found
+    unfound: Sequence[int] = range(n)  # a superset, ascending
+    rank: list[int] = []  # frontier position, for a bottom-up level
     d = 0
-    while level:
+    while level and left:
         d += 1
         nxt = []
-        for v in level:
-            sv = sigma[v]
-            for w in adj[v]:
-                dw = dist[w]
-                if dw < 0:
+        if len(level) <= left:
+            for v in level:
+                sv = sigma[v]
+                for w in adj[v]:
+                    dw = dist[w]
+                    if dw < 0:
+                        dist[w] = d
+                        sigma[w] = sv
+                        pred[w] = [v]
+                        nxt.append(w)
+                    elif dw == d:
+                        sigma[w] += sv
+                        pred[w].append(v)
+        else:
+            if not rank:
+                rank = [0] * n
+            for i, v in enumerate(level):
+                rank[v] = i
+            up = d - 1
+            keys = []
+            still = []
+            for w in unfound:
+                if dist[w] >= 0:
+                    continue
+                ps = None
+                for v in adj[w]:
+                    if dist[v] == up:
+                        if ps is None:
+                            ps = [v]
+                            sw = sigma[v]
+                            first = rank[v]
+                        else:
+                            ps.append(v)
+                            sw += sigma[v]
+                            if rank[v] < first:
+                                first = rank[v]
+                if ps is None:
+                    still.append(w)
+                else:
                     dist[w] = d
-                    sigma[w] = sv
-                    pred[w] = [v]
-                    nxt.append(w)
-                elif dw == d:
-                    sigma[w] += sv
-                    pred[w].append(v)
+                    sigma[w] = sw
+                    pred[w] = ps
+                    keys.append(first * n + w)  # (first parent, id)
+            keys.sort()
+            nxt = [k % n for k in keys]
+            unfound = still
         found += nxt
+        left -= len(nxt)
         level = nxt
     return found, sigma, pred
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import multiprocessing
 import os
@@ -10,6 +11,7 @@ import signal
 import subprocess
 import sys
 import threading
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -264,6 +266,120 @@ def _rational_ranking(g, no_strike=()):
                         key=lambda v: (-score[v], v)))
 
 
+def _fifo_paths(adj, s):
+    """``_paths`` by a plain FIFO-queue BFS, with each ``pred`` list sorted,
+    and the distance of every node (-1 unreached)."""
+    n = len(adj)
+    sigma = [0] * n
+    dist = [-1] * n
+    pred = [None] * n
+    sigma[s] = 1
+    dist[s] = 0
+    found = []
+    queue = deque([s])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                pred[w] = []
+                found.append(w)
+                queue.append(w)
+            if dist[w] == dist[v] + 1:
+                sigma[w] += sigma[v]
+                pred[w].append(v)
+    return found, sigma, [None if p is None else sorted(p) for p in pred], dist
+
+
+def _direction_plan(adj, s):
+    """Adjacency entries a search from ``s`` reads, and its bottom-up
+    levels, by the rule of ``_paths``: a level is found bottom-up, by every
+    still unfound node reading its own neighbours, when the frontier holds
+    more nodes than remain unfound; otherwise the frontier's nodes read
+    theirs.  The search stops once every node is found."""
+    found, _, _, dist = _fifo_paths(adj, s)
+    unfound = [v for v in range(len(adj)) if v != s]
+    frontier, d, reads, up = [s], 1, 0, 0
+    while frontier and unfound:
+        if len(frontier) > len(unfound):
+            up += 1
+            reads += sum(len(adj[w]) for w in unfound)
+        else:
+            reads += sum(len(adj[v]) for v in frontier)
+        frontier = [w for w in found if dist[w] == d]
+        unfound = [w for w in unfound if dist[w] != d]
+        d += 1
+    return reads, up
+
+
+class _CountedReads(tuple):
+    """An adjacency that counts the entries read through it."""
+
+    entries = 0
+
+    def __getitem__(self, v):
+        row = tuple.__getitem__(self, v)
+        self.entries += len(row)
+        return row
+
+
+def _assert_fifo(adj, s):
+    """``_paths`` from ``s`` equals the FIFO queue's and reads what the
+    rule says; returns the search's bottom-up level count."""
+    counted = _CountedReads(adj)
+    found, sigma, pred = baselines._paths(counted, s)
+    want_found, want_sigma, want_pred, _ = _fifo_paths(adj, s)
+    assert found == want_found
+    assert sigma == want_sigma
+    assert [None if p is None else sorted(p) for p in pred] == want_pred
+    reads, up = _direction_plan(adj, s)
+    assert counted.entries == reads
+    return up
+
+
+# levels from source 0: 5..14; then 15, 2, 3, 4, 1 (3 and 4 share their
+# first parent 7, and 2's parents are 6 and 13); then 17, 16, 18 (16's
+# parents are 1 and 2, and it shares 18's first parent 2); then 19
+_BOTTOM_UP_EDGES = ([(0, v) for v in range(5, 15)]
+                    + [(15, 5), (2, 6), (2, 13), (3, 7), (4, 7), (4, 12),
+                       (1, 9), (3, 4), (5, 6), (17, 15), (16, 2), (16, 1),
+                       (18, 2), (19, 18), (19, 16)])
+
+
+class TestPaths:
+    """The BFS behind both Brandes passes finds what a FIFO queue finds,
+    in the same order, top-down and bottom-up."""
+
+    def test_levels_found_bottom_up_keep_the_fifo_order(self):
+        adj = Graph(20, _BOTTOM_UP_EDGES).adjacency
+        found, _, _ = baselines._paths(adj, 0)
+        assert found == [*range(5, 15), 15, 2, 3, 4, 1, 17, 16, 18, 19]
+        assert _assert_fifo(adj, 0) == 3
+        for s in range(1, 20):
+            _assert_fifo(adj, s)
+
+    def test_random_corpus(self):
+        # sparse draws leave graphs disconnected and nodes isolated, and the
+        # last nodes of each graph are isolated
+        rng = random.Random(0xB0770)
+        ups = []
+        for _ in range(150):
+            n = rng.randint(1, 30)
+            edges = random_graph_edges(rng, n, rng.uniform(0.02, 0.7))
+            adj = Graph(n + rng.randint(0, 2), edges).adjacency
+            for s in range(len(adj)):
+                up = _assert_fifo(adj, s)
+                unreached = len(adj) - 1 - len(baselines._paths(adj, s)[0])
+                ups.append((up, unreached > 0))
+        assert (1, False) in ups and (1, True) in ups
+        assert any(up >= 2 for up, _ in ups)
+
+    def test_scale_free_paper_size(self):
+        adj = generate_synthetic("scale-free", 1133, 5541, seed=1).adjacency
+        for s in range(0, 1133, 37):
+            assert _assert_fifo(adj, s) >= 1
+
+
 class TestBitIdenticalToOracles:
     """The Brandes sweep in-process; the subclass runs it in workers."""
 
@@ -377,6 +493,20 @@ def test_pool_worker_sweeps_in_workers(monkeypatch):
             timeout=60)
     assert got == oracle_brandes_scores(cycle_graph(40))
     assert forks == 2
+
+
+def _collector_on(adj, s):
+    return gc.isenabled()
+
+
+def test_only_workers_turn_off_the_cyclic_collector(monkeypatch):
+    monkeypatch.setattr(baselines, "_POOL_MIN_WORK", math.inf)
+    assert list(baselines._sweep(_collector_on, cycle_graph(6))) == [True] * 6
+    _pooled(monkeypatch)
+    forks = _spy_forks(monkeypatch)
+    assert list(baselines._sweep(_collector_on, cycle_graph(6))) == [False] * 6
+    assert len(forks) == 2 and gc.isenabled()
+    _assert_no_children()
 
 
 def _fail_in_worker(parent: int, bad: int):

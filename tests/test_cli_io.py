@@ -153,8 +153,11 @@ def _block_edge_text(sep: str, at: int) -> str:
 
 
 class TestRecordBlocks:
+    # fixed ids, the offsets at 16 KiB blocks, so a new block size keeps them
     @pytest.mark.parametrize("sep, at", [("\r\n", _BLOCK - 1), ("\r\n", _BLOCK),
-                                         ("\x1c", _BLOCK), ("\x1c", _BLOCK - 1)])
+                                         ("\x1c", _BLOCK), ("\x1c", _BLOCK - 1)],
+                             ids=["\r\n-16383", "\r\n-16384", "\x1c-16384",
+                                  "\x1c-16383"])
     def test_block_edges_cut_no_line(self, sep, at):
         text = _block_edge_text(sep, at)
         assert len(text) > 200 * 1024 and text.startswith(sep, at)
@@ -456,8 +459,10 @@ class TestStreamedLoad:
     with their line numbers equal the oracle's on the file's whole text,
     read as ``Path.read_text(encoding="utf-8-sig")`` reads it."""
 
-    # at the end of the fourth read, so three reads were carried over first
-    @pytest.mark.parametrize("at", [4 * _BLOCK - 2, 4 * _BLOCK - 1, 4 * _BLOCK])
+    # at the end of the fourth read, so three reads were carried over first;
+    # fixed ids, the offsets at 16 KiB blocks, so a new block size keeps them
+    @pytest.mark.parametrize("at", [4 * _BLOCK - 2, 4 * _BLOCK - 1, 4 * _BLOCK],
+                             ids=["65534", "65535", "65536"])
     @pytest.mark.parametrize("brk", ["\r\n", "\r", "\n", "\x0c", "\x85", "\u2028",
                                      "\x1c"])
     @pytest.mark.parametrize("prefix", ["n", "é", "€", "\U0001f600"])
