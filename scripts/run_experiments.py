@@ -23,6 +23,7 @@ from pathlib import Path
 from fragility import (ExperimentConfig, benchmark_runtime, emit_csv,
                        emit_edge_list, generate_synthetic, run_curves,
                        run_manifest, write_manifest)
+from fragility.defaults import DEFAULT_MAX_FRACTION
 from fragility.harness import STRATEGIES
 
 # (nodes, edges) pairs matching the densities of the published case-study
@@ -38,8 +39,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
                         help="directory for CSVs and manifests (default results)")
     parser.add_argument("--seed", type=int, default=0,
                         help="generator seed (default 0)")
-    parser.add_argument("--max-fraction", type=float, default=0.12,
-                        help="largest fraction of nodes to remove (default 0.12)")
+    parser.add_argument("--max-fraction", type=float, default=DEFAULT_MAX_FRACTION,
+                        help="largest fraction of nodes to remove (default %(default)s)")
     parser.add_argument("--skip-bench", action="store_true",
                         help="only produce the removal curves")
     return parser.parse_args(argv)

@@ -229,7 +229,8 @@ def _paths(adj: Sequence, s: int) -> tuple[list[int], list[int], list]:
 
     The BFS runs level by level and stops once every node is found.  While
     the frontier holds no more nodes than remain unfound, each frontier node
-    scans its neighbours (top-down).  Later, each unfound node scans its own
+    scans its neighbours (top-down).  Later, a level walks every id and
+    skips those already at a distance: each unfound node scans its own
     neighbours for its parents, those on the frontier (bottom-up), and the
     new level is sorted by the frontier position of the node's first
     parent, then by id: a FIFO queue finds each parent's children in
@@ -240,13 +241,12 @@ def _paths(adj: Sequence, s: int) -> tuple[list[int], list[int], list]:
     sigma = [0] * n
     dist = [-1] * n
     pred: list = [None] * n  # pred[w] is made when w is found
+    rank = [0] * n  # frontier position, for a bottom-up level
     sigma[s] = 1
     dist[s] = 0
     found: list[int] = []
     level = [s]
     left = n - 1  # nodes not yet found
-    unfound: Sequence[int] = range(n)  # a superset, ascending
-    rank: list[int] = []  # frontier position, for a bottom-up level
     d = 0
     while level and left:
         d += 1
@@ -265,14 +265,11 @@ def _paths(adj: Sequence, s: int) -> tuple[list[int], list[int], list]:
                         sigma[w] += sv
                         pred[w].append(v)
         else:
-            if not rank:
-                rank = [0] * n
             for i, v in enumerate(level):
                 rank[v] = i
             up = d - 1
             keys = []
-            still = []
-            for w in unfound:
+            for w in range(n):
                 if dist[w] >= 0:
                     continue
                 ps = None
@@ -287,16 +284,13 @@ def _paths(adj: Sequence, s: int) -> tuple[list[int], list[int], list]:
                             sw += sigma[v]
                             if rank[v] < first:
                                 first = rank[v]
-                if ps is None:
-                    still.append(w)
-                else:
+                if ps is not None:
                     dist[w] = d
                     sigma[w] = sw
                     pred[w] = ps
                     keys.append(first * n + w)  # (first parent, id)
             keys.sort()
             nxt = [k % n for k in keys]
-            unfound = still
         found += nxt
         left -= len(nxt)
         level = nxt

@@ -38,7 +38,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .defaults import DEFAULT_WORK_LIMIT, STRATEGIES
+from .defaults import DEFAULT_MAX_FRACTION, DEFAULT_WORK_LIMIT, STRATEGIES
 from .graph import fragile, network_degree_centrality
 from .io import (emit_edge_list, parse_edge_list, parse_no_strike, run_manifest,
                  write_manifest)
@@ -112,7 +112,7 @@ def _build_parser() -> _Parser:
                        help="removal curves for several strategies")
     p.add_argument("--strategies", default=",".join(STRATEGIES),
                    help="comma-separated subset of: " + ", ".join(STRATEGIES))
-    p.add_argument("--max-fraction", type=float, default=0.12)
+    p.add_argument("--max-fraction", type=float, default=DEFAULT_MAX_FRACTION)
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(handler=_cmd_curve)
@@ -269,7 +269,8 @@ def _cmd_baseline(args, graph, ns):
         raise ValueError(f"--m must lie in 0..{targetable} for this graph")
     from .baselines import _RANKERS
     removed = _RANKERS[args.strategy](graph, ns)[:args.m]
-    lines, payload = _removal_output(graph.labels, removed, fragile(graph, ()),
+    lines, payload = _removal_output(graph.labels, removed,
+                                     network_degree_centrality(graph),
                                      fragile(graph, removed))
     return ({"strategy": args.strategy, "m": args.m},
             [f"strategy: {args.strategy}", *lines],
@@ -277,7 +278,8 @@ def _cmd_baseline(args, graph, ns):
 
 
 def _parse_strategies(raw: str) -> tuple[str, ...]:
-    names = tuple(s.strip() for s in raw.split(",") if s.strip())
+    """The named strategies, each once, in the order first named."""
+    names = tuple(dict.fromkeys(s.strip() for s in raw.split(",") if s.strip()))
     for s in names:
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")

@@ -27,8 +27,8 @@ from collections import namedtuple
 from collections.abc import Collection
 
 from .baselines import _RANKERS
-from .defaults import STRATEGIES
-from .graph import Graph, _node_set, fragile
+from .defaults import DEFAULT_MAX_FRACTION, STRATEGIES
+from .graph import Graph, _node_set, network_degree_centrality
 from .solvers import DegreeTracker, greedy_fragile, iter_greedy_steps
 
 CSV_HEADER = "strategy,nodes_removed,fraction_removed,fragility,percent_increase,wall_time_s"
@@ -52,7 +52,7 @@ CurvePoint = namedtuple("CurvePoint", ("strategy", "nodes_removed", "fraction_re
 
 class ExperimentConfig(namedtuple("ExperimentConfig",
                                   ("strategies", "max_fraction", "step"),
-                                  defaults=(STRATEGIES, 0.12, 1))):
+                                  defaults=(STRATEGIES, DEFAULT_MAX_FRACTION, 1))):
     """The strategies a curve runs, the largest fraction of nodes it removes
     and its budget step.  Every way to make one checks the fields: the
     constructor, and ``_make``, which ``_replace`` calls."""
@@ -88,10 +88,11 @@ def run_curves(graph: Graph, no_strike: Collection[int] | None,
 
     The untouched graph's fragility is the baseline for percent increases
     and must be positive (degree-regular graphs have no meaningful percent
-    change).  Points come back sorted by (strategy, nodes_removed).
+    change).  Points come back sorted by (strategy, nodes_removed), each
+    strategy once however often it is configured.
     """
     ns = _node_set(graph.node_count, no_strike)
-    base = fragile(graph, ())
+    base = network_degree_centrality(graph)
     if base <= 0.0:
         raise ZeroBaselineError(
             "baseline fragility is zero; percent increase is undefined on "
@@ -100,7 +101,7 @@ def run_curves(graph: Graph, no_strike: Collection[int] | None,
     if not budgets:
         return []
     points: list[CurvePoint] = []
-    for strategy in sorted(cfg.strategies):
+    for strategy in sorted(set(cfg.strategies)):
         if strategy == "greedy":
             t0 = time.perf_counter()
             steps = [(frag, time.perf_counter() - t0)

@@ -14,7 +14,8 @@ from heapq import heappop, heappush
 from math import comb, inf, isnan, nextafter
 
 from .defaults import DEFAULT_WORK_LIMIT
-from .graph import Graph, _centralization, _node_set, fragile
+from .graph import (Graph, _centralization, _node_set, fragile,
+                    network_degree_centrality)
 
 
 class WorkLimitExceeded(RuntimeError):
@@ -132,13 +133,13 @@ def _best_removal(tracker: DegreeTracker, heap: list[int],
     degree d (N the node count), which sorts as ``(-d, i)`` since ``0 <= i
     < N``, plus stale entries that are dropped here.  ``held[e]`` lists the
     candidates of initial degree e in ascending id (``()`` for none), and
-    the levels from ``len(held)`` up are released.  Before the top entry
-    is read, every held level at or above its degree is popped off the end
-    and its ids pushed, or the next level when the heap is empty, and then
-    the empty levels below it.  A held node's degree is at most its level,
-    so held nodes sort below every entry read, and the scan reads the
-    entries a heap of every candidate would; a stale top can only release
-    a level early.
+    the levels from ``len(held)`` up are released: a candidate's own level
+    is never empty.  Before the top entry is read, every held level at or
+    above its degree is popped off the end, one a pass, and its ids pushed,
+    or the next level when the heap is empty; an empty level releases
+    nothing.  A held node's degree is at most its level, so held nodes sort
+    below every entry read, and the scan reads the entries a heap of every
+    candidate would; a stale top can only release a level early.
 
     No new max exceeds ``cap``: D, or D-1 when T's nodes are adjacent to
     every alive node.  So a key is at most its bound ``(n2*cap - 2*(m -
@@ -163,8 +164,6 @@ def _best_removal(tracker: DegreeTracker, heap: list[int],
             # alive nodes, and no level is released after that
             for j in held.pop():
                 heappush(heap, j - deg[j] * n)
-            while held and not held[-1]:  # levels that hold no candidate
-                held.pop()
             continue
         if not alive[i] or deg[i] != d:
             heappop(heap)
@@ -261,9 +260,8 @@ def greedy_fragile(graph: Graph, no_strike: Collection[int] | None = None,
     fragility is never below the untouched graph's whenever any node was
     removed.
     """
-    base = fragile(graph, ())
     removed: list[int] = []
-    trace: list[float] = [base]
+    trace: list[float] = [network_degree_centrality(graph)]
     for node, value in iter_greedy_steps(graph, no_strike, k):
         removed.append(node)
         trace.append(value)
@@ -301,8 +299,8 @@ def _search(graph: Graph, pool: list[int], k: int,
     of one size come in lexicographic order.  Each is the ``removed`` list
     of one :class:`DegreeTracker`, scored by removing its last id and
     undone on the way back.  Returns the best tuple (highest value, then
-    most removals, then lexicographically smallest) when it scores at least
-    ``floor``; otherwise every tuple, the one returned too, scores below it.
+    most removals, then lexicographically smallest) that scores at least
+    ``floor``, or ``()`` when no tuple does or the untouched graph is best.
 
     With candidates ``pool[start:]`` left, a tuple bounds each descendant
     with s more removals by ``((n-s)*D - 2*(m - S_s)) / ((n-s-1)*(n-s-2))``
@@ -312,15 +310,15 @@ def _search(graph: Graph, pool: list[int], k: int,
     quotient and rounding is monotone, so no descendant's float value
     exceeds it.  A subtree is skipped when that float bound is below the
     incumbent, or equal to it with no descendant larger than the incumbent
-    tuple.  It is also skipped when its bound is strictly below ``floor``:
-    a best tuple scoring at least the floor, and every tie of it, lie only
-    in subtrees whose bound is at least the floor, and a bound equal to the
-    floor is still searched, so the tie rule is kept.
+    tuple.  The incumbent starts as ``()`` at the higher of the untouched
+    score and ``floor``, so one threshold also skips every subtree whose
+    bound is below the floor; a bound equal to it is still searched, since
+    ``()`` has the fewest removals, so the tie rule is kept.
     """
     tracker = DegreeTracker(graph)
     deg, removed = tracker.deg, tracker.removed
     best: tuple[int, ...] = ()
-    best_val = tracker.centrality()
+    best_val = max(tracker.centrality(), floor)
 
     def promising(start: int) -> bool:
         r = min(k - len(removed), len(pool) - start)
@@ -332,8 +330,6 @@ def _search(graph: Graph, pool: list[int], k: int,
         for s in range(1, r + 1):
             lost += largest[s - 1]
             bound = max(bound, _centralization(n - s, top, m - lost))
-        if bound < floor:
-            return False
         # an equal score wins only with more removals than the incumbent
         return bound > best_val or (bound == best_val
                                     and len(removed) + r > len(best))
@@ -390,11 +386,11 @@ def fragility_decision(graph: Graph, no_strike: Collection[int] | None,
     set scoring above x: the untouched graph, scored without building a
     tracker, then each prefix of the greedy's removals.  Otherwise every
     prefix scored at most x, and the answer is whether the optimum's branch
-    and bound, run with the floor just above x, finds a set above x.  A
-    float bound is below that floor exactly when it is at most x, so the
-    search skips only subtrees that cannot hold a set above x, and is never
-    cut off from an optimum above x, whose path's bounds are all at least
-    its value.
+    and bound, run with the floor just above x, returns a set: it returns
+    ``()`` when no set reaches that floor.  A float bound is below the floor
+    exactly when it is at most x, so the search skips only subtrees that
+    cannot hold a set above x, and is never cut off from an optimum above
+    x, whose path's bounds are all at least its value.
     """
     if isnan(x):
         raise ValueError("threshold x must not be NaN")
@@ -402,5 +398,4 @@ def fragility_decision(graph: Graph, no_strike: Collection[int] | None,
     if fragile(graph, ()) > x or any(
             value > x for _, value in iter_greedy_steps(graph, no_strike, k)):
         return True
-    best = _search(graph, pool, k, nextafter(x, inf))
-    return fragile(graph, best) > x
+    return bool(_search(graph, pool, k, nextafter(x, inf)))

@@ -889,6 +889,16 @@ class TestCliCurveBench:
         assert lines[0].startswith("strategy,nodes_removed,")
         assert len(lines) == 1 + 4 * 2  # four strategies, budgets 1..2
 
+    def test_curve_repeated_strategy_runs_once(self, graph_file, capsys):
+        assert main(["curve", "--graph", str(graph_file), "--strategies",
+                     "degree,greedy,degree", "--max-fraction", "0.3",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        rows = [(p["strategy"], p["nodes_removed"]) for p in payload["points"]]
+        assert rows == [("degree", 1), ("degree", 2), ("greedy", 1), ("greedy", 2)]
+        assert payload["manifest"]["parameters"]["strategies"] == ["degree",
+                                                                   "greedy"]
+
     def test_curve_out_file_and_sidecar_manifest(self, graph_file, tmp_path,
                                                  capsys):
         dest = tmp_path / "curve.csv"
@@ -921,6 +931,13 @@ class TestCliCurveBench:
         assert lines[0] == "strategy,budget,median_wall_time_s"
         assert len(lines) == 5
         assert lines[1].startswith("degree,1,")
+
+    def test_bench_repeated_strategy_runs_once(self, graph_file, capsys):
+        assert main(["bench", "--graph", str(graph_file), "--strategies",
+                     "greedy,degree,greedy", "--budgets", "1,1"]) == 0
+        rows = [line.split(",")[:2]
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows == [["greedy", "1"], ["degree", "1"]]
 
 
 class TestCliEmitIp:

@@ -72,6 +72,15 @@ class TestCurves:
         assert keys == sorted(keys)
         assert {p.strategy for p in points} == set(STRATEGIES)
 
+    def test_repeated_strategy_runs_once(self, double_star10):
+        once = run_curves(double_star10, None, ExperimentConfig(
+            strategies=("degree", "greedy"), max_fraction=0.3))
+        twice = run_curves(double_star10, None, ExperimentConfig(
+            strategies=("greedy", "degree", "degree", "greedy"),
+            max_fraction=0.3))
+        assert len(once) == 2 * 3
+        assert [p[:5] for p in twice] == [p[:5] for p in once]
+
     def test_greedy_points_match_prefix_runs(self, double_star10):
         cfg = ExperimentConfig(strategies=("greedy",), max_fraction=0.3)
         points = run_curves(double_star10, None, cfg)

@@ -580,6 +580,13 @@ class TestBranchAndBound:
         assert want.removed == (1, 3, 5) and want.final_fragility == 1.0
         assert exact_opt(g, (2,), 3) == want
 
+    def test_search_returns_nothing_when_no_set_reaches_the_floor(
+            self, double_star8):
+        pool = list(range(double_star8.node_count))
+        assert solvers._search(double_star8, pool, 2, 0.7) == (2, 3)  # optimum
+        above = math.nextafter(0.7, math.inf)
+        assert solvers._search(double_star8, pool, 2, above) == ()
+
     def test_greedy_floor_prunes_the_desk_graph(self, monkeypatch):
         removals = []
         remove = DegreeTracker.remove
