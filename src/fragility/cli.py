@@ -306,7 +306,8 @@ def _cmd_curve(args, graph, ns):
 def _cmd_bench(args, graph, ns):
     strategies = _parse_strategies(args.strategies)
     try:
-        budgets = [int(b) for b in args.budgets.split(",") if b.strip()]
+        # each budget is measured once, in ascending order
+        budgets = sorted({int(b) for b in args.budgets.split(",") if b.strip()})
     except ValueError:
         raise ValueError(f"bad --budgets value {args.budgets!r}") from None
     if not budgets:

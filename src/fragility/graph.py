@@ -117,25 +117,16 @@ def fragile(graph: Graph, removed: Collection[int]) -> float:
 
     ``removed`` must be a set of valid node ids; surviving nodes keep only
     edges whose other endpoint also survives.  Scores the degenerate 0.0
-    when fewer than three nodes survive.
+    when fewer than three nodes survive.  The ids are replayed on a fresh
+    :class:`fragility.solvers.DegreeTracker`, the one survivor count every
+    solver scores with; it is imported here because ``solvers`` imports
+    this module.
     """
-    removed = _node_set(graph.node_count, removed)
-    survivors = graph.node_count - len(removed)
-    lost: dict[int, int] = {}
-    for r in removed:
-        for j in graph.adjacency[r]:
-            if j not in removed:
-                lost[j] = lost.get(j, 0) + 1
-    degree_sum = 0
-    top = 0
-    for i in range(graph.node_count):
-        if i in removed:
-            continue
-        d = graph.degree[i] - lost.get(i, 0)
-        degree_sum += d
-        if d > top:
-            top = d
-    return _centralization(survivors, top, degree_sum // 2)
+    from .solvers import DegreeTracker
+    tracker = DegreeTracker(graph)
+    for i in _node_set(graph.node_count, removed):
+        tracker.remove(i)
+    return tracker.centrality()
 
 
 def star_graph(leaves: int) -> Graph:

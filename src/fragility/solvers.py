@@ -46,9 +46,8 @@ class DegreeTracker:
     O(deg) instead of a full recount.  ``removed`` lists the removed nodes
     in removal order, and ``deg`` keeps each one at its (stale) degree when
     it was removed, so :meth:`undo` reverts removals, last in first out,
-    for the exact search.  Values match :func:`fragility.graph.fragile` bit
-    for bit because both pass the same integer counts to the same scoring
-    function.
+    for the exact search.  :func:`fragility.graph.fragile` scores a removal
+    set by replaying it on a fresh tracker.
     """
 
     __slots__ = ("graph", "alive", "deg", "count", "removed", "n_alive",
@@ -383,14 +382,14 @@ def fragility_decision(graph: Graph, no_strike: Collection[int] | None,
 
     Raises ``ValueError`` for a NaN ``x``.  Validates ids and checks
     ``work_limit`` up front like :func:`exact_opt`, then stops at the first
-    set scoring above x: the untouched graph, scored without building a
-    tracker, then each prefix of the greedy's removals.  Otherwise every
-    prefix scored at most x, and the answer is whether the optimum's branch
-    and bound, run with the floor just above x, returns a set: it returns
-    ``()`` when no set reaches that floor.  A float bound is below the floor
-    exactly when it is at most x, so the search skips only subtrees that
-    cannot hold a set above x, and is never cut off from an optimum above
-    x, whose path's bounds are all at least its value.
+    set scoring above x: the untouched graph, then each prefix of the
+    greedy's removals.  Otherwise every prefix scored at most x, and the
+    answer is whether the optimum's branch and bound, run with the floor
+    just above x, returns a set: it returns ``()`` when no set reaches that
+    floor.  A float bound is below the floor exactly when it is at most x,
+    so the search skips only subtrees that cannot hold a set above x, and
+    is never cut off from an optimum above x, whose path's bounds are all
+    at least its value.
     """
     if isnan(x):
         raise ValueError("threshold x must not be NaN")

@@ -8,14 +8,13 @@ the exception: they are the greedy round that prices every candidate on a
 ``DegreeTracker``, kept as the reference for the closed-form rounds of
 ``iter_greedy_steps``.  They read its ``alive`` and ``deg``, not its
 ``count``: ``oracle_degree_tally`` counts the alive nodes at each degree
-for them, and is the reference for ``count`` too.  So is
-``oracle_exact_opt``, the scan that scores every subset with ``fragile``,
-kept as the reference for the branch and bound of ``exact_opt``; its scan,
-``oracle_best_removal``, takes any score, so it also runs on the
-library-free ``oracle_fragile``.  ``oracle_rows`` and ``oracle_domains``
-spell out the binary program's row families 3-12 from the ``ip_model``
-docstring, naming each variable through ``var_name`` without reading the
-module's row table or name layer.  ``oracle_emit_lp`` renders one
+for them, and is the reference for ``count`` too.  ``oracle_exact_opt``
+scores every subset with the library-free ``oracle_fragile``, the reference
+for ``fragile`` and for the branch and bound of ``exact_opt``; its scan,
+``oracle_best_removal``, takes any score.  ``oracle_rows`` and
+``oracle_domains`` spell out the binary program's row families 3-12 from the
+``ip_model`` docstring, naming each variable through ``var_name`` without
+reading the module's row table or name layer.  ``oracle_emit_lp`` renders one
 linearized model from them in a single pass, term by term, the reference
 for the name-table writer behind ``emit_lp`` and ``write_lp_family``; it
 has its own term, coefficient and wrap helpers, so it shares no rendering
@@ -54,8 +53,7 @@ from itertools import combinations
 
 import pytest
 
-from fragility import (DegreeTracker, Graph, RemovalSolution, check_feasible,
-                       fragile)
+from fragility import DegreeTracker, Graph, RemovalSolution, check_feasible
 from fragility import graph as graph_module, ip_model
 from fragility.io import DuplicateEdgeWarning, EdgeListError
 
@@ -281,11 +279,13 @@ def oracle_best_removal(pool: list[int], k: int, score) -> tuple[int, ...]:
 
 
 def oracle_exact_opt(graph: Graph, no_strike, k: int) -> RemovalSolution:
-    """``oracle_best_removal`` scored with ``fragile``, as a solution."""
+    """``oracle_best_removal`` on ``oracle_fragile``, as a solution."""
     ns = frozenset(no_strike or ())
     pool = [i for i in range(graph.node_count) if i not in ns]
-    best = oracle_best_removal(pool, k, lambda combo: fragile(graph, combo))
-    trace = [fragile(graph, best[:j]) for j in range(len(best) + 1)]
+    n, edges = graph.node_count, graph.edges()
+    best = oracle_best_removal(pool, k,
+                               lambda combo: oracle_fragile(n, edges, combo))
+    trace = [oracle_fragile(n, edges, best[:j]) for j in range(len(best) + 1)]
     return RemovalSolution(best, tuple(trace), trace[-1])
 
 
@@ -538,12 +538,15 @@ def oracle_parse_no_strike(text: str, graph: Graph) -> frozenset[int]:
 
 
 def oracle_marginal_gain(graph: Graph, base, candidate: int) -> float:
-    """``fragile(graph, base | {candidate}) - fragile(graph, base)``; the
-    candidate must not already be in the base set."""
+    """The score after removing ``base | {candidate}`` less the score after
+    removing ``base``, both from ``oracle_fragile``; the candidate must not
+    already be in the base set, and the library's check rejects unknown ids."""
     base = frozenset(base)
     if candidate in base:
         raise ValueError(f"candidate {candidate} is already removed")
-    return fragile(graph, base | {candidate}) - fragile(graph, base)
+    after = graph_module._node_set(graph.node_count, base | {candidate})
+    n, edges = graph.node_count, graph.edges()
+    return oracle_fragile(n, edges, after) - oracle_fragile(n, edges, base)
 
 
 def oracle_induced_subgraph(graph: Graph, keep) -> Graph:

@@ -939,6 +939,14 @@ class TestCliCurveBench:
                 for line in capsys.readouterr().out.splitlines()[1:]]
         assert rows == [["greedy", "1"], ["degree", "1"]]
 
+    def test_bench_manifest_records_the_budgets_measured(self, graph_file,
+                                                         capsys):
+        assert main(["bench", "--graph", str(graph_file), "--strategies",
+                     "degree", "--budgets", "2,1,1", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [m["budget"] for m in payload["measurements"]] == [1, 2]
+        assert payload["manifest"]["parameters"]["budgets"] == [1, 2]
+
 
 class TestCliEmitIp:
     def test_requires_mode_flag(self, graph_file, capsys):

@@ -411,6 +411,17 @@ class TestProperties:
                          (n - 1) * (n - 2))
         assert network_degree_centrality(g) == float(exact)
 
+    @given(st.data())
+    def test_fragile_matches_oracle(self, data):
+        # repeated ids, every node removed, and Graph(0, ()) with none removed
+        n, edges = data.draw(st.just((0, [])) | graphs_strategy())
+        everyone = list(range(n))
+        removed = data.draw(st.just(everyone + everyone[::-1])
+                            | st.lists(st.sampled_from(everyone), max_size=2 * n)
+                            if n else st.just([]))
+        assert fragile(Graph(n, edges), removed) == oracle_fragile(n, edges,
+                                                                   removed)
+
     def test_fragile_matches_oracle_random_sweep(self):
         rng = random.Random(0xF7A6)
         for _ in range(150):

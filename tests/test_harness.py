@@ -7,9 +7,11 @@ import pytest
 from fragility import (CurvePoint, ExperimentConfig, Graph,
                        InfeasibleDensityError, ZeroBaselineError,
                        benchmark_runtime, betweenness_ranking, cycle_graph,
-                       degree_ranking, emit_csv, fragile, generate_synthetic,
+                       degree_ranking, emit_csv, generate_synthetic,
                        greedy_fragile, parse_csv, run_curves, star_graph)
 from fragility.harness import _RANKERS, CSV_HEADER, STRATEGIES
+
+from conftest import oracle_fragile
 
 
 # ----- configuration -------------------------------------------------------
@@ -92,8 +94,9 @@ class TestCurves:
         cfg = ExperimentConfig(strategies=("degree",), max_fraction=0.3)
         points = run_curves(double_star10, None, cfg)
         order = degree_ranking(double_star10)
+        n, edges = double_star10.node_count, double_star10.edges()
         for p in points:
-            assert p.fragility == fragile(double_star10, order[:p.nodes_removed])
+            assert p.fragility == oracle_fragile(n, edges, order[:p.nodes_removed])
 
     def test_percent_increase_arithmetic(self, double_star10):
         cfg = ExperimentConfig(strategies=("greedy",), max_fraction=0.11)
@@ -122,8 +125,9 @@ class TestCurves:
         order = _RANKERS[strategy](g, ns)
         points = run_curves(g, ns, cfg)
         assert [p.nodes_removed for p in points] == list(range(1, 37))
+        n, edges = g.node_count, g.edges()
         for p in points:
-            assert p.fragility == fragile(g, order[:p.nodes_removed])
+            assert p.fragility == oracle_fragile(n, edges, order[:p.nodes_removed])
 
     @pytest.mark.parametrize("strategies", [("greedy",), ("degree",), STRATEGIES])
     def test_unknown_no_strike_id_rejected_without_budgets(self, strategies):

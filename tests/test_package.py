@@ -37,7 +37,9 @@ LOADS = [
     (["exact", *G, "--k", "2"], BASE | {"solvers"}),
     (["decision", *G, "--k", "2", "--x", "0.9"], BASE | {"solvers"}),
     (["emit-ip", *G, "--k", "2", "--linearize-i", "1"], BASE | {"ip_model"}),
-    (["baseline", *G, "--strategy", "degree", "--m", "1"], BASE | {"baselines"}),
+    # fragile scores the removals on a solvers.DegreeTracker
+    (["baseline", *G, "--strategy", "degree", "--m", "1"],
+     BASE | {"baselines", "solvers"}),
     (["curve", *G, "--strategies", "degree"], HARNESS),
     (["bench", *G, "--strategies", "degree", "--budgets", "1"], HARNESS),
     (["synth", "--kind", "random", "--n", "5", "--m", "4"], HARNESS),

@@ -54,5 +54,5 @@ def test_run_experiments_bench_writes_medians(tmp_path, capsys, monkeypatch):
     assert all(float(t) >= 0.0 for _, _, t in rows)
     manifest = json.loads(Path(f"{bench_path}.manifest.json")
                           .read_text(encoding="utf-8"))
-    assert manifest["parameters"]["budgets"] == [1, 1, 2, 5]
+    assert manifest["parameters"]["budgets"] == [1, 2, 5]
     assert manifest["outputs"] == [str(bench_path)]

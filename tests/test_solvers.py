@@ -179,17 +179,18 @@ class TestDegreeTracker:
         rng = random.Random(0x5EED)
         for _ in range(60):
             n = rng.randint(3, 14)
-            g = Graph(n, random_graph_edges(rng, n, rng.uniform(0.1, 0.8)))
+            edges = random_graph_edges(rng, n, rng.uniform(0.1, 0.8))
+            g = Graph(n, edges)
             tracker = DegreeTracker(g)
             removed: list[int] = []
             order = rng.sample(range(n), n)
             for i in order:
                 # price-before-remove must equal the naive evaluation
                 priced = oracle_removal_value(tracker, i)
-                assert priced == fragile(g, removed + [i])
+                assert priced == oracle_fragile(n, edges, removed + [i])
                 tracker.remove(i)
                 removed.append(i)
-                assert tracker.centrality() == fragile(g, removed)
+                assert tracker.centrality() == oracle_fragile(n, edges, removed)
 
     def test_double_remove_rejected(self, star4):
         t = DegreeTracker(star4)
@@ -205,7 +206,8 @@ class TestDegreeTracker:
         rng = random.Random(0x0DD)
         for _ in range(80):
             n = rng.randint(1, 14)
-            g = Graph(n, random_graph_edges(rng, n, rng.uniform(0.1, 0.9)))
+            edges = random_graph_edges(rng, n, rng.uniform(0.1, 0.9))
+            g = Graph(n, edges)
             tracker = DegreeTracker(g)
             removed: list[int] = []
             before: list[tuple] = []
@@ -219,7 +221,8 @@ class TestDegreeTracker:
                     before.append(state(tracker))
                     removed.append(i)
                     tracker.remove(i)
-                    assert tracker.centrality() == fragile(g, removed)
+                    assert tracker.centrality() == oracle_fragile(n, edges,
+                                                                  removed)
                 assert tracker.removed == removed
                 assert tracker.count == oracle_degree_tally(tracker)
             while removed:
@@ -301,7 +304,7 @@ class TestGreedyProperties:
         assert isinstance(sol, RemovalSolution)
         assert len(sol.removed) <= k
         assert len(sol.trace) == len(sol.removed) + 1
-        assert sol.trace[0] == fragile(g, ())
+        assert sol.trace[0] == oracle_fragile(n, edges, ())
         assert sol.final_fragility == sol.trace[-1]
         assert not (set(sol.removed) & ns)
         assert len(set(sol.removed)) == len(sol.removed)
@@ -321,7 +324,7 @@ class TestGreedyProperties:
         g = Graph(n, edges)
         sol = greedy_fragile(g, ns, k)
         for j in range(len(sol.trace)):
-            assert sol.trace[j] == fragile(g, sol.removed[:j])
+            assert sol.trace[j] == oracle_fragile(n, edges, sol.removed[:j])
 
 
 # ----- closed-form rounds vs the price-every-candidate oracle ---------------
@@ -594,8 +597,9 @@ class TestBranchAndBound:
                             lambda t, i: removals.append(i) or remove(t, i))
         g = generate_synthetic("scale-free", 57, 162, seed=0)
         sol = exact_opt(g, None, 7, work_limit=10**9)
-        # the greedy's 7 removals and the search's; 6,568 sets without the floor
-        assert len(removals) == 1089
+        # the greedy's 7 removals and the search's, 1,089 (6,568 sets without
+        # the floor), then 0+1+...+7 replaying the trace's prefixes in fragile
+        assert len(removals) == 1089 + 28
         assert sol.final_fragility == max(greedy_fragile(g, None, 7).trace)
 
     def test_decision_stops_at_first_witness(self, monkeypatch):
