@@ -20,11 +20,10 @@ import sys
 import time
 from pathlib import Path
 
-from fragility import (ExperimentConfig, benchmark_runtime, emit_csv,
-                       emit_edge_list, generate_synthetic, run_curves,
-                       run_manifest, write_manifest)
-from fragility.defaults import DEFAULT_MAX_FRACTION
-from fragility.harness import STRATEGIES
+from fragility import (benchmark_runtime, emit_csv, emit_edge_list,
+                       generate_synthetic, run_curves, run_manifest,
+                       write_manifest)
+from fragility.defaults import DEFAULT_MAX_FRACTION, STRATEGIES
 
 # (nodes, edges) pairs matching the densities of the published case-study
 # networks at desk scale, plus one large instance for the scaling run.
@@ -47,10 +46,9 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 
 def run_curve_experiments(cfg: argparse.Namespace) -> None:
-    curve_cfg = ExperimentConfig(max_fraction=cfg.max_fraction)
     for n, m in CURVE_SIZES:
         graph = generate_synthetic("scale-free", n, m, seed=cfg.seed)
-        points = run_curves(graph, None, curve_cfg)
+        points = run_curves(graph, None, max_fraction=cfg.max_fraction)
         graph_path = cfg.out_dir / f"scale_free_n{n}.edges"
         graph_path.write_text(emit_edge_list(graph), encoding="utf-8")
         csv_path = cfg.out_dir / f"curve_n{n}.csv"
@@ -59,7 +57,7 @@ def run_curve_experiments(cfg: argparse.Namespace) -> None:
             "scripts/run_experiments.py curves",
             {"kind": "scale-free", "n": n, "m": m,
              "max_fraction": cfg.max_fraction,
-             "strategies": list(curve_cfg.strategies)},
+             "strategies": list(STRATEGIES)},
             graph_path=str(graph_path),
             seed=cfg.seed,
             outputs=[str(csv_path)],

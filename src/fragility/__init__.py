@@ -19,9 +19,9 @@ _EXPORTS = {
     "defaults": ("DEFAULT_WORK_LIMIT", "STRATEGIES"),
     "graph": ("Graph", "complete_graph", "cycle_graph", "fragile",
               "network_degree_centrality", "path_graph", "star_graph"),
-    "harness": ("CSV_HEADER", "CurvePoint", "ExperimentConfig",
-                "InfeasibleDensityError", "ZeroBaselineError", "benchmark_runtime",
-                "emit_csv", "generate_synthetic", "parse_csv", "run_curves"),
+    "harness": ("CSV_HEADER", "CurvePoint", "InfeasibleDensityError",
+                "ZeroBaselineError", "benchmark_runtime", "emit_csv",
+                "generate_synthetic", "parse_csv", "run_curves"),
     "io": ("DuplicateEdgeWarning", "EdgeListError", "emit_edge_list",
            "parse_edge_list", "parse_no_strike", "run_manifest", "write_manifest"),
     "ip_model": ("FeasibilityReport", "IpModel", "build_fragility_ip",

@@ -279,28 +279,22 @@ def _cmd_baseline(args, graph, ns):
 
 def _parse_strategies(raw: str) -> tuple[str, ...]:
     """The named strategies, each once, in the order first named."""
-    names = tuple(dict.fromkeys(s.strip() for s in raw.split(",") if s.strip()))
-    for s in names:
-        if s not in STRATEGIES:
-            raise ValueError(f"unknown strategy {s!r}")
+    from .harness import _strategies
+    names = _strategies(s.strip() for s in raw.split(",") if s.strip())
     if not names:
         raise ValueError("no strategies selected")
     return names
 
 
 def _cmd_curve(args, graph, ns):
-    from .harness import ExperimentConfig, emit_csv, run_curves
-    cfg = ExperimentConfig(strategies=_parse_strategies(args.strategies),
-                           max_fraction=args.max_fraction, step=args.step)
-    points = run_curves(graph, ns, cfg)
+    from .harness import CSV_HEADER, emit_csv, run_curves
+    strategies = _parse_strategies(args.strategies)
+    points = run_curves(graph, ns, strategies, args.max_fraction, args.step)
     lines, outputs = _write_or_show(args.out, emit_csv(points))
-    payload = {"points": [
-        {"strategy": p.strategy, "nodes_removed": p.nodes_removed,
-         "fraction_removed": p.fraction_removed, "fragility": p.fragility,
-         "percent_increase": p.percent_increase, "wall_time_s": p.wall_time}
-        for p in points]}
-    return ({"strategies": list(cfg.strategies), "max_fraction": cfg.max_fraction,
-             "step": cfg.step}, lines, payload, outputs)
+    columns = CSV_HEADER.split(",")
+    payload = {"points": [dict(zip(columns, p)) for p in points]}
+    return ({"strategies": list(strategies), "max_fraction": args.max_fraction,
+             "step": args.step}, lines, payload, outputs)
 
 
 def _cmd_bench(args, graph, ns):
@@ -317,11 +311,9 @@ def _cmd_bench(args, graph, ns):
     for strategy in strategies:
         for budget, seconds in benchmark_runtime(graph, ns, strategy, budgets):
             rows.append((strategy, budget, seconds))
-    lines = ["strategy,budget,median_wall_time_s"]
-    lines += [f"{s},{b},{t:.6f}" for s, b, t in rows]
-    payload = {"measurements": [
-        {"strategy": s, "budget": b, "median_wall_time_s": t}
-        for s, b, t in rows]}
+    columns = ("strategy", "budget", "median_wall_time_s")
+    lines = [",".join(columns)] + [f"{s},{b},{t:.6f}" for s, b, t in rows]
+    payload = {"measurements": [dict(zip(columns, row)) for row in rows]}
     return {"strategies": list(strategies), "budgets": budgets}, lines, payload, []
 
 
@@ -348,12 +340,13 @@ def main(argv=None) -> int:
         if args.format == "csv" and args.command not in ("curve", "bench"):
             raise ValueError(
                 "csv output is only available for the curve and bench commands")
-        graph, ns = (None, None) if args.command == "synth" else _load_graph(args)
+        synth = args.command == "synth"  # reads no input file, so records none
+        graph, ns = (None, None) if synth else _load_graph(args)
         parameters, lines, payload, outputs = args.handler(args, graph, ns)
         manifest = run_manifest(
-            args.command, parameters, graph_path=args.graph,
-            no_strike_path=args.no_strike, seed=getattr(args, "seed", None),
-            outputs=outputs)
+            args.command, parameters, graph_path=None if synth else args.graph,
+            no_strike_path=None if synth else args.no_strike,
+            seed=getattr(args, "seed", None), outputs=outputs)
         if args.format == "json":
             body = {**payload, "command": args.command, "manifest": manifest}
             print(json.dumps(body, indent=2, sort_keys=True))

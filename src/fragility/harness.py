@@ -11,8 +11,9 @@ point from the list: budget ``b`` takes ``min(b, len(steps))`` removals, the
 untouched graph when that is none, and the whole run's time when the run
 stopped short of ``b``.
 
-``CurvePoint`` and ``ExperimentConfig`` are named tuples, so loading the
-harness does not load ``dataclasses``.
+``run_curves`` checks its strategies, fraction and step before any strategy
+runs; ``_strategies`` is the one check of strategy names.  ``CurvePoint`` is
+a named tuple, so loading the harness does not load ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import random
 import statistics
 import time
 from collections import namedtuple
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
 
 from .baselines import _RANKERS
 from .defaults import DEFAULT_MAX_FRACTION, STRATEGIES
@@ -50,58 +51,44 @@ CurvePoint = namedtuple("CurvePoint", ("strategy", "nodes_removed", "fraction_re
                                        "fragility", "percent_increase", "wall_time"))
 
 
-class ExperimentConfig(namedtuple("ExperimentConfig",
-                                  ("strategies", "max_fraction", "step"),
-                                  defaults=(STRATEGIES, DEFAULT_MAX_FRACTION, 1))):
-    """The strategies a curve runs, the largest fraction of nodes it removes
-    and its budget step.  Every way to make one checks the fields: the
-    constructor, and ``_make``, which ``_replace`` calls."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        return super().__new__(cls, *args, **kwargs)._checked()
-
-    @classmethod
-    def _make(cls, iterable):
-        return super()._make(iterable)._checked()
-
-    def _checked(self) -> ExperimentConfig:
-        for s in self.strategies:
-            if s not in STRATEGIES:
-                raise ValueError(f"unknown strategy {s!r}")
-        if not (0.0 < self.max_fraction <= 1.0):
-            raise ValueError("max_fraction must lie in (0, 1]")
-        if self.step < 1:
-            raise ValueError("step must be at least 1")
-        return self
-
-
-def _budgets(n_nodes: int, cfg: ExperimentConfig) -> list[int]:
-    limit = int(cfg.max_fraction * n_nodes + 1e-9)
-    return list(range(cfg.step, limit + 1, cfg.step))
+def _strategies(names: Iterable[str]) -> tuple[str, ...]:
+    """The distinct ``names`` in the order first named; an unknown one raises."""
+    names = tuple(dict.fromkeys(names))
+    for s in names:
+        if s not in STRATEGIES:
+            raise ValueError(f"unknown strategy {s!r}")
+    return names
 
 
 def run_curves(graph: Graph, no_strike: Collection[int] | None,
-               cfg: ExperimentConfig) -> list[CurvePoint]:
-    """Removal curves for every configured strategy.
+               strategies: Iterable[str] = STRATEGIES,
+               max_fraction: float = DEFAULT_MAX_FRACTION,
+               step: int = 1) -> list[CurvePoint]:
+    """Removal curves for each strategy at budgets ``step, 2*step, ...`` up to
+    ``max_fraction`` of the nodes.
 
-    The untouched graph's fragility is the baseline for percent increases
-    and must be positive (degree-regular graphs have no meaningful percent
-    change).  Points come back sorted by (strategy, nodes_removed), each
-    strategy once however often it is configured.
+    The strategies, the fraction (in (0, 1]) and the step (at least 1) are
+    checked before any strategy runs.  The untouched graph's fragility is the
+    baseline for percent increases and must be positive (degree-regular
+    graphs have no meaningful percent change).  Points come back sorted by
+    (strategy, nodes_removed), each strategy once however often it is named.
     """
+    strategies = _strategies(strategies)
+    if not (0.0 < max_fraction <= 1.0):
+        raise ValueError("max_fraction must lie in (0, 1]")
+    if step < 1:
+        raise ValueError("step must be at least 1")
     ns = _node_set(graph.node_count, no_strike)
     base = network_degree_centrality(graph)
     if base <= 0.0:
         raise ZeroBaselineError(
             "baseline fragility is zero; percent increase is undefined on "
             "degree-regular graphs")
-    budgets = _budgets(graph.node_count, cfg)
+    budgets = range(step, int(max_fraction * graph.node_count + 1e-9) + 1, step)
     if not budgets:
         return []
     points: list[CurvePoint] = []
-    for strategy in sorted(set(cfg.strategies)):
+    for strategy in sorted(strategies):
         if strategy == "greedy":
             t0 = time.perf_counter()
             steps = [(frag, time.perf_counter() - t0)
@@ -144,8 +131,7 @@ def benchmark_runtime(graph: Graph, no_strike: Collection[int] | None,
     Ranking strategies re-rank on every run, which is exactly why their
     measured time barely moves with the budget.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    _strategies((strategy,))
     results = []
     for b in sorted(set(budgets)):
         if b < 0:

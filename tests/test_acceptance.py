@@ -19,7 +19,7 @@ from conftest import (oracle_betweenness, oracle_domains,
                       var_name)
 from test_ip_model import feasible_binary_maximum
 
-from fragility import (ExperimentConfig, Graph, benchmark_runtime,
+from fragility import (Graph, benchmark_runtime,
                        betweenness_scores, build_fragility_ip,
                        canonical_assignment, check_feasible, complete_graph,
                        cycle_graph, emit_csv, emit_edge_list, emit_lp,
@@ -185,12 +185,11 @@ def test_criterion_4_betweenness_oracle():
 def test_criterion_5_gain_reproduction_at_desk_scale():
     with criterion(5) as note:
         t0 = perf_counter()
-        cfg = ExperimentConfig(max_fraction=0.12)
         dominated, details = 0, []
         problems: list[str] = []
         for n, m in DESK_SIZES:
             g = generate_synthetic("scale-free", n, m, seed=PINNED_SEED)
-            points = run_curves(g, None, cfg)
+            points = run_curves(g, None, max_fraction=0.12)
             budget = max(p.nodes_removed for p in points
                          if p.strategy == "greedy")
             if budget != EXPECTED_BUDGETS[n]:
@@ -282,8 +281,7 @@ def test_criterion_8_format_round_trips(tmp_path, double_star10):
                     == {frozenset((back.labels[u], back.labels[v]))
                         for u, v in back.edges()})
         # CSV round trip is stable at the emitted precision
-        points = run_curves(double_star10, None,
-                            ExperimentConfig(max_fraction=0.3))
+        points = run_curves(double_star10, None, max_fraction=0.3)
         text = emit_csv(points)
         assert emit_csv(parse_csv(text)) == text
         # LP bytes are identical across independent runs over the same input

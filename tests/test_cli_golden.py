@@ -167,7 +167,7 @@ GOLDEN: dict[str, str] = {
     "synth-out-text": "1399308abcaa5bd60d2c4c040e4858aeb5bcf743a8489b96531158915c9fcfea",
     "synth-out-json": "ebc002f456e5024de22cf21d74b00efb858cd1154f3428985f4dfcb5cf5817f9",
     "synth-graph-ignored-text": "905663c2476eda4fd01ae9b8a5c36c1a5a8c93948b143a50677298505013af0b",
-    "synth-graph-ignored-json": "a4c39e0642dce07053088231740d3328a8921e7cec44a1e028c6b3781f39ec79",
+    "synth-graph-ignored-json": "3fe26f458fc19fbe6dcfb1d78f06db7442140e6c8efe62b0fafec2af7bd6a517",
     "no-graph-text": "c8db9d4ea64ada666bdf72f6109b33a55cf5eecd25163cc35dc6244ab71838bf",
     "no-graph-json": "c8db9d4ea64ada666bdf72f6109b33a55cf5eecd25163cc35dc6244ab71838bf",
     "usage-text": "8a6e2bcf0c6dc3d0fb4d33ecd05059292f66705a41772f3b528318a22dd8896b",

@@ -824,6 +824,18 @@ class TestCliErrors:
                                "--work-limit", "-1"]) == 1
         assert capsys.readouterr().err == "error: work limit must be non-negative\n"
 
+    def test_synth_manifest_records_no_input_files(self, tmp_path, capsys):
+        # synth accepts --graph and --no-strike but never opens them
+        out = tmp_path / "s.txt"
+        assert main(["synth", "--kind", "random", "--n", "5", "--m", "4",
+                     "--graph", "nonexist.txt", "--no-strike", "nope.txt",
+                     "--out", str(out), "--format", "json"]) == 0
+        printed = json.loads(capsys.readouterr().out)["manifest"]
+        written = json.loads((tmp_path / "s.txt.manifest.json").read_text())
+        for manifest in (printed, written):
+            assert manifest["graph_path"] is None
+            assert manifest["no_strike_path"] is None
+
     def test_infeasible_synth_is_exit_2(self, capsys):
         assert main(["synth", "--kind", "random", "--n", "5", "--m", "99"]) == 2
 
@@ -938,6 +950,18 @@ class TestCliCurveBench:
         rows = [line.split(",")[:2]
                 for line in capsys.readouterr().out.splitlines()[1:]]
         assert rows == [["greedy", "1"], ["degree", "1"]]
+
+    @pytest.mark.parametrize("command, key", [
+        (["curve", "--max-fraction", "0.3"], "points"),
+        (["bench", "--budgets", "1,2"], "measurements"),
+    ], ids=["curve", "bench"])
+    def test_json_keys_are_the_csv_columns(self, command, key, graph_file, capsys):
+        argv = command + ["--graph", str(graph_file), "--strategies", "degree,greedy"]
+        assert main(argv + ["--format", "csv"]) == 0
+        header = capsys.readouterr().out.splitlines()[0].split(",")
+        assert main(argv + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)[key]
+        assert rows and all(sorted(row) == sorted(header) for row in rows)
 
     def test_bench_manifest_records_the_budgets_measured(self, graph_file,
                                                          capsys):

@@ -2,41 +2,51 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from fragility import (CurvePoint, ExperimentConfig, Graph,
-                       InfeasibleDensityError, ZeroBaselineError,
-                       benchmark_runtime, betweenness_ranking, cycle_graph,
-                       degree_ranking, emit_csv, generate_synthetic,
-                       greedy_fragile, parse_csv, run_curves, star_graph)
+from fragility import (CurvePoint, Graph, InfeasibleDensityError,
+                       ZeroBaselineError, benchmark_runtime,
+                       betweenness_ranking, cycle_graph, degree_ranking,
+                       emit_csv, generate_synthetic, greedy_fragile, harness,
+                       iter_greedy_steps, parse_csv, run_curves, star_graph)
 from fragility.harness import _RANKERS, CSV_HEADER, STRATEGIES
 
 from conftest import oracle_fragile
 
 
-# ----- configuration -------------------------------------------------------
+# ----- settings ------------------------------------------------------------
 
 class TestConfig:
+    """``run_curves`` checks its own strategies, fraction and step."""
+
     def test_defaults(self):
-        cfg = ExperimentConfig()
-        assert cfg.strategies == STRATEGIES
-        assert cfg.max_fraction == 0.12
-        assert cfg.step == 1
+        # every strategy, the paper's 12% and step 1: budgets 1..12 of 100
+        g = generate_synthetic("scale-free", 100, 250, seed=1)
+        points = run_curves(g, None)
+        assert sorted({p.strategy for p in points}) == sorted(STRATEGIES)
+        for strategy in STRATEGIES:
+            assert [p.nodes_removed for p in points
+                    if p.strategy == strategy] == list(range(1, 13))
 
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError, match="unknown strategy"):
-            ExperimentConfig(strategies=("greedy", "pagerank"))
+    def test_unknown_strategy(self, double_star10):
+        with pytest.raises(ValueError, match="unknown strategy 'pagerank'"):
+            run_curves(double_star10, None, ("greedy", "pagerank"))
 
-    def test_fraction_bounds(self):
-        with pytest.raises(ValueError, match="max_fraction"):
-            ExperimentConfig(max_fraction=0.0)
-        with pytest.raises(ValueError, match="max_fraction"):
-            ExperimentConfig(max_fraction=1.2)
-        ExperimentConfig(max_fraction=1.0)  # inclusive upper end
+    def test_fraction_bounds(self, double_star10):
+        message = re.escape("max_fraction must lie in (0, 1]")
+        with pytest.raises(ValueError, match=message):
+            run_curves(double_star10, None, max_fraction=0.0)
+        with pytest.raises(ValueError, match=message):
+            run_curves(double_star10, None, max_fraction=1.2)
+        # inclusive upper end
+        points = run_curves(double_star10, None, ("degree",), max_fraction=1.0)
+        assert len(points) == 10
 
-    def test_step_bounds(self):
-        with pytest.raises(ValueError, match="step"):
-            ExperimentConfig(step=0)
+    def test_step_bounds(self, double_star10):
+        with pytest.raises(ValueError, match="step must be at least 1"):
+            run_curves(double_star10, None, step=0)
 
     @pytest.mark.parametrize("field, bad, match", [
         ("strategies", ("greedy", "pagerank"), "unknown strategy"),
@@ -44,19 +54,29 @@ class TestConfig:
         ("max_fraction", 1.2, "max_fraction"),
         ("step", 0, "step must be at least 1"),
     ])
-    def test_every_way_to_make_one_checks(self, field, bad, match):
-        good = ExperimentConfig(strategies=("degree",), max_fraction=0.5, step=2)
-        fields = {**good._asdict(), field: bad}
-        makers = [lambda: ExperimentConfig(*fields.values()),
-                  lambda: ExperimentConfig(**fields),
-                  lambda: good._replace(**{field: bad}),
-                  lambda: ExperimentConfig._make(fields.values()),
-                  lambda: ExperimentConfig._make(iter(fields.values()))]
-        for make in makers:
-            with pytest.raises(ValueError, match=match):
-                make()
-        assert good._replace(step=3) == ExperimentConfig(("degree",), 0.5, 3)
-        assert type(ExperimentConfig._make(good)) is ExperimentConfig
+    def test_bad_setting_raises_before_any_strategy_runs(
+            self, field, bad, match, monkeypatch, double_star10):
+        calls = []
+        for name, ranker in list(_RANKERS.items()):
+            def counted(*args, _name=name, _ranker=ranker):
+                calls.append(_name)
+                return _ranker(*args)
+            monkeypatch.setitem(_RANKERS, name, counted)
+
+        def counted_greedy(*args):
+            calls.append("greedy")
+            return iter_greedy_steps(*args)
+        monkeypatch.setattr(harness, "iter_greedy_steps", counted_greedy)
+        good = {"strategies": ("degree", "greedy"), "max_fraction": 0.5, "step": 2}
+        settings = {**good, field: bad}
+        with pytest.raises(ValueError, match=match):
+            run_curves(double_star10, None, **settings)
+        with pytest.raises(ValueError, match=match):
+            run_curves(double_star10, None, *settings.values())
+        assert calls == []
+        # the spies count: the good settings run both strategies
+        run_curves(double_star10, None, **good)
+        assert sorted(calls) == ["degree", "greedy"]
 
 
 # ----- curves --------------------------------------------------------------
@@ -64,52 +84,47 @@ class TestConfig:
 class TestCurves:
     def test_zero_baseline_rejected(self):
         with pytest.raises(ZeroBaselineError):
-            run_curves(cycle_graph(6), None, ExperimentConfig(max_fraction=0.5))
+            run_curves(cycle_graph(6), None, max_fraction=0.5)
 
     def test_point_grid_and_sorting(self, double_star10):
-        cfg = ExperimentConfig(max_fraction=0.3)
-        points = run_curves(double_star10, None, cfg)
+        points = run_curves(double_star10, None, max_fraction=0.3)
         assert len(points) == 4 * 3  # four strategies, budgets 1..3
         keys = [(p.strategy, p.nodes_removed) for p in points]
         assert keys == sorted(keys)
         assert {p.strategy for p in points} == set(STRATEGIES)
 
     def test_repeated_strategy_runs_once(self, double_star10):
-        once = run_curves(double_star10, None, ExperimentConfig(
-            strategies=("degree", "greedy"), max_fraction=0.3))
-        twice = run_curves(double_star10, None, ExperimentConfig(
-            strategies=("greedy", "degree", "degree", "greedy"),
-            max_fraction=0.3))
+        once = run_curves(double_star10, None, ("degree", "greedy"),
+                          max_fraction=0.3)
+        twice = run_curves(double_star10, None,
+                           ("greedy", "degree", "degree", "greedy"),
+                           max_fraction=0.3)
         assert len(once) == 2 * 3
         assert [p[:5] for p in twice] == [p[:5] for p in once]
 
     def test_greedy_points_match_prefix_runs(self, double_star10):
-        cfg = ExperimentConfig(strategies=("greedy",), max_fraction=0.3)
-        points = run_curves(double_star10, None, cfg)
+        points = run_curves(double_star10, None, ("greedy",), max_fraction=0.3)
         for p in points:
             sol = greedy_fragile(double_star10, None, p.nodes_removed)
             assert p.fragility == sol.final_fragility
 
     def test_ranking_points_match_schedule_evaluation(self, double_star10):
-        cfg = ExperimentConfig(strategies=("degree",), max_fraction=0.3)
-        points = run_curves(double_star10, None, cfg)
+        points = run_curves(double_star10, None, ("degree",), max_fraction=0.3)
         order = degree_ranking(double_star10)
         n, edges = double_star10.node_count, double_star10.edges()
         for p in points:
             assert p.fragility == oracle_fragile(n, edges, order[:p.nodes_removed])
 
     def test_percent_increase_arithmetic(self, double_star10):
-        cfg = ExperimentConfig(strategies=("greedy",), max_fraction=0.11)
-        (p,) = run_curves(double_star10, None, cfg)
+        (p,) = run_curves(double_star10, None, ("greedy",), max_fraction=0.11)
         base = 32 / 72
         assert p.nodes_removed == 1
         assert p.fraction_removed == 0.1
         assert p.percent_increase == 100.0 * (p.fragility - base) / base
 
     def test_no_strike_respected(self, double_star10):
-        cfg = ExperimentConfig(max_fraction=0.3)
         ns = {0, 1}
-        points = run_curves(double_star10, ns, cfg)
+        points = run_curves(double_star10, ns, max_fraction=0.3)
         order = betweenness_ranking(double_star10, ns)
         assert not (set(order) & ns)
         greedy_pts = [p for p in points if p.strategy == "greedy"]
@@ -121,9 +136,8 @@ class TestCurves:
     def test_ranking_walk_matches_prefix_scores(self, strategy):
         g = generate_synthetic("scale-free", 120, 300, seed=3)
         ns = {0, 5}
-        cfg = ExperimentConfig(strategies=(strategy,), max_fraction=0.3)
         order = _RANKERS[strategy](g, ns)
-        points = run_curves(g, ns, cfg)
+        points = run_curves(g, ns, (strategy,), max_fraction=0.3)
         assert [p.nodes_removed for p in points] == list(range(1, 37))
         n, edges = g.node_count, g.edges()
         for p in points:
@@ -132,29 +146,26 @@ class TestCurves:
     @pytest.mark.parametrize("strategies", [("greedy",), ("degree",), STRATEGIES])
     def test_unknown_no_strike_id_rejected_without_budgets(self, strategies):
         # max_fraction 0.1 of five nodes leaves no budget to run anything
-        cfg = ExperimentConfig(strategies=strategies, max_fraction=0.1)
         with pytest.raises(ValueError, match="unknown node id 99"):
-            run_curves(star_graph(4), [99], cfg)
+            run_curves(star_graph(4), [99], strategies, max_fraction=0.1)
 
     def test_small_pool_clamps_ranking_budget(self):
         g = star_graph(4)  # five nodes, base fragility 1.0
-        cfg = ExperimentConfig(strategies=("degree",), max_fraction=0.5)
-        points = run_curves(g, range(1, 5), cfg)  # only the center targetable
+        # only the center is targetable
+        points = run_curves(g, range(1, 5), ("degree",), max_fraction=0.5)
         assert [p.nodes_removed for p in points] == [1, 1]
 
     @pytest.mark.parametrize("strategy", ["betweenness", "closeness", "degree"])
     def test_ranking_points_share_one_wall_time(self, strategy):
         g = generate_synthetic("scale-free", 60, 150, seed=2)
         ns = set(range(50))  # ten targetable nodes, budgets up to 18
-        cfg = ExperimentConfig(strategies=(strategy,), max_fraction=0.3)
-        points = run_curves(g, ns, cfg)
+        points = run_curves(g, ns, (strategy,), max_fraction=0.3)
         assert [p.nodes_removed for p in points] == [*range(1, 11)] + [10] * 8
         assert len({p.wall_time for p in points}) == 1
 
     def test_greedy_times_grow_and_cover_an_early_stop(self):
         g = star_graph(6)  # hub protected: four zero-gain removals, then stop
-        cfg = ExperimentConfig(strategies=("greedy",), max_fraction=1.0)
-        points = run_curves(g, {0}, cfg)
+        points = run_curves(g, {0}, ("greedy",), max_fraction=1.0)
         assert [p.nodes_removed for p in points] == [1, 2, 3, 4, 4, 4, 4]
         times = [p.wall_time for p in points]
         assert times == sorted(times)
@@ -169,21 +180,19 @@ class TestCurves:
                 return _ranker(*args)
             monkeypatch.setitem(_RANKERS, name, counted)
         # 0.05 of ten nodes leaves no budget; 0.1 leaves budget 1
-        assert run_curves(double_star10, None,
-                          ExperimentConfig(max_fraction=0.05)) == []
+        assert run_curves(double_star10, None, max_fraction=0.05) == []
         assert calls == []
-        run_curves(double_star10, None, ExperimentConfig(max_fraction=0.1))
+        run_curves(double_star10, None, max_fraction=0.1)
         assert sorted(calls) == sorted(_RANKERS)
 
     def test_wall_times_nonnegative(self, double_star10):
-        points = run_curves(double_star10, None,
-                            ExperimentConfig(max_fraction=0.2))
+        points = run_curves(double_star10, None, max_fraction=0.2)
         assert all(p.wall_time >= 0.0 for p in points)
 
     def test_budget_fraction_floor(self):
         # 0.12 of 57 nodes floors to 6 budgets
         g = generate_synthetic("scale-free", 57, 162, seed=1)
-        points = run_curves(g, None, ExperimentConfig(strategies=("degree",)))
+        points = run_curves(g, None, ("degree",))
         assert [p.nodes_removed for p in points] == [1, 2, 3, 4, 5, 6]
 
 
@@ -191,8 +200,7 @@ class TestCurves:
 
 class TestCsv:
     def test_header_and_shape(self, double_star10):
-        points = run_curves(double_star10, None,
-                            ExperimentConfig(max_fraction=0.2))
+        points = run_curves(double_star10, None, max_fraction=0.2)
         text = emit_csv(points)
         lines = text.splitlines()
         assert lines[0] == CSV_HEADER
@@ -201,8 +209,7 @@ class TestCsv:
         assert all(len(line.split(",")) == 6 for line in lines)
 
     def test_round_trip_is_stable(self, double_star10):
-        points = run_curves(double_star10, None,
-                            ExperimentConfig(max_fraction=0.3))
+        points = run_curves(double_star10, None, max_fraction=0.3)
         text = emit_csv(points)
         again = emit_csv(parse_csv(text))
         assert again == text
