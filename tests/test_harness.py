@@ -54,8 +54,10 @@ class TestConfig:
         ("max_fraction", 1.2, "max_fraction"),
         ("step", 0, "step must be at least 1"),
     ])
-    def test_bad_setting_raises_before_any_strategy_runs(
+    def test_every_way_to_make_one_checks(
             self, field, bad, match, monkeypatch, double_star10):
+        """A run of curves checks its settings whether they are passed by
+        keyword or positionally, before any ranker or greedy runs."""
         calls = []
         for name, ranker in list(_RANKERS.items()):
             def counted(*args, _name=name, _ranker=ranker):
