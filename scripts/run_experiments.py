@@ -24,6 +24,7 @@ from fragility import (benchmark_runtime, emit_csv, emit_edge_list,
                        generate_synthetic, run_curves, run_manifest,
                        write_manifest)
 from fragility.defaults import DEFAULT_MAX_FRACTION, STRATEGIES
+from fragility.harness import BENCH_HEADER, BENCH_ROW
 
 # (nodes, edges) pairs matching the densities of the published case-study
 # networks at desk scale, plus one large instance for the scaling run.
@@ -78,12 +79,12 @@ def run_bench_experiment(cfg: argparse.Namespace) -> None:
     n, m = BENCH_SIZE
     graph = generate_synthetic("scale-free", n, m, seed=cfg.seed)
     budgets = sorted({1, n // 40, n // 20, n // 10})  # each measured once
-    lines = ["strategy,budget,median_wall_time_s"]
+    lines = [BENCH_HEADER]
     print(f"benchmark on N={n} M={graph.edge_count}, budgets {budgets}")
     for strategy in STRATEGIES:
         t0 = time.perf_counter()
         for budget, seconds in benchmark_runtime(graph, None, strategy, budgets):
-            lines.append(f"{strategy},{budget},{seconds:.6f}")
+            lines.append(BENCH_ROW.format(strategy, budget, seconds))
             print(f"  {strategy:12s} budget {budget:4d}: {seconds:.4f}s")
         print(f"  {strategy:12s} total {time.perf_counter() - t0:.2f}s")
     bench_path = cfg.out_dir / f"bench_n{n}.csv"

@@ -306,13 +306,11 @@ def _cmd_bench(args, graph, ns):
         raise ValueError(f"bad --budgets value {args.budgets!r}") from None
     if not budgets:
         raise ValueError("no budgets given")
-    from .harness import benchmark_runtime
-    rows = []
-    for strategy in strategies:
-        for budget, seconds in benchmark_runtime(graph, ns, strategy, budgets):
-            rows.append((strategy, budget, seconds))
-    columns = ("strategy", "budget", "median_wall_time_s")
-    lines = [",".join(columns)] + [f"{s},{b},{t:.6f}" for s, b, t in rows]
+    from .harness import BENCH_HEADER, BENCH_ROW, benchmark_runtime
+    rows = [(strategy, budget, seconds) for strategy in strategies
+            for budget, seconds in benchmark_runtime(graph, ns, strategy, budgets)]
+    lines = [BENCH_HEADER] + [BENCH_ROW.format(*row) for row in rows]
+    columns = BENCH_HEADER.split(",")
     payload = {"measurements": [dict(zip(columns, row)) for row in rows]}
     return {"strategies": list(strategies), "budgets": budgets}, lines, payload, []
 

@@ -14,8 +14,7 @@ from heapq import heappop, heappush
 from math import comb, inf, isnan, nextafter
 
 from .defaults import DEFAULT_WORK_LIMIT
-from .graph import (Graph, _centralization, _node_set, fragile,
-                    network_degree_centrality)
+from .graph import Graph, _centralization, _node_set, network_degree_centrality
 
 
 class WorkLimitExceeded(RuntimeError):
@@ -307,12 +306,13 @@ def _search(graph: Graph, pool: list[int], k: int,
     candidate degrees: the max degree D cannot rise and s removals delete
     at most ``S_s`` edges.  The bound is a correctly rounded int/int
     quotient and rounding is monotone, so no descendant's float value
-    exceeds it.  A subtree is skipped when that float bound is below the
-    incumbent, or equal to it with no descendant larger than the incumbent
-    tuple.  The incumbent starts as ``()`` at the higher of the untouched
-    score and ``floor``, so one threshold also skips every subtree whose
-    bound is below the floor; a bound equal to it is still searched, since
-    ``()`` has the fewest removals, so the tie rule is kept.
+    exceeds it.  Each step tests it at ``start = q`` before removing
+    ``pool[q]``, and ends the frame when it is below the incumbent, or
+    equal to it with no descendant larger than the incumbent tuple.  The
+    incumbent starts as ``()`` at the higher of the untouched score and
+    ``floor``, so one threshold also skips every subtree whose bound is
+    below the floor; a bound equal to it is still searched, since ``()``
+    has the fewest removals, so the tie rule is kept.
     """
     tracker = DegreeTracker(graph)
     deg, removed = tracker.deg, tracker.removed
@@ -321,7 +321,7 @@ def _search(graph: Graph, pool: list[int], k: int,
 
     def promising(start: int) -> bool:
         r = min(k - len(removed), len(pool) - start)
-        if r <= 0:
+        if r <= 0:  # the budget is spent or pool[start:] is empty
             return False
         n, top, m = tracker.n_alive, tracker.max_deg, tracker.m_alive
         largest = sorted((deg[i] for i in pool[start:]), reverse=True)
@@ -333,25 +333,22 @@ def _search(graph: Graph, pool: list[int], k: int,
         return bound > best_val or (bound == best_val
                                     and len(removed) + r > len(best))
 
-    stack = [0] if promising(0) else []  # stack[t]: next pool index at depth t
+    stack = [0]  # stack[t]: next pool index at depth t
     while stack:
         q = stack[-1]
-        if q == len(pool):
+        if promising(q):  # a set adding ids from pool[q:] may still win
+            stack[-1] = q + 1
+            tracker.remove(pool[q])
+            val = tracker.centrality()
+            if val > best_val:
+                best, best_val = tuple(removed), val
+            elif val == best_val and len(removed) > len(best):
+                best = tuple(removed)
+            stack.append(q + 1)
+        else:  # the frame ends
             stack.pop()
             if removed:
                 tracker.undo()
-            continue
-        stack[-1] = q + 1
-        tracker.remove(pool[q])
-        val = tracker.centrality()
-        if val > best_val:
-            best, best_val = tuple(removed), val
-        elif val == best_val and len(removed) > len(best):
-            best = tuple(removed)
-        if promising(q + 1):
-            stack.append(q + 1)
-        else:
-            tracker.undo()
     return best
 
 
@@ -364,14 +361,18 @@ def exact_opt(graph: Graph, no_strike: Collection[int] | None = None,
     lexicographically smallest id tuple, which keeps results deterministic.
     The search scores sets incrementally and skips subtrees whose bound
     cannot reach the incumbent, or the best value among the greedy's
-    prefixes, with the same result as scoring every subset.  Raises
-    :class:`WorkLimitExceeded` up front when the subset count would exceed
-    ``work_limit``.
+    prefixes, with the same result as scoring every subset; one tracker
+    replays the best tuple for the trace.  Raises :class:`WorkLimitExceeded`
+    up front when the subset count would exceed ``work_limit``.
     """
     pool, k = _exact_pool(graph, no_strike, k, work_limit)
     floor = max(greedy_fragile(graph, no_strike, k).trace)
     best = _search(graph, pool, k, floor)
-    trace = [fragile(graph, best[:j]) for j in range(len(best) + 1)]
+    tracker = DegreeTracker(graph)
+    trace = [tracker.centrality()]
+    for i in best:
+        tracker.remove(i)
+        trace.append(tracker.centrality())
     return RemovalSolution(best, tuple(trace), trace[-1])
 
 
@@ -382,19 +383,18 @@ def fragility_decision(graph: Graph, no_strike: Collection[int] | None,
 
     Raises ``ValueError`` for a NaN ``x``.  Validates ids and checks
     ``work_limit`` up front like :func:`exact_opt`, then stops at the first
-    set scoring above x: the untouched graph, then each prefix of the
-    greedy's removals.  Otherwise every prefix scored at most x, and the
-    answer is whether the optimum's branch and bound, run with the floor
-    just above x, returns a set: it returns ``()`` when no set reaches that
-    floor.  A float bound is below the floor exactly when it is at most x,
-    so the search skips only subtrees that cannot hold a set above x, and
-    is never cut off from an optimum above x, whose path's bounds are all
-    at least its value.
+    set scoring above x: the untouched graph's ``network_degree_centrality``,
+    then each prefix of the greedy's removals.  Otherwise every prefix
+    scored at most x, and the answer is whether the optimum's branch and
+    bound, run with the floor just above x, returns a set: it returns ``()``
+    when no set reaches that floor.  A float bound is below the floor
+    exactly when it is at most x, so the search skips only subtrees that
+    cannot hold a set above x, and is never cut off from an optimum above
+    x, whose path's bounds are all at least its value.
     """
     if isnan(x):
         raise ValueError("threshold x must not be NaN")
     pool, k = _exact_pool(graph, no_strike, k, work_limit)
-    if fragile(graph, ()) > x or any(
-            value > x for _, value in iter_greedy_steps(graph, no_strike, k)):
-        return True
-    return bool(_search(graph, pool, k, nextafter(x, inf)))
+    return (network_degree_centrality(graph) > x
+            or any(value > x for _, value in iter_greedy_steps(graph, no_strike, k))
+            or bool(_search(graph, pool, k, nextafter(x, inf))))

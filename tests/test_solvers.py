@@ -597,10 +597,29 @@ class TestBranchAndBound:
                             lambda t, i: removals.append(i) or remove(t, i))
         g = generate_synthetic("scale-free", 57, 162, seed=0)
         sol = exact_opt(g, None, 7, work_limit=10**9)
-        # the greedy's 7 removals and the search's, 1,089 (6,568 sets without
-        # the floor), then 0+1+...+7 replaying the trace's prefixes in fragile
-        assert len(removals) == 1089 + 28
+        # the greedy's 7 removals and the search's 59 (421 without the
+        # floor), then one replay of the optimum's 7 for the trace
+        assert len(removals) == 66 + 7
         assert sol.final_fragility == max(greedy_fragile(g, None, 7).trace)
+
+    @pytest.mark.parametrize("n, m, k, visits", [
+        (57, 162, 7, 59),
+        (102, 388, 12, 724),
+        (105, 590, 12, 1583),
+    ])
+    def test_search_visits_on_the_desk_graphs(self, n, m, k, visits,
+                                              monkeypatch):
+        # the 12% budget with the greedy's best as the floor; each visit is
+        # one tracker removal, and the bound is tested before every child
+        g = generate_synthetic("scale-free", n, m, seed=0)
+        pool, k = solvers._exact_pool(g, None, k, 10**16)
+        floor = max(greedy_fragile(g, None, k).trace)
+        removals = []
+        remove = DegreeTracker.remove
+        monkeypatch.setattr(DegreeTracker, "remove",
+                            lambda t, i: removals.append(i) or remove(t, i))
+        assert solvers._search(g, pool, k, floor)
+        assert len(removals) == visits
 
     def test_decision_stops_at_first_witness(self, monkeypatch):
         removals = []
@@ -653,7 +672,7 @@ class TestDecisionAtTheGreedyGap:
 
     def test_optimum_value_is_not_above(self, gap, monkeypatch):
         g, _, opt = gap
-        assert self._decide(monkeypatch, g, opt) == (False, 8825)
+        assert self._decide(monkeypatch, g, opt) == (False, 582)
 
     def test_just_below_the_optimum_is_above(self, gap, monkeypatch):
         g, _, opt = gap
