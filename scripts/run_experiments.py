@@ -24,7 +24,7 @@ from fragility import (benchmark_runtime, emit_csv, emit_edge_list,
                        generate_synthetic, run_curves, run_manifest,
                        write_manifest)
 from fragility.defaults import DEFAULT_MAX_FRACTION, STRATEGIES
-from fragility.harness import BENCH_HEADER, BENCH_ROW
+from fragility.harness import BENCH_COLUMNS, BENCH_ROW
 
 # (nodes, edges) pairs matching the densities of the published case-study
 # networks at desk scale, plus one large instance for the scaling run.
@@ -79,7 +79,7 @@ def run_bench_experiment(cfg: argparse.Namespace) -> None:
     n, m = BENCH_SIZE
     graph = generate_synthetic("scale-free", n, m, seed=cfg.seed)
     budgets = sorted({1, n // 40, n // 20, n // 10})  # each measured once
-    lines = [BENCH_HEADER]
+    lines = [",".join(BENCH_COLUMNS)]
     print(f"benchmark on N={n} M={graph.edge_count}, budgets {budgets}")
     for strategy in STRATEGIES:
         t0 = time.perf_counter()

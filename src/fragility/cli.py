@@ -291,8 +291,7 @@ def _cmd_curve(args, graph, ns):
     strategies = _parse_strategies(args.strategies)
     points = run_curves(graph, ns, strategies, args.max_fraction, args.step)
     lines, outputs = _write_or_show(args.out, emit_csv(points))
-    columns = CSV_HEADER.split(",")
-    payload = {"points": [dict(zip(columns, p)) for p in points]}
+    payload = {"points": [dict(zip(CSV_HEADER.split(","), p)) for p in points]}
     return ({"strategies": list(strategies), "max_fraction": args.max_fraction,
              "step": args.step}, lines, payload, outputs)
 
@@ -306,12 +305,11 @@ def _cmd_bench(args, graph, ns):
         raise ValueError(f"bad --budgets value {args.budgets!r}") from None
     if not budgets:
         raise ValueError("no budgets given")
-    from .harness import BENCH_HEADER, BENCH_ROW, benchmark_runtime
+    from .harness import BENCH_COLUMNS, BENCH_ROW, benchmark_runtime
     rows = [(strategy, budget, seconds) for strategy in strategies
             for budget, seconds in benchmark_runtime(graph, ns, strategy, budgets)]
-    lines = [BENCH_HEADER] + [BENCH_ROW.format(*row) for row in rows]
-    columns = BENCH_HEADER.split(",")
-    payload = {"measurements": [dict(zip(columns, row)) for row in rows]}
+    lines = [",".join(BENCH_COLUMNS)] + [BENCH_ROW.format(*row) for row in rows]
+    payload = {"measurements": [dict(zip(BENCH_COLUMNS, row)) for row in rows]}
     return {"strategies": list(strategies), "budgets": budgets}, lines, payload, []
 
 

@@ -33,8 +33,8 @@ from .graph import Graph, _node_set, network_degree_centrality
 from .solvers import DegreeTracker, greedy_fragile, iter_greedy_steps
 
 CSV_HEADER = "strategy,nodes_removed,fraction_removed,fragility,percent_increase,wall_time_s"
-BENCH_HEADER = "strategy,budget,median_wall_time_s"
-BENCH_ROW = "{},{},{:.6f}"  # one bench row: strategy, budget, median seconds
+BENCH_COLUMNS = ("strategy", "budget", "median_wall_time_s")
+BENCH_ROW = "{},{},{:.6f}"  # one CSV row of BENCH_COLUMNS: seconds to 6 places
 
 
 class InfeasibleDensityError(ValueError):

@@ -14,7 +14,7 @@ from heapq import heappop, heappush
 from math import comb, inf, isnan, nextafter
 
 from .defaults import DEFAULT_WORK_LIMIT
-from .graph import Graph, _centralization, _node_set, network_degree_centrality
+from .graph import Graph, _centralization, _node_set, fragile, network_degree_centrality
 
 
 class WorkLimitExceeded(RuntimeError):
@@ -323,29 +323,31 @@ def _search(graph: Graph, pool: list[int], k: int,
         r = min(k - len(removed), len(pool) - start)
         if r <= 0:  # the budget is spent or pool[start:] is empty
             return False
+        if len(degrees) < len(stack):  # the frame's first test: sort once
+            degrees.append(sorted(deg[i] for i in pool[start:]))
+        else:  # the frame's state is as before: drop the id just tried
+            degrees[-1].remove(deg[pool[start - 1]])
         n, top, m = tracker.n_alive, tracker.max_deg, tracker.m_alive
-        largest = sorted((deg[i] for i in pool[start:]), reverse=True)
-        bound, lost = 0.0, 0
+        ascending, bound, lost = degrees[-1], 0.0, 0
         for s in range(1, r + 1):
-            lost += largest[s - 1]
+            lost += ascending[-s]
             bound = max(bound, _centralization(n - s, top, m - lost))
         # an equal score wins only with more removals than the incumbent
-        return bound > best_val or (bound == best_val
-                                    and len(removed) + r > len(best))
+        return bound > best_val or (bound == best_val and len(removed) + r > len(best))
 
     stack = [0]  # stack[t]: next pool index at depth t
+    degrees: list[list[int]] = []  # degrees[t]: frame t's candidates', ascending
     while stack:
         q = stack[-1]
         if promising(q):  # a set adding ids from pool[q:] may still win
             stack[-1] = q + 1
             tracker.remove(pool[q])
             val = tracker.centrality()
-            if val > best_val:
+            if val > best_val or (val == best_val and len(removed) > len(best)):
                 best, best_val = tuple(removed), val
-            elif val == best_val and len(removed) > len(best):
-                best = tuple(removed)
             stack.append(q + 1)
         else:  # the frame ends
+            del degrees[len(stack) - 1:]
             stack.pop()
             if removed:
                 tracker.undo()
@@ -383,18 +385,18 @@ def fragility_decision(graph: Graph, no_strike: Collection[int] | None,
 
     Raises ``ValueError`` for a NaN ``x``.  Validates ids and checks
     ``work_limit`` up front like :func:`exact_opt`, then stops at the first
-    set scoring above x: the untouched graph's ``network_degree_centrality``,
-    then each prefix of the greedy's removals.  Otherwise every prefix
-    scored at most x, and the answer is whether the optimum's branch and
-    bound, run with the floor just above x, returns a set: it returns ``()``
-    when no set reaches that floor.  A float bound is below the floor
-    exactly when it is at most x, so the search skips only subtrees that
-    cannot hold a set above x, and is never cut off from an optimum above
-    x, whose path's bounds are all at least its value.
+    set scoring above x: the untouched graph, then each prefix of the
+    greedy's removals.  Otherwise every prefix scored at most x, and the
+    answer is whether the optimum's branch and bound, run with the floor
+    just above x, returns a set: it returns ``()`` when no set reaches that
+    floor.  A float bound is below the floor exactly when it is at most x,
+    so the search skips only subtrees that cannot hold a set above x, and
+    is never cut off from an optimum above x, whose path's bounds are all
+    at least its value.
     """
     if isnan(x):
         raise ValueError("threshold x must not be NaN")
     pool, k = _exact_pool(graph, no_strike, k, work_limit)
-    return (network_degree_centrality(graph) > x
+    return (fragile(graph, ()) > x
             or any(value > x for _, value in iter_greedy_steps(graph, no_strike, k))
             or bool(_search(graph, pool, k, nextafter(x, inf))))
