@@ -20,7 +20,7 @@ work-limit exceeded.
 Each ``_cmd_*`` handler takes the parsed arguments, the loaded graph and
 protected set (both None for ``synth``) and returns its manifest
 parameters, text lines, JSON payload and the paths it wrote; ``main``
-alone loads the inputs, prints the result and writes the manifest.
+alone loads the inputs, writes the manifest and prints the result.
 Handlers and the library raise ``ValueError`` for bad input (exit 1);
 infeasible-request and work-limit errors carry ``exit_status = 2``; ``main``
 alone maps exceptions to exit codes.  Each handler imports the solver,
@@ -343,17 +343,18 @@ def main(argv=None) -> int:
             args.command, parameters, graph_path=None if synth else args.graph,
             no_strike_path=None if synth else args.no_strike,
             seed=getattr(args, "seed", None), outputs=outputs)
+        # before printing, so an unwritable path prints nothing but the error
+        path = args.manifest
+        if path is None and outputs:
+            path = outputs[0] + ".manifest.json"
+        if path:
+            write_manifest(manifest, path)
         if args.format == "json":
             body = {**payload, "command": args.command, "manifest": manifest}
             print(json.dumps(body, indent=2, sort_keys=True))
         else:
             for line in lines:
                 print(line)
-        path = args.manifest
-        if path is None and outputs:
-            path = outputs[0] + ".manifest.json"
-        if path:
-            write_manifest(manifest, path)
         return 0
     except BrokenPipeError:
         # the reader closed stdout (``| head``), which is not bad input; with

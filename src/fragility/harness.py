@@ -35,6 +35,7 @@ from .solvers import DegreeTracker, greedy_fragile, iter_greedy_steps
 CSV_HEADER = "strategy,nodes_removed,fraction_removed,fragility,percent_increase,wall_time_s"
 BENCH_COLUMNS = ("strategy", "budget", "median_wall_time_s")
 BENCH_ROW = "{},{},{:.6f}"  # one CSV row of BENCH_COLUMNS: seconds to 6 places
+BENCH_REPEATS = 3  # timed runs per budget in benchmark_runtime
 
 
 class InfeasibleDensityError(ValueError):
@@ -126,9 +127,8 @@ def _ranking_curve(graph: Graph, no_strike, strategy: str,
 
 
 def benchmark_runtime(graph: Graph, no_strike: Collection[int] | None,
-                      strategy: str, budgets: Collection[int],
-                      repeats: int = 3) -> list[tuple[int, float]]:
-    """Median wall time of a full strategy run at each budget.
+                      strategy: str, budgets: Collection[int]) -> list[tuple[int, float]]:
+    """Median wall time of ``BENCH_REPEATS`` full strategy runs at each budget.
 
     Ranking strategies re-rank on every run, which is exactly why their
     measured time barely moves with the budget.
@@ -139,7 +139,7 @@ def benchmark_runtime(graph: Graph, no_strike: Collection[int] | None,
         if b < 0:
             raise ValueError("budgets must be non-negative")
         times = []
-        for _ in range(max(1, repeats)):
+        for _ in range(BENCH_REPEATS):
             t0 = time.perf_counter()
             if strategy == "greedy":
                 greedy_fragile(graph, no_strike, b)

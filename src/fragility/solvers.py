@@ -300,57 +300,54 @@ def _search(graph: Graph, pool: list[int], k: int,
     most removals, then lexicographically smallest) that scores at least
     ``floor``, or ``()`` when no tuple does or the untouched graph is best.
 
-    With candidates ``pool[start:]`` left, a tuple bounds each descendant
-    with s more removals by ``((n-s)*D - 2*(m - S_s)) / ((n-s-1)*(n-s-2))``
-    (0.0 once ``n-s < 3``), where ``S_s`` sums the s largest current
-    candidate degrees: the max degree D cannot rise and s removals delete
-    at most ``S_s`` edges.  The bound is a correctly rounded int/int
-    quotient and rounding is monotone, so no descendant's float value
-    exceeds it.  Each step tests it at ``start = q`` before removing
-    ``pool[q]``, and ends the frame when it is below the incumbent, or
-    equal to it with no descendant larger than the incumbent tuple.  The
-    incumbent starts as ``()`` at the higher of the untouched score and
-    ``floor``, so one threshold also skips every subtree whose bound is
-    below the floor; a bound equal to it is still searched, since ``()``
-    has the fewest removals, so the tie rule is kept.
+    With candidates ``pool[q:]`` left, a tuple bounds each descendant with
+    s more removals by ``((n-s)*D - 2*(m - S_s)) / ((n-s-1)*(n-s-2))`` (0.0
+    once ``n-s < 3``), where ``S_s`` sums the s largest current candidate
+    degrees: the max degree D cannot rise and s removals delete at most
+    ``S_s`` edges.  The bound is a correctly rounded int/int quotient and
+    rounding is monotone, so no descendant's float value exceeds it.  A
+    tuple that may still grow has a frame ``[q, ascending]`` on one stack:
+    the next pool index and the current degrees of ``pool[q:]``, sorted
+    when the frame is pushed.  Each step tests the bound before removing
+    ``pool[q]`` and dropping its degree, and ends the frame when the bound
+    is below the incumbent, or equal to it with no descendant larger than
+    the incumbent tuple.  A tuple at the budget or at the pool's end gets
+    no frame: it is scored and undone at once.  The incumbent starts as
+    ``()`` at the higher of the untouched score and ``floor``, so one
+    threshold also skips every subtree whose bound is below the floor; a
+    bound equal to it is still searched, since ``()`` has the fewest
+    removals, so the tie rule is kept.
     """
     tracker = DegreeTracker(graph)
     deg, removed = tracker.deg, tracker.removed
     best: tuple[int, ...] = ()
     best_val = max(tracker.centrality(), floor)
-
-    def promising(start: int) -> bool:
-        r = min(k - len(removed), len(pool) - start)
-        if r <= 0:  # the budget is spent or pool[start:] is empty
-            return False
-        if len(degrees) < len(stack):  # the frame's first test: sort once
-            degrees.append(sorted(deg[i] for i in pool[start:]))
-        else:  # the frame's state is as before: drop the id just tried
-            degrees[-1].remove(deg[pool[start - 1]])
+    stack = [[0, sorted(deg[i] for i in pool)]]  # one frame per tuple that may grow
+    while stack:
+        frame = stack[-1]
+        q, ascending = frame
+        r = min(k - len(removed), len(ascending))
         n, top, m = tracker.n_alive, tracker.max_deg, tracker.m_alive
-        ascending, bound, lost = degrees[-1], 0.0, 0
+        bound, lost = 0.0, 0
         for s in range(1, r + 1):
             lost += ascending[-s]
             bound = max(bound, _centralization(n - s, top, m - lost))
         # an equal score wins only with more removals than the incumbent
-        return bound > best_val or (bound == best_val and len(removed) + r > len(best))
-
-    stack = [0]  # stack[t]: next pool index at depth t
-    degrees: list[list[int]] = []  # degrees[t]: frame t's candidates', ascending
-    while stack:
-        q = stack[-1]
-        if promising(q):  # a set adding ids from pool[q:] may still win
-            stack[-1] = q + 1
+        if r and (bound > best_val
+                  or (bound == best_val and len(removed) + r > len(best))):
+            frame[0] = q + 1
+            ascending.remove(deg[pool[q]])
             tracker.remove(pool[q])
             val = tracker.centrality()
             if val > best_val or (val == best_val and len(removed) > len(best)):
                 best, best_val = tuple(removed), val
-            stack.append(q + 1)
+            if len(removed) < k and ascending:  # budget and pool remain
+                stack.append([q + 1, sorted(deg[i] for i in pool[q + 1:])])
+                continue
         else:  # the frame ends
-            del degrees[len(stack) - 1:]
             stack.pop()
-            if removed:
-                tracker.undo()
+        if stack:  # undo the tuple just scored, or the ended frame's last id
+            tracker.undo()
     return best
 
 

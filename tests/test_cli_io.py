@@ -746,6 +746,16 @@ class TestCliErrors:
         assert err == (f"error: cannot read {kind} file: {str(path)!r} is not UTF-8 "
                        "(byte 0xff: invalid start byte)\n")
 
+    def test_unwritable_manifest_prints_only_the_error(self, graph_file,
+                                                       tmp_path, capsys):
+        # the manifest is written before the result is printed
+        manifest = tmp_path / "missing" / "m.json"
+        assert main(["centrality", "--graph", str(graph_file),
+                     "--manifest", str(manifest)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
+
     def test_closed_stdout_pipe_exits_0_silently(self):
         # the reader takes one line and closes the pipe, as `| head -1` does;
         # 20,000 nodes write far more than the pipe and stdout buffers hold

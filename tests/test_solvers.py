@@ -602,23 +602,31 @@ class TestBranchAndBound:
         assert len(removals) == 66 + 7
         assert sol.final_fragility == max(greedy_fragile(g, None, 7).trace)
 
-    @pytest.mark.parametrize("n, m, k, visits", [
-        (57, 162, 7, 59),
-        (102, 388, 12, 724),
-        (105, 590, 12, 1583),
+    @pytest.mark.parametrize("graph, no_strike, k, visits, best", [
+        pytest.param(generate_synthetic("scale-free", 57, 162, seed=0), None, 7,
+                     59, (11, 14, 16, 18, 19, 20, 21), id="57-162-7-59"),
+        pytest.param(generate_synthetic("scale-free", 102, 388, seed=0), None, 12,
+                     724, (9, 12, 15, 27, 29, 40, 41, 44, 45, 47, 48, 55),
+                     id="102-388-12-724"),
+        pytest.param(generate_synthetic("scale-free", 105, 590, seed=0), None, 12,
+                     1583, (15, 17, 18, 21, 25, 29, 34, 37, 44, 46, 47, 63),
+                     id="105-590-12-1583"),
+        # the bound never prunes: every set of 1..4 leaves, C(20,1)+...+C(20,4)
+        pytest.param(star_graph(20), {0}, 4, 6195, (1, 2, 3, 4),
+                     id="star20-hub-protected-4-6195"),
     ])
-    def test_search_visits_on_the_desk_graphs(self, n, m, k, visits,
-                                              monkeypatch):
-        # the 12% budget with the greedy's best as the floor; each visit is
-        # one tracker removal, and the bound is tested before every child
-        g = generate_synthetic("scale-free", n, m, seed=0)
-        pool, k = solvers._exact_pool(g, None, k, 10**16)
-        floor = max(greedy_fragile(g, None, k).trace)
+    def test_search_visits_on_the_desk_graphs(self, graph, no_strike, k, visits,
+                                              best, monkeypatch):
+        # the desk graphs at the 12% budget, with the greedy's best as the
+        # floor; each visit is one tracker removal, and the bound is tested
+        # before every child
+        pool, k = solvers._exact_pool(graph, no_strike, k, 10**16)
+        floor = max(greedy_fragile(graph, no_strike, k).trace)
         removals = []
         remove = DegreeTracker.remove
         monkeypatch.setattr(DegreeTracker, "remove",
                             lambda t, i: removals.append(i) or remove(t, i))
-        assert solvers._search(g, pool, k, floor)
+        assert solvers._search(graph, pool, k, floor) == best
         assert len(removals) == visits
 
     def test_decision_stops_at_first_witness(self, monkeypatch):
