@@ -39,7 +39,7 @@ import warnings
 from pathlib import Path
 
 from .defaults import DEFAULT_MAX_FRACTION, DEFAULT_WORK_LIMIT, STRATEGIES
-from .graph import fragile, network_degree_centrality
+from .graph import network_degree_centrality
 from .io import (emit_edge_list, parse_edge_list, parse_no_strike, run_manifest,
                  write_manifest)
 
@@ -81,14 +81,15 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("decision", parents=[common],
                        help="threshold decision on the exact optimum")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help="removal budget")
     p.add_argument("--x", type=float, required=True, help="fragility threshold")
-    p.add_argument("--work-limit", type=int, default=DEFAULT_WORK_LIMIT)
+    p.add_argument("--work-limit", type=int, default=DEFAULT_WORK_LIMIT,
+                   help=f"max subsets to enumerate (default {DEFAULT_WORK_LIMIT})")
     p.set_defaults(handler=_cmd_decision)
 
     p = sub.add_parser("emit-ip", parents=[common],
                        help="write LP-format optimization models")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help="removal budget")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--linearize-i", type=int, metavar="I",
                        help="emit the single model fixing the removal count at I")
@@ -119,7 +120,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bench", parents=[common],
                        help="median wall time per strategy and budget")
-    p.add_argument("--strategies", default=",".join(STRATEGIES))
+    p.add_argument("--strategies", default=",".join(STRATEGIES),
+                   help="comma-separated subset of: " + ", ".join(STRATEGIES))
     p.add_argument("--budgets", default="1,5,10",
                    help="comma-separated removal budgets (default 1,5,10)")
     p.set_defaults(handler=_cmd_bench)
@@ -176,24 +178,38 @@ def _write_or_show(path, text, note=""):
     return [f"wrote {path}{note}"], [path]
 
 
-def _removal_output(labels, removed, base, final):
-    lines = [
-        f"removed ({len(removed)}): "
-        + (" ".join(labels[i] for i in removed) or "(none)"),
-        f"baseline_fragility: {base:.6f}",
-        f"final_fragility: {final:.6f}",
-    ]
-    payload = {
-        "removed": [labels[i] for i in removed],
-        "baseline_fragility": base,
-        "final_fragility": final,
-    }
+def _refuse_overwrite(args, synth):
+    """Raise ``ValueError`` when ``--out`` or ``--manifest`` names a file the
+    command reads, or both name one file; paths compare by ``realpath``."""
+    reads = {} if synth else {os.path.realpath(path): kind for kind, path in
+                              (("graph", args.graph), ("no-strike", args.no_strike))
+                              if path}
+    written = None
+    for flag, path in (("--out", getattr(args, "out", None)),
+                       ("--manifest", args.manifest)):
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        if real in reads:
+            raise ValueError(f"{flag} {path} would overwrite the {reads[real]} "
+                             "file this command reads")
+        if real == written:
+            raise ValueError(f"--out and --manifest both name {path}")
+        written = real
+
+
+def _removal_output(labels, solution):
+    removed = [labels[i] for i in solution.removed]
+    base, final = solution.trace[0], solution.final_fragility
+    lines = [f"removed ({len(removed)}): " + (" ".join(removed) or "(none)"),
+             f"baseline_fragility: {base:.6f}", f"final_fragility: {final:.6f}"]
+    payload = {"removed": removed, "baseline_fragility": base,
+               "final_fragility": final}
     return lines, payload
 
 
 def _solution_output(labels, solution):
-    lines, payload = _removal_output(labels, solution.removed, solution.trace[0],
-                                     solution.final_fragility)
+    lines, payload = _removal_output(labels, solution)
     lines.append("trace: " + " ".join(f"{v:.6f}" for v in solution.trace))
     payload["trace"] = list(solution.trace)
     return lines, payload
@@ -268,10 +284,9 @@ def _cmd_baseline(args, graph, ns):
     if not 0 <= args.m <= targetable:
         raise ValueError(f"--m must lie in 0..{targetable} for this graph")
     from .baselines import _RANKERS
-    removed = _RANKERS[args.strategy](graph, ns)[:args.m]
-    lines, payload = _removal_output(graph.labels, removed,
-                                     network_degree_centrality(graph),
-                                     fragile(graph, removed))
+    from .solvers import _replay
+    solution = _replay(graph, _RANKERS[args.strategy](graph, ns)[:args.m])
+    lines, payload = _removal_output(graph.labels, solution)
     return ({"strategy": args.strategy, "m": args.m},
             [f"strategy: {args.strategy}", *lines],
             {"strategy": args.strategy, **payload}, [])
@@ -337,6 +352,7 @@ def main(argv=None) -> int:
             raise ValueError(
                 "csv output is only available for the curve and bench commands")
         synth = args.command == "synth"  # reads no input file, so records none
+        _refuse_overwrite(args, synth)
         graph, ns = (None, None) if synth else _load_graph(args)
         parameters, lines, payload, outputs = args.handler(args, graph, ns)
         manifest = run_manifest(

@@ -117,16 +117,13 @@ def fragile(graph: Graph, removed: Collection[int]) -> float:
 
     ``removed`` must be a set of valid node ids; surviving nodes keep only
     edges whose other endpoint also survives.  Scores the degenerate 0.0
-    when fewer than three nodes survive.  The ids are replayed on a fresh
-    :class:`fragility.solvers.DegreeTracker`, the one survivor count every
-    solver scores with; it is imported here because ``solvers`` imports
-    this module.
+    when fewer than three nodes survive.  The ids are scored by
+    :func:`fragility.solvers._replay`, the one replay of a removal list on
+    the survivor count every solver scores with; it is imported here
+    because ``solvers`` imports this module.
     """
-    from .solvers import DegreeTracker
-    tracker = DegreeTracker(graph)
-    for i in _node_set(graph.node_count, removed):
-        tracker.remove(i)
-    return tracker.centrality()
+    from .solvers import _replay
+    return _replay(graph, _node_set(graph.node_count, removed)).final_fragility
 
 
 def star_graph(leaves: int) -> Graph:

@@ -5,11 +5,11 @@ budget, the surviving network's fragility and its percent increase over the
 untouched graph.  Each strategy first makes one list of steps up to the
 largest budget: the fragility after each removal and the seconds that point
 reports.  The greedy runs once and stamps each step with its elapsed time; a
-ranking scores the graph once, walks its fixed order on a degree tracker and
-stamps every step with the ranking's time.  One budget loop then reads every
-point from the list: budget ``b`` takes ``min(b, len(steps))`` removals, the
-untouched graph when that is none, and the whole run's time when the run
-stopped short of ``b``.
+ranking scores the graph once, replays its fixed order with
+``solvers._replay`` and stamps every step with the ranking's time.  One
+budget loop then reads every point from the list: budget ``b`` takes
+``min(b, len(steps))`` removals, the untouched graph when that is none, and
+the whole run's time when the run stopped short of ``b``.
 
 ``run_curves`` checks its strategies, fraction and step before any strategy
 runs; ``_strategies`` is the one check of strategy names.  ``CurvePoint`` is
@@ -30,7 +30,7 @@ from collections.abc import Collection, Iterable
 from .baselines import _RANKERS
 from .defaults import DEFAULT_MAX_FRACTION, STRATEGIES
 from .graph import Graph, _node_set, network_degree_centrality
-from .solvers import DegreeTracker, greedy_fragile, iter_greedy_steps
+from .solvers import _replay, greedy_fragile, iter_greedy_steps
 
 CSV_HEADER = "strategy,nodes_removed,fraction_removed,fragility,percent_increase,wall_time_s"
 BENCH_COLUMNS = ("strategy", "budget", "median_wall_time_s")
@@ -113,17 +113,14 @@ def _ranking_curve(graph: Graph, no_strike, strategy: str,
                    limit: int) -> tuple[list[tuple[float, float]], float]:
     """Steps ``(fragility, seconds)`` of the first ``limit`` ranked removals.
 
-    Every step, and the returned total, carries the ranking's own time.
+    Each fragility is a score of ``solvers._replay``'s trace; every step,
+    and the returned total, carries the ranking's own time.
     """
     t0 = time.perf_counter()
     order = _RANKERS[strategy](graph, no_strike)
     ranking_time = time.perf_counter() - t0
-    tracker = DegreeTracker(graph)
-    steps = []
-    for i in order[:limit]:
-        tracker.remove(i)
-        steps.append((tracker.centrality(), ranking_time))
-    return steps, ranking_time
+    trace = _replay(graph, order[:limit]).trace
+    return [(frag, ranking_time) for frag in trace[1:]], ranking_time
 
 
 def benchmark_runtime(graph: Graph, no_strike: Collection[int] | None,

@@ -59,6 +59,7 @@ tuples and an assignment is a dict keyed by variable name.
 
 from __future__ import annotations
 
+import os
 import re
 import shutil
 from collections import namedtuple
@@ -411,10 +412,13 @@ def write_lp_family(model: IpModel, paths: Sequence) -> None:
     same at every ``i``, is rendered once, section by section, into the
     first file; every later file gets its own head and then a byte copy of
     that region of the first file.  No model, head or body is held whole in
-    memory.
+    memory.  Paths that resolve to one file raise ``ValueError`` before any
+    file is opened, since the later one would empty the copy's source.
     """
     if len(paths) != model.k:
         raise ValueError(f"{len(paths)} paths for the {model.k} models i = 1..k")
+    if len(set(map(os.path.realpath, paths))) < len(paths):
+        raise ValueError("two of the paths name one file")
     names = _Names(model)
     for i, path in enumerate(paths, 1):
         with open(path, "w", encoding="utf-8") as out:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from collections.abc import Collection, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from heapq import heappop, heappush
 from math import comb, inf, isnan, nextafter
 
@@ -45,8 +45,8 @@ class DegreeTracker:
     O(deg) instead of a full recount.  ``removed`` lists the removed nodes
     in removal order, and ``deg`` keeps each one at its (stale) degree when
     it was removed, so :meth:`undo` reverts removals, last in first out,
-    for the exact search.  :func:`fragility.graph.fragile` scores a removal
-    set by replaying it on a fresh tracker.
+    for the exact search.  :func:`_replay` scores a removal list on a fresh
+    tracker.
     """
 
     __slots__ = ("graph", "alive", "deg", "count", "removed", "n_alive",
@@ -109,6 +109,17 @@ class DegreeTracker:
         self.m_alive += d
         count[d] += 1
         self.max_deg = top
+
+
+def _replay(graph: Graph, ids: Iterable[int]) -> RemovalSolution:
+    """Remove ``ids`` in order from one fresh :class:`DegreeTracker`: the one
+    replay of a removal list, for the exact optimum, ``fragile`` and rankings."""
+    tracker = DegreeTracker(graph)
+    trace = [tracker.centrality()]
+    for i in ids:
+        tracker.remove(i)
+        trace.append(tracker.centrality())
+    return RemovalSolution(tuple(tracker.removed), tuple(trace), trace[-1])
 
 
 def _best_removal(tracker: DegreeTracker, heap: list[int],
@@ -360,19 +371,13 @@ def exact_opt(graph: Graph, no_strike: Collection[int] | None = None,
     lexicographically smallest id tuple, which keeps results deterministic.
     The search scores sets incrementally and skips subtrees whose bound
     cannot reach the incumbent, or the best value among the greedy's
-    prefixes, with the same result as scoring every subset; one tracker
-    replays the best tuple for the trace.  Raises :class:`WorkLimitExceeded`
+    prefixes, with the same result as scoring every subset; :func:`_replay`
+    scores the best tuple for the trace.  Raises :class:`WorkLimitExceeded`
     up front when the subset count would exceed ``work_limit``.
     """
     pool, k = _exact_pool(graph, no_strike, k, work_limit)
     floor = max(greedy_fragile(graph, no_strike, k).trace)
-    best = _search(graph, pool, k, floor)
-    tracker = DegreeTracker(graph)
-    trace = [tracker.centrality()]
-    for i in best:
-        tracker.remove(i)
-        trace.append(tracker.centrality())
-    return RemovalSolution(best, tuple(trace), trace[-1])
+    return _replay(graph, _search(graph, pool, k, floor))
 
 
 def fragility_decision(graph: Graph, no_strike: Collection[int] | None,

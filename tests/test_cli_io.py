@@ -828,6 +828,41 @@ class TestCliErrors:
                      "--max-fraction", "0.5"]) == 2
         assert "baseline fragility is zero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["greedy", "--graph", "g.txt", "--k", "1", "--manifest", "g.txt"],
+         "--manifest g.txt would overwrite the graph file this command reads"),
+        (["curve", "--graph", "g.txt", "--out", "./g.txt"],
+         "--out ./g.txt would overwrite the graph file this command reads"),
+        (["emit-ip", "--graph", "g.txt", "--k", "1", "--linearize-i", "1",
+          "--out", "sub/../g.txt"],
+         "--out sub/../g.txt would overwrite the graph file this command reads"),
+        (["centrality", "--graph", "g.txt", "--no-strike", "ns.txt",
+          "--manifest", "link.txt"],
+         "--manifest link.txt would overwrite the no-strike file this command "
+         "reads"),
+        (["curve", "--graph", "g.txt", "--out", "c.csv", "--manifest", "c.csv"],
+         "--out and --manifest both name c.csv"),
+        (["synth", "--kind", "random", "--n", "5", "--m", "4", "--out", "s.txt",
+          "--manifest", "./s.txt"],
+         "--out and --manifest both name ./s.txt"),
+    ], ids=["manifest-graph", "out-graph", "out-graph-dotdot",
+            "manifest-no-strike-link", "out-manifest", "synth-out-manifest"])
+    def test_output_naming_an_input_or_the_other_output_is_exit_1(
+            self, tmp_path, monkeypatch, capsys, argv, message):
+        # paths compare resolved, so ./, .. and a symlink name the same file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.txt").write_text("a b\na c\na d\n", encoding="utf-8")
+        (tmp_path / "ns.txt").write_text("b\n", encoding="utf-8")
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.txt").symlink_to("ns.txt")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert {p.name: p.read_bytes()
+                for p in tmp_path.iterdir() if p.is_file()} == before
+
     @pytest.mark.parametrize("command", [["exact"], ["decision", "--x", "0.5"]])
     def test_negative_work_limit_is_exit_1(self, command, graph_file, capsys):
         assert main(command + ["--graph", str(graph_file), "--k", "1",
@@ -1146,6 +1181,25 @@ def test_option_surface_is_unchanged():
         for name, p in sub.choices.items()}
     assert surface == {name: {**_COMMON, **own}
                        for name, own in OPTION_SURFACE.items()}
+
+
+def test_an_option_with_help_in_one_command_has_it_in_every_command():
+    import argparse
+    from fragility.cli import _build_parser
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = [(name, " ".join(a.option_strings), a.help)
+               for name, p in sub.choices.items() for a in p._actions
+               if a.option_strings]
+    texts = {}
+    for _, option, text in options:
+        if text:
+            texts.setdefault(option, set()).add(text)
+    assert [(name, option) for name, option, text in options
+            if option in texts and not text] == []
+    # where the option means the same thing, so does its help
+    for option in ("--k", "--work-limit", "--strategies"):
+        assert len(texts[option]) == 1, option
 
 
 class TestConsoleScript:

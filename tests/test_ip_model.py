@@ -691,3 +691,15 @@ class TestEmitLpFamily:
             write_lp_family(model, [tmp_path / "a.lp", tmp_path / "b.lp"])
         assert not list(tmp_path.iterdir())
         write_lp_family(build_fragility_ip(double_star8, k=0), [])
+
+    @pytest.mark.parametrize("later", ["a.lp", "./a.lp", "sub/../a.lp"])
+    def test_paths_naming_one_file_raise_before_any_is_opened(
+            self, double_star8, tmp_path, monkeypatch, later):
+        # opening the later path would empty the first file, whose body the
+        # later file copies
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        model = build_fragility_ip(double_star8, k=3)
+        with pytest.raises(ValueError, match="two of the paths name one file"):
+            write_lp_family(model, ["a.lp", "b.lp", later])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]

@@ -37,7 +37,7 @@ LOADS = [
     (["exact", *G, "--k", "2"], BASE | {"solvers"}),
     (["decision", *G, "--k", "2", "--x", "0.9"], BASE | {"solvers"}),
     (["emit-ip", *G, "--k", "2", "--linearize-i", "1"], BASE | {"ip_model"}),
-    # fragile scores the removals on a solvers.DegreeTracker
+    # solvers._replay, the one replay of a removal list, scores the removals
     (["baseline", *G, "--strategy", "degree", "--m", "1"],
      BASE | {"baselines", "solvers"}),
     (["curve", *G, "--strategies", "degree"], HARNESS),

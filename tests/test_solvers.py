@@ -247,6 +247,24 @@ class TestDegreeTracker:
         assert t.max_deg == 3  # hub 1 lost its link to hub 0
 
 
+class TestReplay:
+    def test_trace_scores_each_prefix_in_order(self):
+        rng = random.Random(0x4E91)
+        for _ in range(60):
+            n = rng.randint(0, 14)
+            edges = random_graph_edges(rng, n, rng.uniform(0.1, 0.9))
+            order = rng.sample(range(n), rng.randint(0, n))
+            sol = solvers._replay(Graph(n, edges), iter(order))
+            assert sol.removed == tuple(order)
+            assert sol.trace == tuple(oracle_fragile(n, edges, order[:j])
+                                      for j in range(len(order) + 1))
+            assert sol.final_fragility == sol.trace[-1]
+
+    def test_repeated_id_rejected(self, star4):
+        with pytest.raises(ValueError, match="already removed"):
+            solvers._replay(star4, [1, 2, 1])
+
+
 # ----- cross-solver and randomized properties ------------------------------
 
 class TestSolverAgreement:
