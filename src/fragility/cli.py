@@ -19,8 +19,8 @@ work-limit exceeded.
 
 Each ``_cmd_*`` handler takes the parsed arguments, the loaded graph and
 protected set (both None for ``synth``) and returns its manifest
-parameters, text lines, JSON payload and the paths it wrote; ``main``
-alone loads the inputs, writes the manifest and prints the result.
+parameters, text lines and JSON payload; ``main`` alone loads the inputs,
+names the files written (``args.writes``), writes the manifest and prints.
 Handlers and the library raise ``ValueError`` for bad input (exit 1);
 infeasible-request and work-limit errors carry ``exit_status = 2``; ``main``
 alone maps exceptions to exit codes.  Each handler imports the solver,
@@ -171,31 +171,48 @@ def _load_graph(args):
 
 
 def _write_or_show(path, text, note=""):
-    """(lines, paths written): ``text`` itself, or a note that ``path`` got it."""
+    """Lines to print: ``text`` itself, or a note that ``path`` got it."""
     if not path:
-        return [text.rstrip("\n")], []
+        return [text.rstrip("\n")]
     Path(path).write_text(text, encoding="utf-8")
-    return [f"wrote {path}{note}"], [path]
+    return [f"wrote {path}{note}"]
 
 
-def _refuse_overwrite(args, synth):
-    """Raise ``ValueError`` when ``--out`` or ``--manifest`` names a file the
-    command reads, or both name one file; paths compare by ``realpath``."""
-    reads = {} if synth else {os.path.realpath(path): kind for kind, path in
-                              (("graph", args.graph), ("no-strike", args.no_strike))
-                              if path}
-    written = None
-    for flag, path in (("--out", getattr(args, "out", None)),
-                       ("--manifest", args.manifest)):
-        if not path:
-            continue
+def _files_written(args, graph):
+    """``(name, path)`` for each file the command writes, in the order
+    written: ``--out`` or the ``--all-i`` models, then the manifest.  Raise
+    ``ValueError`` when a path names an input file or an earlier path; paths
+    compare by ``realpath``.  A family stops at N models, so a larger budget
+    reaches the model builder's range check without a path per count."""
+    files = [("--out", args.out)] if getattr(args, "out", None) else []
+    if getattr(args, "all_i", False):
+        if args.out is not None:
+            raise ValueError("--out writes one model; --all-i writes into --out-dir")
+        out_dir = Path(args.out_dir or ".")
+        prefix = "model" if args.prefix is None else args.prefix
+        files = [("--all-i", str(out_dir / f"{prefix}_i{i}.lp"))
+                 for i in range(1, min(args.k, graph.node_count) + 1)]
+    elif getattr(args, "out_dir", None) is not None:
+        raise ValueError("--out-dir is for --all-i; pass --out for one model")
+    elif getattr(args, "prefix", None) is not None:
+        raise ValueError("--prefix names the files of --all-i; pass --out for "
+                         "one model")
+    if args.manifest:
+        files.append(("--manifest", args.manifest))
+    elif args.manifest is None and files:  # --manifest '' writes none
+        files.append(("the default manifest", files[0][1] + ".manifest.json"))
+    reads = {os.path.realpath(path): kind for kind, path in
+             (("graph", args.graph), ("no-strike", args.no_strike)) if path}
+    written = {}
+    for name, path in files:
         real = os.path.realpath(path)
         if real in reads:
-            raise ValueError(f"{flag} {path} would overwrite the {reads[real]} "
+            raise ValueError(f"{name} {path} would overwrite the {reads[real]} "
                              "file this command reads")
-        if real == written:
-            raise ValueError(f"--out and --manifest both name {path}")
-        written = real
+        if real in written:
+            raise ValueError(f"{written[real]} and {name} both name {path}")
+        written[real] = name
+    return files
 
 
 def _removal_output(labels, solution):
@@ -219,20 +236,20 @@ def _solution_output(labels, solution):
 
 def _cmd_centrality(args, graph, ns):
     value = network_degree_centrality(graph)
-    return {}, [f"{value:.6f}"], {"centrality": value}, []
+    return {}, [f"{value:.6f}"], {"centrality": value}
 
 
 def _cmd_greedy(args, graph, ns):
     from .solvers import greedy_fragile
     solution = greedy_fragile(graph, ns, args.k)
-    return {"k": args.k}, *_solution_output(graph.labels, solution), []
+    return {"k": args.k}, *_solution_output(graph.labels, solution)
 
 
 def _cmd_exact(args, graph, ns):
     from .solvers import exact_opt
     solution = exact_opt(graph, ns, args.k, args.work_limit)
     return ({"k": args.k, "work_limit": args.work_limit},
-            *_solution_output(graph.labels, solution), [])
+            *_solution_output(graph.labels, solution))
 
 
 def _cmd_decision(args, graph, ns):
@@ -241,17 +258,10 @@ def _cmd_decision(args, graph, ns):
     from .solvers import fragility_decision
     answer = fragility_decision(graph, ns, args.k, args.x, args.work_limit)
     return ({"k": args.k, "x": args.x}, ["true" if answer else "false"],
-            {"decision": answer}, [])
+            {"decision": answer})
 
 
 def _cmd_emit_ip(args, graph, ns):
-    if args.all_i and args.out is not None:
-        raise ValueError("--out writes one model; --all-i writes into --out-dir")
-    if not args.all_i and args.out_dir is not None:
-        raise ValueError("--out-dir is for --all-i; pass --out for one model")
-    if not args.all_i and args.prefix is not None:
-        raise ValueError("--prefix names the files of --all-i; pass --out for "
-                         "one model")
     from .ip_model import (build_fragility_ip, emit_lp, linearize,
                            relax_bounds, write_lp_family)
     model = build_fragility_ip(graph, ns, args.k)
@@ -261,21 +271,18 @@ def _cmd_emit_ip(args, graph, ns):
     if args.all_i:
         if args.k < 1:
             raise ValueError("--all-i needs a budget of at least 1")
-        out_dir = Path(args.out_dir or ".")
-        prefix = "model" if args.prefix is None else args.prefix
-        out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = [str(out_dir / f"{prefix}_i{i}.lp") for i in range(1, args.k + 1)]
+        outputs = [path for name, path in args.writes if name == "--all-i"]
+        Path(args.out_dir or ".").mkdir(parents=True, exist_ok=True)
         write_lp_family(model, outputs)
         return ({**parameters, "all_i": True}, [f"wrote {p}" for p in outputs],
-                {"models": outputs}, outputs)
+                {"models": outputs})
     if args.linearize_i is None:
         raise ValueError(
             "the model objective is fractional: pass --linearize-i I for one "
             "removal count or --all-i for the whole 1..k family")
     text = emit_lp(linearize(model, args.linearize_i))
-    lines, outputs = _write_or_show(args.out, text)
-    return ({**parameters, "linearize_i": args.linearize_i}, lines,
-            {"model": text, "path": args.out}, outputs)
+    return ({**parameters, "linearize_i": args.linearize_i},
+            _write_or_show(args.out, text), {"model": text, "path": args.out})
 
 
 def _cmd_baseline(args, graph, ns):
@@ -289,7 +296,7 @@ def _cmd_baseline(args, graph, ns):
     lines, payload = _removal_output(graph.labels, solution)
     return ({"strategy": args.strategy, "m": args.m},
             [f"strategy: {args.strategy}", *lines],
-            {"strategy": args.strategy, **payload}, [])
+            {"strategy": args.strategy, **payload})
 
 
 def _parse_strategies(raw: str) -> tuple[str, ...]:
@@ -305,10 +312,10 @@ def _cmd_curve(args, graph, ns):
     from .harness import CSV_HEADER, emit_csv, run_curves
     strategies = _parse_strategies(args.strategies)
     points = run_curves(graph, ns, strategies, args.max_fraction, args.step)
-    lines, outputs = _write_or_show(args.out, emit_csv(points))
+    lines = _write_or_show(args.out, emit_csv(points))
     payload = {"points": [dict(zip(CSV_HEADER.split(","), p)) for p in points]}
     return ({"strategies": list(strategies), "max_fraction": args.max_fraction,
-             "step": args.step}, lines, payload, outputs)
+             "step": args.step}, lines, payload)
 
 
 def _cmd_bench(args, graph, ns):
@@ -325,18 +332,16 @@ def _cmd_bench(args, graph, ns):
             for budget, seconds in benchmark_runtime(graph, ns, strategy, budgets)]
     lines = [",".join(BENCH_COLUMNS)] + [BENCH_ROW.format(*row) for row in rows]
     payload = {"measurements": [dict(zip(BENCH_COLUMNS, row)) for row in rows]}
-    return {"strategies": list(strategies), "budgets": budgets}, lines, payload, []
+    return {"strategies": list(strategies), "budgets": budgets}, lines, payload
 
 
 def _cmd_synth(args, _graph, _ns):
     from .harness import generate_synthetic
     graph = generate_synthetic(args.kind, args.n, args.m, args.seed)
-    lines, outputs = _write_or_show(
-        args.out, emit_edge_list(graph),
-        f" ({graph.node_count} nodes, {graph.edge_count} edges)")
+    lines = _write_or_show(args.out, emit_edge_list(graph),
+                           f" ({graph.node_count} nodes, {graph.edge_count} edges)")
     return ({"kind": args.kind, "n": args.n, "m": args.m}, lines,
-            {"nodes": graph.node_count, "edges": graph.edge_count, "path": args.out},
-            outputs)
+            {"nodes": graph.node_count, "edges": graph.edge_count, "path": args.out})
 
 
 # ----- entry points --------------------------------------------------------
@@ -351,19 +356,17 @@ def main(argv=None) -> int:
         if args.format == "csv" and args.command not in ("curve", "bench"):
             raise ValueError(
                 "csv output is only available for the curve and bench commands")
-        synth = args.command == "synth"  # reads no input file, so records none
-        _refuse_overwrite(args, synth)
-        graph, ns = (None, None) if synth else _load_graph(args)
-        parameters, lines, payload, outputs = args.handler(args, graph, ns)
-        manifest = run_manifest(
-            args.command, parameters, graph_path=None if synth else args.graph,
-            no_strike_path=None if synth else args.no_strike,
-            seed=getattr(args, "seed", None), outputs=outputs)
+        if args.command == "synth":  # reads no input file, so records none
+            args.graph = args.no_strike = graph = ns = None
+        else:
+            graph, ns = _load_graph(args)
+        args.writes = _files_written(args, graph)
+        parameters, lines, payload = args.handler(args, graph, ns)
+        outputs = [path for name, path in args.writes if "manifest" not in name]
+        manifest = run_manifest(args.command, parameters, args.graph, args.no_strike,
+                                getattr(args, "seed", None), outputs)
         # before printing, so an unwritable path prints nothing but the error
-        path = args.manifest
-        if path is None and outputs:
-            path = outputs[0] + ".manifest.json"
-        if path:
+        for _, path in args.writes[len(outputs):]:  # the manifest, if any
             write_manifest(manifest, path)
         if args.format == "json":
             body = {**payload, "command": args.command, "manifest": manifest}

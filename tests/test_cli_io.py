@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
 import re
 import shutil
@@ -845,23 +846,64 @@ class TestCliErrors:
         (["synth", "--kind", "random", "--n", "5", "--m", "4", "--out", "s.txt",
           "--manifest", "./s.txt"],
          "--out and --manifest both name ./s.txt"),
+        (["emit-ip", "--graph", "model_i1.lp", "--k", "1", "--all-i"],
+         "--all-i model_i1.lp would overwrite the graph file this command reads"),
+        (["curve", "--graph", "c.csv.manifest.json", "--out", "c.csv"],
+         "the default manifest c.csv.manifest.json would overwrite the graph "
+         "file this command reads"),
+        (["emit-ip", "--graph", "g.txt", "--k", "2", "--all-i", "--out-dir", "d",
+          "--manifest", "d/model_i1.lp"],
+         "--all-i and --manifest both name d/model_i1.lp"),
+        (["emit-ip", "--graph", "g.txt", "--no-strike", "ns.txt", "--k", "2",
+          "--all-i", "--out-dir", "d"],
+         "--all-i d/model_i2.lp would overwrite the no-strike file this command "
+         "reads"),
     ], ids=["manifest-graph", "out-graph", "out-graph-dotdot",
-            "manifest-no-strike-link", "out-manifest", "synth-out-manifest"])
+            "manifest-no-strike-link", "out-manifest", "synth-out-manifest",
+            "model-graph", "default-manifest-graph", "model-manifest",
+            "model-no-strike-link"])
     def test_output_naming_an_input_or_the_other_output_is_exit_1(
             self, tmp_path, monkeypatch, capsys, argv, message):
         # paths compare resolved, so ./, .. and a symlink name the same file
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "g.txt").write_text("a b\na c\na d\n", encoding="utf-8")
+        for name in ("g.txt", "model_i1.lp", "c.csv.manifest.json"):
+            (tmp_path / name).write_text("a b\na c\na d\n", encoding="utf-8")
         (tmp_path / "ns.txt").write_text("b\n", encoding="utf-8")
         (tmp_path / "sub").mkdir()
         (tmp_path / "link.txt").symlink_to("ns.txt")
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "model_i2.lp").symlink_to("../ns.txt")
+
+        def files():
+            return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+        before = files()
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {message}\n"
-        assert {p.name: p.read_bytes()
-                for p in tmp_path.iterdir() if p.is_file()} == before
+        assert files() == before
+
+    def test_huge_all_i_budget_names_no_path_per_count(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # the family is named after the load, up to N models, so the model
+        # builder's range check comes before a path per removal count
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.txt").write_text("a b\na c\na d\n", encoding="utf-8")
+        calls, realpath = [], os.path.realpath
+
+        def counted(path, *args, **kwargs):
+            calls.append(path)
+            return realpath(path, *args, **kwargs)
+
+        monkeypatch.setattr(os.path, "realpath", counted)
+        assert main(["emit-ip", "--graph", "g.txt", "--k", "1000000",
+                     "--all-i"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: budget k must lie in 0..N\n"
+        assert 0 < len(calls) <= 20
+        assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
 
     @pytest.mark.parametrize("command", [["exact"], ["decision", "--x", "0.5"]])
     def test_negative_work_limit_is_exit_1(self, command, graph_file, capsys):
@@ -1039,6 +1081,20 @@ class TestCliEmitIp:
         sidecar = out_dir / "ds8_i1.lp.manifest.json"
         payload = json.loads(sidecar.read_text())
         assert len(payload["outputs"]) == 3
+
+    def test_all_i_empty_prefix_names_models_in_out_dir(self, graph_file,
+                                                        tmp_path, capsys):
+        # a model is named out-dir / f"{prefix}_i{i}.lp", so an empty prefix
+        # still puts the files inside --out-dir
+        out_dir = tmp_path / "d"
+        assert main(["emit-ip", "--graph", str(graph_file), "--k", "2",
+                     "--all-i", "--out-dir", str(out_dir), "--prefix", ""]) == 0
+        models = [str(out_dir / "_i1.lp"), str(out_dir / "_i2.lp")]
+        assert capsys.readouterr().out == "".join(f"wrote {p}\n" for p in models)
+        assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == [
+            "_i1.lp", "_i1.lp.manifest.json", "_i2.lp", graph_file.name]
+        sidecar = json.loads((out_dir / "_i1.lp.manifest.json").read_text())
+        assert sidecar["outputs"] == models
 
     @pytest.mark.parametrize("relax", [[], ["--relax"]], ids=["binary", "relaxed"])
     def test_all_i_files_equal_emit_lp(self, tmp_path, capsys, relax):
